@@ -45,7 +45,6 @@ from .errors import (
 from .pipeline import (
     PipelineSettings,
     RunSummary,
-    compare_groups,
     execute_pipeline,
     run_pipeline,
     settings_from_flags,
@@ -60,15 +59,16 @@ from .textmine import (
     VocabModel,
     build_vocab,
     cooccurrence,
+    group_docs,
     group_mean_sentiment,
+    group_word_sentiment_samples,
     load_lexicon,
     load_stopwords,
-    term_frequencies,
+    tfidf_weight,
     tokenize,
     tokenize_corpus,
     top_cooccurrents,
     tweet_sentiment,
-    word_sentiment_values,
 )
 
 __version__ = "0.1.0"

@@ -129,7 +129,10 @@ def parse_timestamp(raw: str) -> datetime:
             raise MalformedRecordError(f"unparseable timestamp {raw!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise MalformedRecordError(f"timestamp out of range {raw!r}") from None
 
 
 def extract_source_app(source_raw) -> str:
@@ -151,68 +154,73 @@ def extract_source_app(source_raw) -> str:
     return "unknown"
 
 
-def _required(obj: Mapping, key: str):
+_REQUIRED = object()
+_MAX_COUNT = 2**63 - 1  # Twitter counts are 64-bit; far larger ints overflow float math
+
+
+def _field(obj: Mapping, key: str, types: tuple, default=_REQUIRED):
+    """obj[key] checked against *types* (exact types, so bool is not an int).
+
+    A missing or null value is *default*, or malformed when there is none.
+    """
     value = obj.get(key)
     if value is None:
-        raise MalformedRecordError(f"missing required field {key!r}")
+        if default is _REQUIRED:
+            raise MalformedRecordError(f"missing required field {key!r}")
+        return default
+    if type(value) not in types:
+        raise MalformedRecordError(f"{key} has type {type(value).__name__}")
     return value
 
 
 def _count_field(user: Mapping, key: str) -> int:
-    value = user.get(key, 0)
-    if value is None:
-        return 0
-    count = int(value)
-    if count < 0:
-        raise MalformedRecordError(f"negative {key}: {count}")
+    count = _field(user, key, (int,), 0)
+    if not 0 <= count <= _MAX_COUNT:
+        raise MalformedRecordError(f"{key} out of range: {count}")
     return count
 
 
 def parse_record(obj: Mapping) -> Tweet:
     """Normalize one decoded JSON object into a Tweet.
 
-    Raises MalformedRecordError on structural problems (missing required
-    fields, unparseable timestamps, negative counts).
+    Raises MalformedRecordError on structural problems: missing required
+    fields, a field of the wrong JSON type (nothing is coerced), a tweet id
+    that cannot be written as UTF-8, unparseable or out-of-range timestamps,
+    negative or oversized counts.
     """
     if not isinstance(obj, Mapping):
         raise MalformedRecordError("record is not a JSON object")
+    user = _field(obj, "user", (dict,))
     try:
-        tweet_id = str(_required(obj, "id"))
-        text = unicodedata.normalize("NFC", str(_required(obj, "text")))
-        created_at = parse_timestamp(str(_required(obj, "created_at")))
-        user = _required(obj, "user")
-        if not isinstance(user, Mapping):
-            raise MalformedRecordError("user is not a JSON object")
-        account_id = str(_required(user, "id"))
-        followers = _count_field(user, "followers_count")
-        friends = _count_field(user, "friends_count")
-        statuses = _count_field(user, "statuses_count")
-    except (TypeError, ValueError) as exc:
+        tweet_id = str(_field(obj, "id", (str, int)))
+        tweet_id.encode("utf-8")  # an id with a lone surrogate could not be written out
+        account_id = str(_field(user, "id", (str, int)))
+    except ValueError as exc:  # that, or str() of an int id past the digit limit
         raise MalformedRecordError(str(exc)) from None
-
-    raw_user_created = user.get("created_at")
-    user_created = parse_timestamp(str(raw_user_created)) if raw_user_created else created_at
+    text = unicodedata.normalize("NFC", _field(obj, "text", (str,)))
+    created_at = parse_timestamp(_field(obj, "created_at", (str,)))
+    raw_user_created = _field(user, "created_at", (str,), "")
 
     author = AccountSnapshot(
         account_id=account_id,
-        screen_name=str(user.get("screen_name") or ""),
-        followers=followers,
-        friends=friends,
-        verified=bool(user.get("verified", False)),
-        statuses_total=statuses,
-        account_created_at=user_created,
+        screen_name=_field(user, "screen_name", (str,), ""),
+        followers=_count_field(user, "followers_count"),
+        friends=_count_field(user, "friends_count"),
+        verified=_field(user, "verified", (bool,), False),
+        statuses_total=_count_field(user, "statuses_count"),
+        account_created_at=parse_timestamp(raw_user_created) if raw_user_created else created_at,
     )
     is_retweet = (
         obj.get("retweeted_status") is not None
         or obj.get("retweeted_status_id") not in (None, "")
         or text.startswith("RT @")
     )
-    raw_source = obj.get("source")
+    raw_source = _field(obj, "source", (str,), "")
     return Tweet(
         id=tweet_id,
         text=text,
         created_at=created_at,
-        source_raw="" if raw_source is None else str(raw_source),
+        source_raw=raw_source,
         source_app=extract_source_app(raw_source),
         is_retweet=is_retweet,
         author=author,
@@ -297,8 +305,10 @@ def ingest(path, strictness: str = LENIENT,
            rate_basis: str = RATE_CORPUS_WINDOW) -> Corpus:
     """Read a newline-delimited JSON dump into a Corpus.
 
-    Lenient mode counts malformed lines in ``skipped_count`` and moves on;
-    strict mode raises MalformedRecordError naming the offending line.
+    Lines end at newline bytes and are decoded as UTF-8 one by one.  Lenient
+    mode counts malformed lines (bad UTF-8, bad JSON, bad records) in
+    ``skipped_count`` and moves on; strict mode raises MalformedRecordError
+    naming the offending line.
     Repeated tweet ids keep the last record (dict semantics) and are tallied
     in ``duplicate_count``.  Blank lines (streaming keep-alives) are ignored.
     """
@@ -307,15 +317,17 @@ def ingest(path, strictness: str = LENIENT,
     by_id: dict[str, Tweet] = {}
     skipped = 0
     duplicates = 0
-    with open(Path(path), encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(Path(path), "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except UnicodeDecodeError as exc:
+                    raise MalformedRecordError(f"invalid UTF-8: {exc}") from None
+                except (ValueError, RecursionError) as exc:
                     raise MalformedRecordError(f"invalid JSON: {exc}") from None
                 tweet = parse_record(obj)
             except MalformedRecordError as exc:

@@ -22,6 +22,7 @@ from .errors import ConfigError
 __all__ = [
     "Rule",
     "Label",
+    "GROUPS_OF",
     "ActivityStrategy",
     "RuleHit",
     "Classification",
@@ -50,6 +51,15 @@ class Label(str, Enum):
     NO_BOT = "NoBot"
     SUSPICIOUS = "Suspicious"
     BOT = "Bot"
+
+
+# label -> the groups a tweet with that label is reported in: Bot tweets are
+# a subset of Suspicious (anything with at least one rule firing)
+GROUPS_OF = {
+    Label.NO_BOT: (Label.NO_BOT,),
+    Label.SUSPICIOUS: (Label.SUSPICIOUS,),
+    Label.BOT: (Label.BOT, Label.SUSPICIOUS),
+}
 
 
 class ActivityStrategy(str, Enum):
@@ -329,24 +339,16 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> list:
 
 
 def group_summary(classifications: Iterable[Classification]) -> dict:
-    """Counts and shares per label.
+    """Counts and shares per label group, with membership from GROUPS_OF.
 
-    Reported the way the groups are meant to be read: Bot tweets are a subset
-    of Suspicious (anything with at least one rule firing), so the Suspicious
-    row includes the Bot row and shares do not sum to 1.
+    The Suspicious row includes the Bot row, so shares do not sum to 1.
     """
-    counts = Counter()
-    total = 0
-    for c in classifications:
-        counts[c.label] += 1
-        total += 1
+    disjoint = Counter(c.label for c in classifications)
+    total = sum(disjoint.values())
     if total == 0:
         raise ValueError("group_summary of empty classification list")
-    bot = counts[Label.BOT]
-    suspicious = counts[Label.SUSPICIOUS] + bot
-    nobot = counts[Label.NO_BOT]
-    return {
-        Label.NO_BOT: GroupShare(nobot, nobot / total),
-        Label.SUSPICIOUS: GroupShare(suspicious, suspicious / total),
-        Label.BOT: GroupShare(bot, bot / total),
-    }
+    counts = {label: 0 for label in Label}
+    for label, n in disjoint.items():
+        for group in GROUPS_OF[label]:
+            counts[group] += n
+    return {label: GroupShare(n, n / total) for label, n in counts.items()}

@@ -32,7 +32,6 @@ __all__ = [
     "RunSummary",
     "settings_from_flags",
     "compare_group_sentiment",
-    "compare_groups",
     "write_classifications",
     "execute_pipeline",
     "run_pipeline",
@@ -177,12 +176,6 @@ def compare_group_sentiment(samples: Mapping[Label, Sequence[float]]) -> dict:
     return out
 
 
-def compare_groups(classifications, docs, lexicon) -> dict:
-    """Classified docs -> per-pair KS results on word-level sentiment."""
-    samples = textmine_mod.group_word_sentiment_samples(classifications, docs, lexicon)
-    return compare_group_sentiment(samples)
-
-
 def _write_table(path: Path, fingerprint: str, header, rows, created: list):
     created.append(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -256,11 +249,7 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
         stopwords = textmine_mod.load_stopwords(settings.stopwords_path)
         lexicon = textmine_mod.load_lexicon(settings.lexicon_path)
         docs = textmine_mod.tokenize_corpus(corpus.tweets, stopwords, settings.query_term)
-        group_docs = {label: [] for label in Label}
-        for doc, c in zip(docs, classifications):
-            group_docs[c.label].append(doc)
-            if c.label is Label.BOT:
-                group_docs[Label.SUSPICIOUS].append(doc)
+        group_docs = textmine_mod.group_docs(classifications, docs)
 
         for label, slug in GROUP_SLUGS.items():
             gdocs = group_docs[label]
@@ -268,9 +257,8 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             edge_rows = []
             if gdocs:
                 vocab = textmine_mod.build_vocab(gdocs, settings.min_df, settings.max_df)
-                counts = vocab.total_term_counts()
-                weights = vocab.tfidf_sums()
-                cloud_rows = [(term, counts[term], weights[term])
+                counts = vocab.counts
+                cloud_rows = [(term, counts[term], vocab.tfidf_sums[term])
                               for term in sorted(vocab.terms,
                                                  key=lambda t: (-counts[t], t))]
                 model = textmine_mod.cooccurrence(gdocs, settings.window)
@@ -281,12 +269,12 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             _write_table(out_dir / f"cooccurrence_{slug}.csv", fingerprint,
                          ["term", "neighbor", "association"], edge_rows, created)
 
-        mean_sentiment = textmine_mod.group_mean_sentiment(classifications, docs, lexicon)
+        mean_sentiment = textmine_mod.group_mean_sentiment(group_docs, lexicon)
         timings[stage] = time.perf_counter() - t0
 
         stage = "compare"
         t0 = time.perf_counter()
-        samples = textmine_mod.group_word_sentiment_samples(classifications, docs, lexicon)
+        samples = textmine_mod.group_word_sentiment_samples(group_docs, lexicon)
         for label, slug in GROUP_SLUGS.items():
             points = []
             if samples[label]:

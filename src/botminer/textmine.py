@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .detector import Classification, Label
+from .detector import GROUPS_OF, Classification, Label
 from .errors import ConfigError
 
 __all__ = [
@@ -25,8 +25,9 @@ __all__ = [
     "tokenize_text",
     "tokenize",
     "tokenize_corpus",
-    "term_frequencies",
+    "group_docs",
     "VocabModel",
+    "tfidf_weight",
     "build_vocab",
     "CooccurrenceModel",
     "cooccurrence",
@@ -34,7 +35,6 @@ __all__ = [
     "SentimentLexicon",
     "load_lexicon",
     "tweet_sentiment",
-    "word_sentiment_values",
     "group_word_sentiment_samples",
     "group_mean_sentiment",
 ]
@@ -112,12 +112,20 @@ def tokenize_corpus(tweets, stopwords: frozenset,
     return [tokenize(t, stopwords, query_term) for t in tweets]
 
 
-def term_frequencies(docs: Iterable[TokenizedDoc]) -> Counter:
-    """Corpus-wide token occurrence counts (the word-cloud weight input)."""
-    counts = Counter()
-    for doc in docs:
-        counts.update(doc.tokens)
-    return counts
+def group_docs(classifications: Iterable[Classification],
+               docs: Iterable[TokenizedDoc]) -> dict:
+    """Docs per label group, in input order, with membership from GROUPS_OF.
+
+    *classifications* and *docs* are parallel sequences; a length or tweet id
+    mismatch raises ValueError.
+    """
+    groups = {label: [] for label in Label}
+    for c, doc in zip(classifications, docs, strict=True):
+        if c.tweet_id != doc.tweet_id:
+            raise ValueError(f"tweet id mismatch: {c.tweet_id!r} vs doc {doc.tweet_id!r}")
+        for label in GROUPS_OF[c.label]:
+            groups[label].append(doc)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -126,37 +134,23 @@ def term_frequencies(docs: Iterable[TokenizedDoc]) -> Counter:
 
 @dataclass(frozen=True)
 class VocabModel:
-    """Pruned vocabulary with term and tf-idf weights.
+    """Pruned vocabulary with corpus-wide per-term totals.
 
-    ``weight(tweet_id, term)`` is raw count * ln(n_docs / doc_freq); terms
-    outside the document-frequency band were pruned and weigh zero.
+    ``counts[term]`` is the term's occurrence count over all docs and
+    ``tfidf_sums[term]`` the sum of its per-doc tfidf_weight, added in
+    document order.
     """
 
     terms: tuple
     doc_freq: Mapping[str, int]
     n_docs: int
-    _tf: Mapping
-    _tfidf: Mapping
+    counts: Mapping[str, int]
+    tfidf_sums: Mapping[str, float]
 
-    def term_count(self, tweet_id: str, term: str) -> int:
-        return self._tf.get((tweet_id, term), 0)
 
-    def weight(self, tweet_id: str, term: str) -> float:
-        return self._tfidf.get((tweet_id, term), 0.0)
-
-    def total_term_counts(self) -> Counter:
-        """Corpus-wide occurrence count per kept term."""
-        totals = Counter()
-        for (_, term), count in self._tf.items():
-            totals[term] += count
-        return totals
-
-    def tfidf_sums(self) -> dict:
-        """Corpus-wide summed tf-idf weight per kept term."""
-        sums = defaultdict(float)
-        for (_, term), w in self._tfidf.items():
-            sums[term] += w
-        return dict(sums)
+def tfidf_weight(count: int, n_docs: int, doc_freq: int) -> float:
+    """TF-IDF of a term in one doc: raw count * ln(n_docs / doc_freq)."""
+    return count * math.log(n_docs / doc_freq)
 
 
 def build_vocab(docs: Sequence[TokenizedDoc], min_df: float = 0.01,
@@ -176,16 +170,14 @@ def build_vocab(docs: Sequence[TokenizedDoc], min_df: float = 0.01,
     for doc in docs:
         df.update(set(doc.tokens))
     kept = sorted(t for t, c in df.items() if min_df <= c / n <= max_df)
-    kept_set = set(kept)
     doc_freq = {t: df[t] for t in kept}
-    tf = {}
-    tfidf = {}
+    counts = dict.fromkeys(kept, 0)
+    tfidf_sums = dict.fromkeys(kept, 0.0)
     for doc in docs:
-        counts = Counter(tok for tok in doc.tokens if tok in kept_set)
-        for term, count in counts.items():
-            tf[doc.tweet_id, term] = count
-            tfidf[doc.tweet_id, term] = count * math.log(n / doc_freq[term])
-    return VocabModel(tuple(kept), doc_freq, n, tf, tfidf)
+        for term, count in Counter(tok for tok in doc.tokens if tok in doc_freq).items():
+            counts[term] += count
+            tfidf_sums[term] += tfidf_weight(count, n, doc_freq[term])
+    return VocabModel(tuple(kept), doc_freq, n, counts, tfidf_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -316,61 +308,34 @@ def tweet_sentiment(doc: TokenizedDoc, lexicon: SentimentLexicon) -> float:
     return total
 
 
-def word_sentiment_values(docs: Iterable[TokenizedDoc],
-                          lexicon: SentimentLexicon) -> list:
-    """Per-occurrence polarity values of every lexicon word in *docs*.
-
-    This is the word-level sample the distribution comparisons run on.
-    """
-    values = []
-    for doc in docs:
-        for token in doc.tokens:
-            value = lexicon.value(token)
-            if value is not None:
-                values.append(value)
-    return values
-
-
-def group_word_sentiment_samples(classifications: Iterable[Classification],
-                                 docs: Iterable[TokenizedDoc],
+def group_word_sentiment_samples(groups: Mapping[Label, Sequence[TokenizedDoc]],
                                  lexicon: SentimentLexicon) -> dict:
-    """Word-level polarity samples per label group (Suspicious includes Bot)."""
-    label_by_id = {c.tweet_id: c.label for c in classifications}
-    samples = {label: [] for label in Label}
-    for doc in docs:
-        try:
-            label = label_by_id[doc.tweet_id]
-        except KeyError:
-            raise ValueError(f"no classification for tweet {doc.tweet_id!r}") from None
-        groups = (label,) if label is not Label.BOT else (Label.BOT, Label.SUSPICIOUS)
-        for token in doc.tokens:
-            value = lexicon.value(token)
-            if value is not None:
-                for g in groups:
-                    samples[g].append(value)
+    """Word-level polarity samples per label group, in doc order.
+
+    *groups* is the result of group_docs; each sample is the per-occurrence
+    polarity of every lexicon word in the group's docs.
+    """
+    samples = {}
+    for label, docs in groups.items():
+        values = samples[label] = []
+        for doc in docs:
+            for token in doc.tokens:
+                value = lexicon.value(token)
+                if value is not None:
+                    values.append(value)
     return samples
 
 
-def group_mean_sentiment(classifications: Iterable[Classification],
-                         docs: Iterable[TokenizedDoc],
+def group_mean_sentiment(groups: Mapping[Label, Sequence[TokenizedDoc]],
                          lexicon: SentimentLexicon) -> dict:
-    """Mean per-tweet sentiment for each label group.
+    """Mean per-tweet sentiment for each label group (None when empty).
 
-    Suspicious is inclusive of Bot (a Bot tweet counts in both groups);
-    a group with no tweets maps to None.
+    *groups* is the result of group_docs.
     """
-    label_by_id = {c.tweet_id: c.label for c in classifications}
-    sums = {label: 0.0 for label in Label}
-    counts = {label: 0 for label in Label}
-    for doc in docs:
-        try:
-            label = label_by_id[doc.tweet_id]
-        except KeyError:
-            raise ValueError(f"no classification for tweet {doc.tweet_id!r}") from None
-        score = tweet_sentiment(doc, lexicon)
-        groups = (label,) if label is not Label.BOT else (Label.BOT, Label.SUSPICIOUS)
-        for g in groups:
-            sums[g] += score
-            counts[g] += 1
-    return {label: (sums[label] / counts[label] if counts[label] else None)
-            for label in Label}
+    means = {}
+    for label, docs in groups.items():
+        total = 0.0
+        for doc in docs:  # not sum(): from Python 3.12 it compensates rounding
+            total += tweet_sentiment(doc, lexicon)
+        means[label] = total / len(docs) if docs else None
+    return means

@@ -4,12 +4,18 @@ import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import settings
 
 from botminer.corpus import build_corpus, parse_record
 from botminer.textmine import TokenizedDoc
 
 BASE = datetime(2017, 12, 30, 12, 0, 0, tzinfo=timezone.utc)
 WEB_CLIENT = '<a href="http://twitter.com" rel="nofollow">Twitter Web Client</a>'
+
+# property tests: the same examples on every run, no per-example time limit
+# (timings on a loaded 2-core machine vary too much), no example database
+settings.register_profile("botminer", derandomize=True, deadline=None, database=None)
+settings.load_profile("botminer")
 
 
 def record(i="1", text="hello world", minutes=0.0, source=WEB_CLIENT,

@@ -30,7 +30,7 @@ from botminer.detector import (
 from botminer.pipeline import execute_pipeline
 from botminer.stats import LINEAR, ks_two_sample, quantile
 from botminer.syngen import SynthConfig, evaluate_detection, generate, load_ground_truth
-from botminer.textmine import TokenizedDoc, build_vocab, cooccurrence
+from botminer.textmine import TokenizedDoc, build_vocab, cooccurrence, tfidf_weight
 
 from conftest import corpus_of, record, tweet
 
@@ -185,14 +185,20 @@ def test_criterion_4_tfidf_oracle():
         df = Counter()
         for d in docs:
             df.update(set(d.tokens))
+        oracle_sums = Counter()
         for d in docs:
             counts = Counter(d.tokens)
             for term, count in counts.items():
                 expected = count * math.log(n / df[term])
-                assert abs(vocab.weight(d.tweet_id, term) - expected) <= 1e-12
+                weight = tfidf_weight(count, vocab.n_docs, vocab.doc_freq[term])
+                assert abs(weight - expected) <= 1e-12
+                oracle_sums[term] += expected
+        assert set(vocab.tfidf_sums) == set(oracle_sums)
+        for term, total in oracle_sums.items():
+            assert abs(vocab.tfidf_sums[term] - total) <= 1e-12
         for term, freq in df.items():
             if freq == n:  # zero law: ubiquitous terms weigh nothing
-                assert all(vocab.weight(d.tweet_id, term) == 0.0 for d in docs)
+                assert vocab.tfidf_sums[term] == 0.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"\n[PASS] criterion 4: 50 TF-IDF mini-corpora in {elapsed:.2f}s (< 5s)")

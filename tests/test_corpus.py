@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botminer.corpus import (
     LENIENT,
@@ -132,6 +134,96 @@ def test_user_created_defaults_to_tweet_time():
     assert t2.author.account_created_at.year == 2015
 
 
+@pytest.mark.parametrize("field, value", [
+    ("user.verified", "false"),  # a truthy string must not read as True
+    ("user.verified", 1),
+    ("user.followers_count", 12.7),  # no silent truncation
+    ("user.followers_count", 12.0),
+    ("user.friends_count", True),  # bool is not a count
+    ("user.statuses_count", "100"),
+    ("user.followers_count", float("inf")),
+    ("user.followers_count", 2**63),
+    ("user.id", ["a"]),
+    ("user.id", 1.5),
+    ("user.created_at", 1420070400),
+    ("user.screen_name", 7),
+    ("id", True),
+    ("id", 4.2),
+    ("id", "\ud800x"),  # valid JSON, but not writable as UTF-8
+    ("text", ["a"]),  # no "['a']"
+    ("text", 5),
+    ("created_at", 1514635200),
+    ("created_at", "0001-01-01T00:00:00+01:00"),  # before datetime.min in UTC
+    ("source", {"name": "app"}),
+    ("user", ["u1"]),
+])
+def test_parse_record_rejects_wrong_types(field, value):
+    rec = record()
+    target, key = (rec["user"], field[5:]) if field.startswith("user.") else (rec, field)
+    target[key] = value
+    with pytest.raises(MalformedRecordError):
+        parse_record(rec)
+
+
+def test_parse_record_accepts_int_ids_and_null_defaults():
+    rec = record(i=42, account=7, source=None)
+    rec["user"].update(verified=None, screen_name=None, created_at=None)
+    t = parse_record(rec)
+    assert (t.id, t.author_id) == ("42", "7")
+    assert t.author.verified is False
+    assert t.author.screen_name == ""
+    assert t.author.account_created_at == t.created_at
+    assert (t.source_raw, t.source_app) == ("", "unknown")
+    assert tweet(verified=True).author.verified is True
+    assert tweet(followers=2**63 - 1).author.followers == 2**63 - 1
+
+
+edge_values = st.sampled_from([
+    True, False, 0, -1, 12.7, float("inf"), float("nan"), 2**63, 10**400, "", "false",
+    "RT @x", "2017-12-30T12:00:00Z", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | edge_values
+    | st.builds(lambda dt, tz: dt.isoformat() + tz, st.datetimes(),
+                st.sampled_from(["", "Z", "+01:00", "-23:59"])),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=8)
+TOP_FIELDS = ("id", "text", "created_at", "source", "user",
+              "retweeted_status", "retweeted_status_id")
+USER_FIELDS = ("id", "screen_name", "followers_count", "friends_count",
+               "verified", "statuses_count", "created_at")
+edits = st.lists(st.tuples(st.booleans(), st.integers(0, 6), edge_values | json_values),
+                 min_size=1, max_size=4)
+
+
+def _parses_or_is_malformed(value):
+    try:
+        t = parse_record(value)
+    except MalformedRecordError:
+        return
+    assert isinstance(t.id, str) and isinstance(t.author_id, str)
+    assert isinstance(t.author.verified, bool)
+    assert all(type(n) is int and n >= 0 for n in
+               (t.author.followers, t.author.friends, t.author.statuses_total))
+
+
+@given(json_values)
+def test_parse_record_arbitrary_json_raises_only_malformed(value):
+    _parses_or_is_malformed(value)
+
+
+@settings(max_examples=500)
+@given(edits)
+def test_parse_record_edited_fields_raise_only_malformed(changes):
+    rec = record(account_created="2015-01-01T00:00:00Z")
+    for in_user, k, value in changes:
+        if in_user and isinstance(rec.get("user"), dict):
+            rec["user"][USER_FIELDS[k]] = value
+        else:
+            rec[TOP_FIELDS[k]] = value
+    _parses_or_is_malformed(rec)
+
+
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
@@ -198,6 +290,45 @@ def test_ingest_rejects_unknown_strictness(tmp_path):
     path = write_ndjson(tmp_path / "c.ndjson", [record()])
     with pytest.raises(ValueError):
         ingest(path, "casual")
+
+
+def _line(**kw) -> bytes:
+    return json.dumps(record(**kw)).encode("utf-8")
+
+
+BAD_LINES = {
+    "bad_utf8_byte": b"\xff",
+    "bad_utf8_in_text": _line(i="x", text="cafe").replace(b"cafe", b"caf\xe9"),
+    "count_overflow": _line(i="x", followers=12345).replace(b"12345", b"1e400"),
+    "timestamp_overflow": _line(i="x", created_at="0001-01-01T00:00:00+01:00"),
+    "int_past_digit_limit": b'{"id": ' + b"1" * 5000 + b"}",
+    "deep_nesting": b"[" * 100_000,
+    "lone_surrogate_id": _line(i="\ud800"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
+def test_ingest_lenient_skips_and_counts_bad_line(tmp_path, bad):
+    path = tmp_path / "c.ndjson"
+    path.write_bytes(b"\n".join([_line(i="1"), bad, _line(i="2")]) + b"\n")
+    corpus = ingest(path, LENIENT)
+    assert [t.id for t in corpus.tweets] == ["1", "2"]
+    assert corpus.skipped_count == 1
+
+
+@pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
+def test_ingest_strict_names_bad_line(tmp_path, bad):
+    path = tmp_path / "c.ndjson"
+    path.write_bytes(b"\n".join([_line(i="1"), bad, _line(i="2")]) + b"\n")
+    with pytest.raises(MalformedRecordError, match=r"^line 2: "):
+        ingest(path, STRICT)
+
+
+def test_ingest_crlf_and_utf8_text(tmp_path):
+    path = tmp_path / "c.ndjson"
+    path.write_bytes(_line(i="1") + b"\r\n" + _line(i="2", text="Tehran café ☕") + b"\r\n")
+    corpus = ingest(path, STRICT)
+    assert [t.text for t in corpus.tweets] == ["hello world", "Tehran café ☕"]
 
 
 def test_ingest_deterministic(tmp_path):

@@ -10,14 +10,13 @@ from botminer.errors import PipelineStageError
 from botminer.pipeline import (
     PipelineSettings,
     compare_group_sentiment,
-    compare_groups,
     execute_pipeline,
     run_pipeline,
     settings_from_flags,
     write_classifications,
 )
 from botminer.syngen import SynthConfig, generate
-from botminer.textmine import SentimentLexicon
+from botminer.textmine import SentimentLexicon, group_docs, group_word_sentiment_samples
 
 from conftest import docs_of, record, write_ndjson
 
@@ -183,7 +182,7 @@ def test_write_classifications_standalone(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# compare_groups
+# group comparisons
 # ---------------------------------------------------------------------------
 
 LEX = SentimentLexicon({"bad": -1, "good": 1})
@@ -209,7 +208,7 @@ def test_compare_groups_disjoint_supports():
            Classification("d1", Label.BOT, frozenset()),
            Classification("d2", Label.NO_BOT, frozenset()),
            Classification("d3", Label.NO_BOT, frozenset())]
-    out = compare_groups(cls, docs, LEX)
+    out = compare_group_sentiment(group_word_sentiment_samples(group_docs(cls, docs), LEX))
     assert out["NoBot_vs_Bot"].d_statistic == 1.0
     # Bot words mirror into Suspicious, so that pair is degenerate-equal
     assert out["Suspicious_vs_Bot"].d_statistic == 0.0
@@ -355,6 +354,16 @@ def test_cli_analyze_reports_ks(synth_corpus, tmp_path, capsys):
 def test_cli_missing_file_is_error(tmp_path, capsys):
     assert main(["ingest-check", str(tmp_path / "nope.ndjson")]) == 1
     assert "botminer:" in capsys.readouterr().err
+
+
+def test_cli_overflowing_record_is_skipped_or_named(tmp_path, capsys):
+    path = tmp_path / "c.ndjson"
+    bad = json.dumps(record(i="2", followers=12345)).replace("12345", "1e400")
+    path.write_text("\n".join([json.dumps(record(i="1")), bad]) + "\n", encoding="utf-8")
+    assert main(["ingest-check", str(path)]) == 0
+    assert "skipped records: 1" in capsys.readouterr().out
+    assert main(["ingest-check", str(path), "--strict"]) == 1
+    assert "line 2:" in capsys.readouterr().err
 
 
 def test_cli_empty_corpus_names_stage(tmp_path, capsys):

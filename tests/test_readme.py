@@ -1,0 +1,55 @@
+"""The README's examples and artifact layout, checked against the code."""
+
+import json
+import re
+from pathlib import Path
+
+from botminer.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+
+
+def _code_block(after_heading: str, lang: str = "") -> str:
+    section = README.split(after_heading, 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _artifact_columns() -> dict:
+    """File name -> column list, from the README's Artifacts block."""
+    columns = {}
+    for line in _code_block("## Artifacts").splitlines():
+        pattern, described = line.split(None, 1)
+        names = [pattern]
+        brace = re.search(r"\{(.*?)\}", pattern)
+        if brace:
+            names = [pattern.replace(brace.group(0), part)
+                     for part in brace.group(1).split(",")]
+        for name in names:
+            columns[name.replace(".csv|jsonl", ".csv")] = described
+    return columns
+
+
+def test_readme_synth_names_its_files(tmp_path, capsys):
+    named = re.search(r"`botminer synth` writes `(\S+)` plus `(\S+)`", README).groups()
+    assert main(["synth", "--out", str(tmp_path), "--humans", "30", "--bots", "3"]) == 0
+    capsys.readouterr()
+    assert {p.name for p in tmp_path.iterdir()} == set(named)
+
+
+def test_readme_library_example_and_artifact_headers(tmp_path, monkeypatch, capsys):
+    assert main(["synth", "--out", str(tmp_path), "--seed", "11",
+                 "--humans", "30", "--bots", "3"]) == 0
+    monkeypatch.chdir(tmp_path)
+    exec(_code_block("## Library use", "python"), {})
+    assert capsys.readouterr().out.strip()
+
+    out = tmp_path / "out"
+    expected = _artifact_columns()
+    assert set(expected) == {p.name for p in out.iterdir()}
+    for name, described in expected.items():
+        lines = (out / name).read_text("utf-8").splitlines()
+        if name.endswith(".csv"):
+            assert described.split("(")[0].strip() == ", ".join(lines[1].split(",")), name
+        else:
+            sections = [s.strip() for s in described.split("/")]
+            assert set(sections) <= set(json.loads("\n".join(lines)))

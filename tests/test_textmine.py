@@ -5,23 +5,25 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from botminer.detector import Classification, Label
+from botminer.detector import Classification, Label, group_summary
 from botminer.errors import ConfigError
 from botminer.textmine import (
     SentimentLexicon,
     build_vocab,
     cooccurrence,
+    group_docs,
     group_mean_sentiment,
     group_word_sentiment_samples,
     load_lexicon,
     load_stopwords,
-    term_frequencies,
+    tfidf_weight,
     tokenize,
     tokenize_text,
     top_cooccurrents,
     tweet_sentiment,
-    word_sentiment_values,
 )
 
 from conftest import doc, docs_of, tweet
@@ -87,20 +89,24 @@ def test_tokenize_idempotent():
 
 
 # ---------------------------------------------------------------------------
-# term_frequencies
+# term frequencies: CooccurrenceModel.term_freq counts every token,
+# VocabModel.counts only the kept terms
 # ---------------------------------------------------------------------------
 
 def test_term_frequencies_counts():
-    assert term_frequencies(docs_of([["a", "b"], ["a"]])) == {"a": 2, "b": 1}
+    docs = docs_of([["a", "b"], ["a"]])
+    assert cooccurrence(docs).term_freq == {"a": 2, "b": 1}
+    assert build_vocab(docs, min_df=0.0, max_df=1.0).counts == {"a": 2, "b": 1}
 
 
 def test_term_frequencies_empty():
-    assert term_frequencies([]) == {}
+    assert cooccurrence([]).term_freq == {}
 
 
 def test_term_frequencies_multi_occurrence():
-    docs = docs_of([["trump", "trump"]] * 3)
-    assert term_frequencies(docs) == {"trump": 6}
+    docs = docs_of([["trump", "trump"]] * 3 + [["other"]])
+    assert cooccurrence(docs).term_freq == {"trump": 6, "other": 1}
+    assert build_vocab(docs, min_df=0.0, max_df=1.0).counts == {"trump": 6, "other": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +137,19 @@ def test_vocab_band_is_inclusive():
 def test_vocab_tfidf_hand_value():
     docs = docs_of([["term", "term", "term"], ["term"], ["x"], ["y"]])
     vocab = build_vocab(docs, min_df=0.0, max_df=0.5)
-    assert vocab.weight("d0", "term") == pytest.approx(3 * math.log(2), abs=1e-12)
-    assert vocab.weight("d0", "term") == pytest.approx(2.0794415416798357, abs=1e-12)
+    assert (vocab.n_docs, vocab.doc_freq["term"]) == (4, 2)
+    d0 = tfidf_weight(3, vocab.n_docs, vocab.doc_freq["term"])
+    assert d0 == pytest.approx(3 * math.log(2), abs=1e-12)
+    assert d0 == pytest.approx(2.0794415416798357, abs=1e-12)
+    assert vocab.tfidf_sums["term"] == d0 + tfidf_weight(1, 4, 2)
 
 
 def test_vocab_zero_law():
     docs = docs_of([["shared", f"u{i}"] for i in range(4)])
     vocab = build_vocab(docs, min_df=0.0, max_df=1.0)
-    for d in docs:
-        assert vocab.weight(d.tweet_id, "shared") == 0.0
-
-
-def test_vocab_missing_lookups_default():
-    vocab = build_vocab(docs_of([["a"], ["b"]]), min_df=0.0, max_df=1.0)
-    assert vocab.term_count("d0", "zzz") == 0
-    assert vocab.weight("nope", "a") == 0.0
+    assert tfidf_weight(1, vocab.n_docs, vocab.doc_freq["shared"]) == 0.0
+    assert vocab.tfidf_sums["shared"] == 0.0
+    assert vocab.counts["shared"] == 4
 
 
 def test_vocab_rejects_bad_band_or_empty():
@@ -178,18 +182,46 @@ def test_vocab_matches_direct_formula():
         df = Counter()
         for d in docs:
             df.update(set(d.tokens))
+        assert vocab.doc_freq == df
         for d in docs:
             for term in set(d.tokens):
                 expected = d.tokens.count(term) * math.log(n / df[term])
-                assert vocab.weight(d.tweet_id, term) == pytest.approx(expected, abs=1e-12)
+                got = tfidf_weight(d.tokens.count(term), vocab.n_docs, vocab.doc_freq[term])
+                assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_vocab_totals_and_sums():
     docs = docs_of([["a", "a", "b"], ["b"]])
     vocab = build_vocab(docs, min_df=0.0, max_df=1.0)
-    assert vocab.total_term_counts() == {"a": 2, "b": 2}
-    assert vocab.tfidf_sums()["a"] == pytest.approx(2 * math.log(2))
-    assert vocab.tfidf_sums()["b"] == pytest.approx(0.0)
+    assert vocab.counts == {"a": 2, "b": 2}
+    assert vocab.tfidf_sums["a"] == pytest.approx(2 * math.log(2))
+    assert vocab.tfidf_sums["b"] == pytest.approx(0.0)
+
+
+token_lists = st.lists(st.lists(st.sampled_from("abcdefg"), max_size=8), min_size=1, max_size=12)
+df_bands = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda b: b[0] < b[1])
+
+
+@given(token_lists, df_bands)
+def test_vocab_totals_equal_per_doc_sums_in_doc_order(lists, band):
+    docs = docs_of(lists)
+    vocab = build_vocab(docs, *band)
+    n = len(docs)
+    df = Counter(t for d in docs for t in set(d.tokens))
+    kept = sorted(t for t, c in df.items() if band[0] <= c / n <= band[1])
+    counts = {}
+    sums = {}
+    for term in kept:
+        counts[term] = 0
+        sums[term] = 0.0
+        for d in docs:  # document order, so the float sum is the same one
+            c = d.tokens.count(term)
+            if c:
+                counts[term] += c
+                sums[term] += c * math.log(n / df[term])
+    assert vocab.terms == tuple(kept)
+    assert vocab.counts == counts
+    assert vocab.tfidf_sums == sums  # exact, not approximate
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +364,25 @@ def test_tweet_sentiment_linearity():
             tweet_sentiment(doc(*left), LEX) + tweet_sentiment(doc(*right), LEX))
 
 
+def _word_values(docs):
+    """Word-level sentiment sample of *docs*, all labelled NoBot."""
+    cls = [Classification(d.tweet_id, Label.NO_BOT, frozenset()) for d in docs]
+    return group_word_sentiment_samples(group_docs(cls, docs), LEX)[Label.NO_BOT]
+
+
 def test_word_sentiment_values_multiset():
     docs = docs_of([["bad"], ["bad", "good"]])
-    assert sorted(word_sentiment_values(docs, LEX)) == [-1, -1, 1]
+    assert _word_values(docs) == [-1, -1, 1]  # doc order, then token order
 
 
 def test_word_sentiment_values_empty():
-    assert word_sentiment_values([], LEX) == []
+    assert _word_values([]) == []
+    assert _word_values(docs_of([["quiet"], []])) == []
 
 
 def test_word_sentiment_values_repeats():
     docs = docs_of([["bad"] * 10])
-    assert word_sentiment_values(docs, LEX) == [-1] * 10
+    assert _word_values(docs) == [-1] * 10
 
 
 def _grouped_docs():
@@ -358,7 +397,7 @@ def _grouped_docs():
 
 def test_group_mean_sentiment_inclusive():
     cls, docs = _grouped_docs()
-    means = group_mean_sentiment(cls, docs, LEX)
+    means = group_mean_sentiment(group_docs(cls, docs), LEX)
     assert means[Label.BOT] == pytest.approx(-2.0)
     assert means[Label.NO_BOT] == pytest.approx(1.0)
     # Suspicious averages its own tweet and the Bot tweet
@@ -369,26 +408,69 @@ def test_group_mean_sentiment_simple_mean():
     docs = [doc("bad", tweet_id="t1"), doc("plain", tweet_id="t2")]
     cls = [Classification("t1", Label.NO_BOT, frozenset()),
            Classification("t2", Label.NO_BOT, frozenset())]
-    means = group_mean_sentiment(cls, docs, LEX)
+    means = group_mean_sentiment(group_docs(cls, docs), LEX)
     assert means[Label.NO_BOT] == pytest.approx(-0.5)
 
 
 def test_group_mean_sentiment_empty_group_is_none():
     docs = [doc("good", tweet_id="t1")]
     cls = [Classification("t1", Label.NO_BOT, frozenset())]
-    means = group_mean_sentiment(cls, docs, LEX)
+    means = group_mean_sentiment(group_docs(cls, docs), LEX)
     assert means[Label.BOT] is None
     assert means[Label.SUSPICIOUS] is None
 
 
 def test_group_samples_inclusive_and_checked():
     cls, docs = _grouped_docs()
-    samples = group_word_sentiment_samples(cls, docs, LEX)
+    samples = group_word_sentiment_samples(group_docs(cls, docs), LEX)
     assert sorted(samples[Label.SUSPICIOUS]) == [-1, -1, -1]  # bot words included
     assert samples[Label.BOT] == [-1, -1]
     assert samples[Label.NO_BOT] == [1]
     with pytest.raises(ValueError):
-        group_word_sentiment_samples(cls, [doc("x", tweet_id="unseen")], LEX)
+        group_docs(cls, [doc("x", tweet_id="unseen")])
+
+
+# ---------------------------------------------------------------------------
+# group_docs
+# ---------------------------------------------------------------------------
+
+def test_group_docs_rejects_mismatched_inputs():
+    cls, docs = _grouped_docs()
+    with pytest.raises(ValueError):
+        group_docs(cls, docs[:2])  # one classification too many
+    with pytest.raises(ValueError):
+        group_docs(cls[:2], docs)  # one doc too many
+    with pytest.raises(ValueError, match="mismatch"):
+        group_docs(cls, docs[::-1])  # same length, ids out of step
+
+
+labels = st.lists(st.sampled_from(list(Label)), min_size=1, max_size=40)
+
+
+def _labelled(label_list):
+    docs = docs_of([[f"w{i}"] for i in range(len(label_list))])
+    cls = [Classification(d.tweet_id, label, frozenset())
+           for d, label in zip(docs, label_list)]
+    return cls, docs
+
+
+@given(labels)
+def test_group_docs_keeps_order_and_suspicious_includes_bot(label_list):
+    cls, docs = _labelled(label_list)
+    groups = group_docs(cls, docs)
+    for label in (Label.NO_BOT, Label.BOT):
+        assert groups[label] == [d for d, c in zip(docs, cls) if c.label is label]
+    assert groups[Label.SUSPICIOUS] == [
+        d for d, c in zip(docs, cls) if c.label in (Label.SUSPICIOUS, Label.BOT)]
+
+
+@given(labels)
+def test_group_summary_counts_equal_group_sizes(label_list):
+    cls, docs = _labelled(label_list)
+    groups = group_docs(cls, docs)
+    summary = group_summary(cls)
+    for label in Label:
+        assert summary[label].count == len(groups[label])
 
 
 # ---------------------------------------------------------------------------
