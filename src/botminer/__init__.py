@@ -21,6 +21,7 @@ from .corpus import (
 from .detector import (
     ActivityStrategy,
     Classification,
+    Detection,
     DetectorConfig,
     Label,
     Rule,
@@ -29,6 +30,7 @@ from .detector import (
     activity_threshold,
     classify,
     duplicate_rule,
+    fold_groups,
     group_summary,
     load_detector_config,
     load_suspicious_sources,
@@ -68,7 +70,6 @@ from .textmine import (
     tokenize,
     tokenize_corpus,
     top_cooccurrents,
-    tweet_sentiment,
 )
 
 __version__ = "0.1.0"

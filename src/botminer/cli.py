@@ -108,10 +108,8 @@ def cmd_detect(args) -> int:
     corp = corpus_mod.ingest(args.corpus, strictness=settings.strictness,
                              rate_basis=settings.rate_basis)
     classifications = detector_mod.classify(corp, settings.detector)
-    threshold = detector_mod.activity_threshold(
-        (a.tweets_per_day for a in corp.accounts.values()), settings.detector)
     shares = detector_mod.group_summary(classifications)
-    _print_shares(shares, threshold, settings.detector.activity_strategy.value)
+    _print_shares(shares, classifications.threshold, settings.detector.activity_strategy.value)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

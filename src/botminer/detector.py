@@ -11,21 +11,23 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import stats
 from .corpus import AccountStats, Corpus, Tweet
 from .errors import ConfigError
+from .listfile import read_entries
 
 __all__ = [
     "Rule",
     "Label",
     "GROUPS_OF",
+    "fold_groups",
     "ActivityStrategy",
     "RuleHit",
     "Classification",
+    "Detection",
     "GroupShare",
     "DetectorConfig",
     "load_suspicious_sources",
@@ -62,6 +64,20 @@ GROUPS_OF = {
 }
 
 
+def fold_groups(per_label: Mapping) -> dict:
+    """Per-group totals from per-label values, with membership from GROUPS_OF.
+
+    *per_label* maps each disjoint label to a value that supports ``+``
+    (a count, a Counter, a CooccurrenceModel); each group's total adds the
+    values of the labels it contains, in *per_label* order.
+    """
+    groups = {}
+    for label, value in per_label.items():
+        for group in GROUPS_OF[label]:
+            groups[group] = groups[group] + value if group in groups else value
+    return groups
+
+
 class ActivityStrategy(str, Enum):
     QUANTILE = "Quantile"
     IQR_FENCE = "IqrFence"
@@ -90,6 +106,14 @@ class Classification:
         return tuple(sorted({h.rule for h in self.hits}, key=lambda r: r.value))
 
 
+class Detection(list):
+    """Classifications in corpus order, plus the activity threshold they used."""
+
+    def __init__(self, classifications, threshold: float):
+        super().__init__(classifications)
+        self.threshold = threshold
+
+
 @dataclass(frozen=True)
 class GroupShare:
     count: int
@@ -102,15 +126,7 @@ def load_suspicious_sources(path=None) -> frozenset:
     Names are matched case-insensitively, so they are stored lowercased.
     Without a path the bundled default list is used.
     """
-    if path is None:
-        text = resources.files("botminer").joinpath("data/suspicious_sources.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    names = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.add(line.lower())
+    names = {line.lower() for _, line in read_entries(path, "suspicious_sources.txt")}
     if not names:
         raise ConfigError("suspicious source list is empty")
     return frozenset(names)
@@ -178,10 +194,7 @@ def load_detector_config(path, sources_path=None) -> DetectorConfig:
     """
     path = Path(path)
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_entries(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
@@ -289,13 +302,13 @@ def duplicate_rule(corpus: Corpus, config: DetectorConfig) -> dict:
 # combination
 # ---------------------------------------------------------------------------
 
-def classify(corpus: Corpus, config: DetectorConfig | None = None) -> list:
+def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
     """Classify every tweet in the corpus.
 
     Account-level rules (ratio, activity) propagate to all of the account's
     tweets; tweet-level rules (source, duplicate) apply individually.  The
     activity threshold is computed over the whole corpus population first.
-    Returns Classifications in corpus order.
+    Returns the Classifications in corpus order, with that threshold.
     """
     if config is None:
         config = DetectorConfig()
@@ -314,7 +327,7 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> list:
             hits.append(hit)
         account_hits[acct_id] = tuple(hits)
 
-    out = []
+    out = Detection((), threshold)
     for tweet in corpus.tweets:
         hits = list(account_hits[tweet.author_id])
         hit = source_rule(tweet, config)
@@ -347,8 +360,5 @@ def group_summary(classifications: Iterable[Classification]) -> dict:
     total = sum(disjoint.values())
     if total == 0:
         raise ValueError("group_summary of empty classification list")
-    counts = {label: 0 for label in Label}
-    for label, n in disjoint.items():
-        for group in GROUPS_OF[label]:
-            counts[group] += n
+    counts = fold_groups({label: disjoint[label] for label in Label})
     return {label: GroupShare(n, n / total) for label, n in counts.items()}

@@ -12,10 +12,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import corpus as corpus_mod
 from . import detector as detector_mod
@@ -157,8 +160,8 @@ class RunSummary:
         }
 
 
-def compare_group_sentiment(samples: Mapping[Label, Sequence[float]]) -> dict:
-    """KS-compare word-level sentiment samples between label groups.
+def compare_group_sentiment(samples: Mapping[Label, Mapping[float, int]]) -> dict:
+    """KS-compare word-level sentiment histograms between label groups.
 
     Returns {"NoBot_vs_Bot": KsResult | None, ...}; a pair with an empty side
     is reported as None (skipped).  Fewer than two non-empty groups means
@@ -176,8 +179,7 @@ def compare_group_sentiment(samples: Mapping[Label, Sequence[float]]) -> dict:
     return out
 
 
-def _write_table(path: Path, fingerprint: str, header, rows, created: list):
-    created.append(path)
+def _write_table(path: Path, fingerprint: str, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_fingerprint={fingerprint}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -185,20 +187,12 @@ def _write_table(path: Path, fingerprint: str, header, rows, created: list):
         writer.writerows(rows)
 
 
-def write_classifications(path: Path, fingerprint: str, classifications,
-                          fmt: str, created: list | None = None):
+def write_classifications(path: Path, fingerprint: str, classifications, fmt: str):
     """Write per-tweet classification records as csv or jsonl."""
-    if created is not None:
-        created.append(path)
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# config_fingerprint={fingerprint}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["tweet_id", "label", "rules", "verified_override"])
-            for c in classifications:
-                writer.writerow([c.tweet_id, c.label.value,
-                                 "|".join(r.value for r in c.rules),
-                                 str(c.verified_override).lower()])
+        _write_table(path, fingerprint, ["tweet_id", "label", "rules", "verified_override"],
+                     ([c.tweet_id, c.label.value, "|".join(r.value for r in c.rules),
+                       str(c.verified_override).lower()] for c in classifications))
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for c in classifications:
@@ -216,15 +210,16 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
     """Run the full chain on a corpus file and write all artifacts to out_dir.
 
     Writes per-group word-cloud, co-occurrence and sentiment-ECDF tables, the
-    per-tweet classification file, and run_summary.json.  On failure the
-    partially written artifacts are removed and PipelineStageError names the
-    stage that died.
+    per-tweet classification file, and run_summary.json.  Artifacts are
+    written to a temporary directory inside out_dir and moved into place only
+    when every stage succeeded, so a failed run leaves the previous run's
+    artifacts as they were; PipelineStageError names the stage that died.
     """
     if settings is None:
         settings = PipelineSettings()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
+    work_dir = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
     timings: dict[str, float] = {}
     stage = "setup"
     try:
@@ -239,8 +234,6 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
         stage = "detect"
         t0 = time.perf_counter()
         classifications = detector_mod.classify(corpus, settings.detector)
-        threshold = detector_mod.activity_threshold(
-            (a.tweets_per_day for a in corpus.accounts.values()), settings.detector)
         shares = detector_mod.group_summary(classifications)
         timings[stage] = time.perf_counter() - t0
 
@@ -249,46 +242,50 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
         stopwords = textmine_mod.load_stopwords(settings.stopwords_path)
         lexicon = textmine_mod.load_lexicon(settings.lexicon_path)
         docs = textmine_mod.tokenize_corpus(corpus.tweets, stopwords, settings.query_term)
-        group_docs = textmine_mod.group_docs(classifications, docs)
+        label_docs = textmine_mod.group_docs(classifications, docs)
+        models = detector_mod.fold_groups(
+            {label: textmine_mod.cooccurrence(ldocs, settings.window)
+             for label, ldocs in label_docs.items()})
 
         for label, slug in GROUP_SLUGS.items():
-            gdocs = group_docs[label]
+            model = models[label]
             cloud_rows = []
             edge_rows = []
-            if gdocs:
-                vocab = textmine_mod.build_vocab(gdocs, settings.min_df, settings.max_df)
+            if model.n_docs:
+                vocab = textmine_mod.build_vocab(model, settings.min_df, settings.max_df)
                 counts = vocab.counts
                 cloud_rows = [(term, counts[term], vocab.tfidf_sums[term])
                               for term in sorted(vocab.terms,
                                                  key=lambda t: (-counts[t], t))]
-                model = textmine_mod.cooccurrence(gdocs, settings.window)
                 edge_rows = textmine_mod.top_cooccurrents(
                     model, settings.k_terms, settings.k_neighbors)
-            _write_table(out_dir / f"wordcloud_{slug}.csv", fingerprint,
-                         ["term", "count", "tfidf_sum"], cloud_rows, created)
-            _write_table(out_dir / f"cooccurrence_{slug}.csv", fingerprint,
-                         ["term", "neighbor", "association"], edge_rows, created)
+            _write_table(work_dir / f"wordcloud_{slug}.csv", fingerprint,
+                         ["term", "count", "tfidf_sum"], cloud_rows)
+            _write_table(work_dir / f"cooccurrence_{slug}.csv", fingerprint,
+                         ["term", "neighbor", "association"], edge_rows)
 
-        mean_sentiment = textmine_mod.group_mean_sentiment(group_docs, lexicon)
+        samples = detector_mod.fold_groups(
+            textmine_mod.group_word_sentiment_samples(label_docs, lexicon))
+        mean_sentiment = textmine_mod.group_mean_sentiment(
+            samples, {label: model.n_docs for label, model in models.items()})
         timings[stage] = time.perf_counter() - t0
 
         stage = "compare"
         t0 = time.perf_counter()
-        samples = textmine_mod.group_word_sentiment_samples(group_docs, lexicon)
         for label, slug in GROUP_SLUGS.items():
             points = []
             if samples[label]:
                 points = stats_mod.ecdf(samples[label]).points()
-            _write_table(out_dir / f"ecdf_{slug}.csv", fingerprint,
-                         ["value", "cumulative_probability"], points, created)
+            _write_table(work_dir / f"ecdf_{slug}.csv", fingerprint,
+                         ["value", "cumulative_probability"], points)
         ks_results = compare_group_sentiment(samples)
         timings[stage] = time.perf_counter() - t0
 
         stage = "report"
         t0 = time.perf_counter()
         class_name = "classifications.csv" if settings.output_format == "csv" else "classifications.jsonl"
-        write_classifications(out_dir / class_name, fingerprint, classifications,
-                              settings.output_format, created)
+        write_classifications(work_dir / class_name, fingerprint, classifications,
+                              settings.output_format)
 
         rule_hits = {rule.value: 0 for rule in detector_mod.Rule}
         overrides = 0
@@ -313,7 +310,7 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             duplicate_ids=corpus.duplicate_count,
             rate_basis=settings.rate_basis,
             activity_strategy=settings.detector.activity_strategy.value,
-            activity_threshold=threshold,
+            activity_threshold=classifications.threshold,
             label_shares={label.value: {"count": gs.count, "share": gs.share}
                           for label, gs in shares.items()},
             disjoint_shares=disjoint,
@@ -323,24 +320,21 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             ks_comparisons={key: (None if res is None else {
                 "d_statistic": res.d_statistic, "p_value": res.p_value,
                 "n1": res.n1, "n2": res.n2}) for key, res in ks_results.items()},
-            artifacts=sorted(p.name for p in created) + ["run_summary.json"],
+            artifacts=sorted(os.listdir(work_dir)) + ["run_summary.json"],
             timings=timings,
         )
-        summary_path = out_dir / "run_summary.json"
-        created.append(summary_path)
-        with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(work_dir / "run_summary.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+        for name in summary.artifacts:  # run_summary.json last
+            os.replace(work_dir / name, out_dir / name)
         timings[stage] = time.perf_counter() - t0
         summary.timings = dict(timings)
         return summary
     except Exception as exc:
-        for path in created:
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
         raise PipelineStageError(stage, exc) from exc
+    finally:
+        shutil.rmtree(work_dir, ignore_errors=True)
 
 
 _RATE_BASIS_ALIASES = {

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Mapping
 
 __all__ = [
     "NEAREST_RANK",
@@ -67,33 +68,33 @@ def iqr(values: Iterable[float]) -> float:
 
 @dataclass(frozen=True)
 class Ecdf:
-    """Right-continuous empirical CDF of a fixed sample."""
+    """Right-continuous empirical CDF of a fixed sample.
 
-    sorted_values: tuple
+    ``values`` are the sample's distinct values in increasing order and
+    ``cumulative[i]`` the number of sample points <= ``values[i]``.
+    """
+
+    values: tuple
+    cumulative: tuple
     n: int
 
     def evaluate(self, x: float) -> float:
         """F(x) = (# sample points <= x) / n."""
-        return bisect_right(self.sorted_values, x) / self.n
+        i = bisect_right(self.values, x)
+        return self.cumulative[i - 1] / self.n if i else 0.0
 
     def points(self) -> list[tuple[float, float]]:
         """Distinct (x, F(x)) pairs in increasing x order."""
-        out = []
-        prev = object()
-        for i, x in enumerate(self.sorted_values):
-            if x != prev:
-                out.append((x, 0.0))
-                prev = x
-            out[-1] = (x, (i + 1) / self.n)
-        return out
+        return [(x, c / self.n) for x, c in zip(self.values, self.cumulative)]
 
 
-def ecdf(values: Iterable[float]) -> Ecdf:
-    """Build the empirical CDF of a non-empty sample."""
-    data = tuple(sorted(values))
-    if not data:
-        raise ValueError("ecdf of empty sequence")
-    return Ecdf(data, len(data))
+def ecdf(counts: Mapping[float, int]) -> Ecdf:
+    """Build the empirical CDF of a non-empty sample given as value -> count."""
+    items = sorted(counts.items())
+    if not items:
+        raise ValueError("ecdf of empty sample")
+    cumulative = tuple(accumulate(c for _, c in items))
+    return Ecdf(tuple(x for x, _ in items), cumulative, cumulative[-1])
 
 
 @dataclass(frozen=True)
@@ -122,22 +123,17 @@ def _kolmogorov_sf(lam: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
-    """Two-sample Kolmogorov-Smirnov test.
+def ks_two_sample(a: Mapping[float, int], b: Mapping[float, int]) -> KsResult:
+    """Two-sample Kolmogorov-Smirnov test on samples given as value -> count.
 
     D is the exact supremum of |F_a - F_b| over the pooled sample points;
     the p-value is the asymptotic Kolmogorov distribution evaluated at
     D * sqrt(n1*n2/(n1+n2)).
     """
-    sa = sorted(a)
-    sb = sorted(b)
-    n1, n2 = len(sa), len(sb)
-    if n1 == 0 or n2 == 0:
+    if not a or not b:
         raise ValueError("ks_two_sample requires two non-empty samples")
-    d = 0.0
-    for x in sorted(set(sa).union(sb)):
-        gap = abs(bisect_right(sa, x) / n1 - bisect_right(sb, x) / n2)
-        if gap > d:
-            d = gap
+    fa, fb = ecdf(a), ecdf(b)
+    d = max(abs(fa.evaluate(x) - fb.evaluate(x)) for x in set(fa.values).union(fb.values))
+    n1, n2 = fa.n, fb.n
     lam = d * math.sqrt(n1 * n2 / (n1 + n2))
     return KsResult(d, _kolmogorov_sf(lam), n1, n2)

@@ -11,12 +11,11 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .detector import GROUPS_OF, Classification, Label
+from .detector import Classification, Label
 from .errors import ConfigError
+from .listfile import read_entries
 
 __all__ = [
     "DEFAULT_QUERY_TERM",
@@ -34,7 +33,6 @@ __all__ = [
     "top_cooccurrents",
     "SentimentLexicon",
     "load_lexicon",
-    "tweet_sentiment",
     "group_word_sentiment_samples",
     "group_mean_sentiment",
 ]
@@ -56,15 +54,7 @@ class TokenizedDoc:
 
 def load_stopwords(path=None) -> frozenset:
     """Stop-word list, one word per line, '#' comments, lowercased."""
-    if path is None:
-        text = resources.files("botminer").joinpath("data/stopwords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
+    words = {line.lower() for _, line in read_entries(path, "stopwords.txt")}
     if not words:
         raise ConfigError("stop-word list is empty")
     return frozenset(words)
@@ -114,17 +104,17 @@ def tokenize_corpus(tweets, stopwords: frozenset,
 
 def group_docs(classifications: Iterable[Classification],
                docs: Iterable[TokenizedDoc]) -> dict:
-    """Docs per label group, in input order, with membership from GROUPS_OF.
+    """Docs per disjoint label, in input order; every doc is listed once.
 
     *classifications* and *docs* are parallel sequences; a length or tweet id
-    mismatch raises ValueError.
+    mismatch raises ValueError.  detector.fold_groups turns per-label results
+    into per-group ones.
     """
     groups = {label: [] for label in Label}
     for c, doc in zip(classifications, docs, strict=True):
         if c.tweet_id != doc.tweet_id:
             raise ValueError(f"tweet id mismatch: {c.tweet_id!r} vs doc {doc.tweet_id!r}")
-        for label in GROUPS_OF[c.label]:
-            groups[label].append(doc)
+        groups[c.label].append(doc)
     return groups
 
 
@@ -137,8 +127,8 @@ class VocabModel:
     """Pruned vocabulary with corpus-wide per-term totals.
 
     ``counts[term]`` is the term's occurrence count over all docs and
-    ``tfidf_sums[term]`` the sum of its per-doc tfidf_weight, added in
-    document order.
+    ``tfidf_sums[term]`` the sum of its per-doc tfidf_weight, which is
+    tfidf_weight(counts[term], n_docs, doc_freq[term]).
     """
 
     terms: tuple
@@ -153,30 +143,23 @@ def tfidf_weight(count: int, n_docs: int, doc_freq: int) -> float:
     return count * math.log(n_docs / doc_freq)
 
 
-def build_vocab(docs: Sequence[TokenizedDoc], min_df: float = 0.01,
+def build_vocab(model: CooccurrenceModel, min_df: float = 0.01,
                 max_df: float = 0.45) -> VocabModel:
-    """Build the pruned vocabulary over *docs*.
+    """Build the pruned vocabulary over the docs that *model* counted.
 
     A term is kept when min_df <= df/n_docs <= max_df (both ends inclusive);
     the band kills one-off noise at the bottom and near-ubiquitous filler at
     the top.  idf is the unsmoothed ln(n_docs / doc_freq).
     """
-    if not docs:
+    n = model.n_docs
+    if not n:
         raise ValueError("build_vocab needs at least one document")
     if not 0.0 <= min_df < max_df <= 1.0:
         raise ValueError(f"bad document-frequency band [{min_df}, {max_df}]")
-    n = len(docs)
-    df = Counter()
-    for doc in docs:
-        df.update(set(doc.tokens))
-    kept = sorted(t for t, c in df.items() if min_df <= c / n <= max_df)
-    doc_freq = {t: df[t] for t in kept}
-    counts = dict.fromkeys(kept, 0)
-    tfidf_sums = dict.fromkeys(kept, 0.0)
-    for doc in docs:
-        for term, count in Counter(tok for tok in doc.tokens if tok in doc_freq).items():
-            counts[term] += count
-            tfidf_sums[term] += tfidf_weight(count, n, doc_freq[term])
+    kept = sorted(t for t, c in model.doc_freq.items() if min_df <= c / n <= max_df)
+    doc_freq = {t: model.doc_freq[t] for t in kept}
+    counts = {t: model.term_freq[t] for t in kept}
+    tfidf_sums = {t: tfidf_weight(counts[t], n, doc_freq[t]) for t in kept}
     return VocabModel(tuple(kept), doc_freq, n, counts, tfidf_sums)
 
 
@@ -186,11 +169,23 @@ def build_vocab(docs: Sequence[TokenizedDoc], min_df: float = 0.01,
 
 @dataclass(frozen=True)
 class CooccurrenceModel:
-    """Symmetric co-occurrence counts within a token window."""
+    """Symmetric co-occurrence counts within a token window, plus term counts.
+
+    Models of disjoint doc sets add up (``+``) to the model of their union.
+    """
 
     window: int
-    pair_counts: Mapping  # canonical (min, max) term pair -> count
-    term_freq: Mapping[str, int]
+    pair_counts: Counter  # canonical (min, max) term pair -> count
+    term_freq: Counter
+    doc_freq: Counter
+    n_docs: int
+
+    def __add__(self, other: CooccurrenceModel) -> CooccurrenceModel:
+        if self.window != other.window:
+            raise ValueError(f"cannot add window {self.window} and {other.window} models")
+        return CooccurrenceModel(
+            self.window, self.pair_counts + other.pair_counts, self.term_freq + other.term_freq,
+            self.doc_freq + other.doc_freq, self.n_docs + other.n_docs)
 
     def count(self, w1: str, w2: str) -> int:
         if w1 == w2:
@@ -210,15 +205,20 @@ def cooccurrence(docs: Iterable[TokenizedDoc], window: int = 5) -> CooccurrenceM
     """Count token pairs at positional distance <= window inside each doc.
 
     Pairs never cross document boundaries and a term does not co-occur with
-    itself (repeats at close range are ignored).
+    itself (repeats at close range are ignored).  Term and document
+    frequencies are counted in the same pass.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     pair_counts = Counter()
     term_freq = Counter()
+    doc_freq = Counter()
+    n_docs = 0
     for doc in docs:
         tokens = doc.tokens
+        n_docs += 1
         term_freq.update(tokens)
+        doc_freq.update(set(tokens))
         length = len(tokens)
         for i in range(length):
             left = tokens[i]
@@ -228,7 +228,7 @@ def cooccurrence(docs: Iterable[TokenizedDoc], window: int = 5) -> CooccurrenceM
                     continue
                 key = (left, right) if left <= right else (right, left)
                 pair_counts[key] += 1
-    return CooccurrenceModel(window, dict(pair_counts), dict(term_freq))
+    return CooccurrenceModel(window, pair_counts, term_freq, doc_freq, n_docs)
 
 
 def top_cooccurrents(model: CooccurrenceModel, k_terms: int = 20,
@@ -278,64 +278,47 @@ class SentimentLexicon:
 
 
 def load_lexicon(path=None) -> SentimentLexicon:
-    """Load a two-column TSV lexicon (word <TAB> polarity, '#' comments)."""
-    if path is None:
-        text = resources.files("botminer").joinpath("data/lexicon.tsv").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+    """Load a two-column TSV lexicon (word <TAB> finite polarity, '#' comments)."""
     polarity = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_entries(path, "lexicon.tsv"):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ConfigError(f"lexicon line {lineno}: expected 'word<TAB>polarity'")
         try:
-            polarity[parts[0].strip()] = float(parts[1])
+            value = float(parts[1])
+            if not math.isfinite(value):
+                raise ValueError("polarity must be finite")
         except ValueError:
             raise ConfigError(f"lexicon line {lineno}: bad polarity {parts[1]!r}") from None
+        polarity[parts[0].strip()] = value
     return SentimentLexicon(polarity)
-
-
-def tweet_sentiment(doc: TokenizedDoc, lexicon: SentimentLexicon) -> float:
-    """Sum of polarities of the doc's lexicon words (0.0 when none match)."""
-    total = 0.0
-    for token in doc.tokens:
-        value = lexicon.value(token)
-        if value is not None:
-            total += value
-    return total
 
 
 def group_word_sentiment_samples(groups: Mapping[Label, Sequence[TokenizedDoc]],
                                  lexicon: SentimentLexicon) -> dict:
-    """Word-level polarity samples per label group, in doc order.
+    """Word-level polarity histogram per group: Counter of polarity -> occurrences.
 
-    *groups* is the result of group_docs; each sample is the per-occurrence
-    polarity of every lexicon word in the group's docs.
+    *groups* maps a key to its docs (group_docs gives one per disjoint label);
+    every occurrence of a lexicon word in those docs counts once.
     """
     samples = {}
     for label, docs in groups.items():
-        values = samples[label] = []
+        values = samples[label] = Counter()
         for doc in docs:
             for token in doc.tokens:
                 value = lexicon.value(token)
                 if value is not None:
-                    values.append(value)
+                    values[value] += 1
     return samples
 
 
-def group_mean_sentiment(groups: Mapping[Label, Sequence[TokenizedDoc]],
-                         lexicon: SentimentLexicon) -> dict:
-    """Mean per-tweet sentiment for each label group (None when empty).
+def group_mean_sentiment(histograms: Mapping[Label, Mapping[float, int]],
+                         n_docs: Mapping[Label, int]) -> dict:
+    """Mean per-tweet sentiment for each group (None when it has no docs).
 
-    *groups* is the result of group_docs.
+    A tweet's sentiment is the sum of its lexicon words' polarities, so the
+    mean is the group's polarity total (from its group_word_sentiment_samples
+    histogram) over its *n_docs*.
     """
-    means = {}
-    for label, docs in groups.items():
-        total = 0.0
-        for doc in docs:  # not sum(): from Python 3.12 it compensates rounding
-            total += tweet_sentiment(doc, lexicon)
-        means[label] = total / len(docs) if docs else None
-    return means
+    return {label: math.fsum(v * c for v, c in hist.items()) / n_docs[label]
+            if n_docs[label] else None for label, hist in histograms.items()}

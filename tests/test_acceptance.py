@@ -159,13 +159,13 @@ def test_criterion_3_ks_oracle():
     for _ in range(500):
         a = [rng.randint(0, 4) for _ in range(rng.randint(1, 8))]
         b = [rng.randint(0, 4) for _ in range(rng.randint(1, 8))]
-        res = ks_two_sample(a, b)
+        res = ks_two_sample(Counter(a), Counter(b))
         assert abs(res.d_statistic - _brute_force_d(a, b)) <= 1e-12
-        same = ks_two_sample(a, list(a))
+        same = ks_two_sample(Counter(a), Counter(a))
         assert same.d_statistic == 0.0 and same.p_value == 1.0
         low = [rng.randint(0, 1) for _ in range(rng.randint(1, 8))]
         high = [rng.randint(3, 4) for _ in range(rng.randint(1, 8))]
-        assert ks_two_sample(low, high).d_statistic == 1.0
+        assert ks_two_sample(Counter(low), Counter(high)).d_statistic == 1.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"\n[PASS] criterion 3: 500 KS sample pairs in {elapsed:.2f}s (< 5s)")
@@ -180,7 +180,7 @@ def test_criterion_4_tfidf_oracle():
         docs = [TokenizedDoc(f"d{k}", tuple(rng.choice(terms)
                                             for _ in range(rng.randint(1, 15))))
                 for k in range(rng.randint(1, 10))]
-        vocab = build_vocab(docs, min_df=0.0, max_df=1.0)
+        vocab = build_vocab(cooccurrence(docs), min_df=0.0, max_df=1.0)
         n = len(docs)
         df = Counter()
         for d in docs:

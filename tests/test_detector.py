@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from botminer.corpus import AccountStats
 from botminer.detector import (
@@ -18,6 +21,7 @@ from botminer.detector import (
     activity_threshold,
     classify,
     duplicate_rule,
+    fold_groups,
     group_summary,
     load_detector_config,
     load_suspicious_sources,
@@ -194,7 +198,10 @@ def test_classify_single_rule_is_suspicious():
 
 def test_classify_two_rules_is_bot():
     corpus = _mixed_corpus('<a href="x">twittbot</a>')
-    by_id = {c.tweet_id: c for c in classify(corpus, DetectorConfig())}
+    detection = classify(corpus, DetectorConfig())
+    assert detection.threshold == activity_threshold(
+        [a.tweets_per_day for a in corpus.accounts.values()], DetectorConfig())
+    by_id = {c.tweet_id: c for c in detection}
     c = by_id["b0"]
     assert c.label is Label.BOT
     assert set(c.rules) == {Rule.SOURCE, Rule.ACTIVITY}
@@ -358,6 +365,19 @@ def test_group_summary_large_scale_shares():
 def test_group_summary_empty():
     with pytest.raises(ValueError):
         group_summary([])
+
+
+counts = st.dictionaries(st.sampled_from("abc"), st.integers(1, 9))
+
+
+@given(st.integers(0, 99), st.integers(0, 99), st.integers(0, 99), counts, counts, counts)
+def test_fold_groups_suspicious_is_suspicious_only_plus_bot(n, s, b, hn, hs, hb):
+    assert fold_groups({Label.NO_BOT: n, Label.SUSPICIOUS: s, Label.BOT: b}) == {
+        Label.NO_BOT: n, Label.SUSPICIOUS: s + b, Label.BOT: b}
+    folded = fold_groups({Label.NO_BOT: Counter(hn), Label.SUSPICIOUS: Counter(hs),
+                          Label.BOT: Counter(hb)})
+    assert folded[Label.SUSPICIOUS] == Counter(hs) + Counter(hb)
+    assert (folded[Label.NO_BOT], folded[Label.BOT]) == (Counter(hn), Counter(hb))
 
 
 # ---------------------------------------------------------------------------

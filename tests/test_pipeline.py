@@ -1,11 +1,12 @@
 """Pipeline orchestration, artifact layout, and the CLI wrapper."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from botminer.cli import main
-from botminer.detector import ActivityStrategy, Classification, DetectorConfig, Label
+from botminer.detector import ActivityStrategy, Classification, DetectorConfig, Label, fold_groups
 from botminer.errors import PipelineStageError
 from botminer.pipeline import (
     PipelineSettings,
@@ -116,6 +117,17 @@ def test_pipeline_single_group_fails_compare_and_cleans_up(tmp_path):
     assert list(out.iterdir()) == []  # partial tables were removed
 
 
+def test_failed_rerun_keeps_previous_artifacts(synth_corpus, tmp_path):
+    out = tmp_path / "artifacts"
+    execute_pipeline(synth_corpus, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("matchesnothing\t1\n", encoding="utf-8")
+    with pytest.raises(PipelineStageError, match="stage 'compare' failed"):
+        execute_pipeline(synth_corpus, out, PipelineSettings(lexicon_path=str(lexicon)))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_pipeline_empty_bot_group_keeps_headers(tmp_path):
     # one account trips only the ratio rule: Suspicious exists, Bot stays empty
     corpus = write_ndjson(tmp_path / "c.ndjson", [
@@ -189,7 +201,8 @@ LEX = SentimentLexicon({"bad": -1, "good": 1})
 
 
 def test_compare_group_sentiment_identical_groups():
-    samples = {Label.NO_BOT: [1.0, -1.0], Label.BOT: [1.0, -1.0], Label.SUSPICIOUS: []}
+    samples = {Label.NO_BOT: Counter([1.0, -1.0]), Label.BOT: Counter([1.0, -1.0]),
+               Label.SUSPICIOUS: Counter()}
     out = compare_group_sentiment(samples)
     assert out["NoBot_vs_Bot"].d_statistic == 0.0
     assert out["NoBot_vs_Bot"].p_value == 1.0
@@ -199,7 +212,8 @@ def test_compare_group_sentiment_identical_groups():
 
 def test_compare_group_sentiment_needs_two_groups():
     with pytest.raises(ValueError):
-        compare_group_sentiment({Label.NO_BOT: [1.0], Label.SUSPICIOUS: [], Label.BOT: []})
+        compare_group_sentiment({Label.NO_BOT: Counter([1.0]), Label.SUSPICIOUS: Counter(),
+                                 Label.BOT: Counter()})
 
 
 def test_compare_groups_disjoint_supports():
@@ -208,7 +222,8 @@ def test_compare_groups_disjoint_supports():
            Classification("d1", Label.BOT, frozenset()),
            Classification("d2", Label.NO_BOT, frozenset()),
            Classification("d3", Label.NO_BOT, frozenset())]
-    out = compare_group_sentiment(group_word_sentiment_samples(group_docs(cls, docs), LEX))
+    out = compare_group_sentiment(
+        fold_groups(group_word_sentiment_samples(group_docs(cls, docs), LEX)))
     assert out["NoBot_vs_Bot"].d_statistic == 1.0
     # Bot words mirror into Suspicious, so that pair is degenerate-equal
     assert out["Suspicious_vs_Bot"].d_statistic == 0.0

@@ -2,11 +2,14 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from botminer.stats import LINEAR, NEAREST_RANK, ecdf, iqr, ks_two_sample, quantile
 
@@ -80,20 +83,20 @@ def test_iqr_constant_and_small():
 # ---------------------------------------------------------------------------
 
 def test_ecdf_hand_values():
-    f = ecdf([3, 1, 2])
+    f = ecdf(Counter([3, 1, 2]))
     assert f.evaluate(1) == pytest.approx(1 / 3)
     assert f.evaluate(2.5) == pytest.approx(2 / 3)
     assert f.evaluate(3) == 1.0
 
 
 def test_ecdf_single_point_step():
-    f = ecdf([5])
+    f = ecdf(Counter([5]))
     assert f.evaluate(4.9) == 0.0
     assert f.evaluate(5) == 1.0
 
 
 def test_ecdf_ties_collapse():
-    f = ecdf([1, 1, 1])
+    f = ecdf(Counter([1, 1, 1]))
     assert f.evaluate(1) == 1.0
     assert f.points() == [(1, 1.0)]
 
@@ -102,7 +105,7 @@ def test_ecdf_limits_and_monotonicity():
     rng = random.Random(13)
     for _ in range(50):
         values = [rng.uniform(-10, 10) for _ in range(rng.randint(1, 30))]
-        f = ecdf(values)
+        f = ecdf(Counter(values))
         assert f.evaluate(float("-inf")) == 0.0
         assert f.evaluate(float("inf")) == 1.0
         xs = sorted(rng.uniform(-12, 12) for _ in range(20))
@@ -111,7 +114,7 @@ def test_ecdf_limits_and_monotonicity():
 
 
 def test_ecdf_points_export():
-    f = ecdf([2, 1, 2, 3])
+    f = ecdf(Counter([2, 1, 2, 3]))
     assert f.points() == [(1, 0.25), (2, 0.75), (3, 1.0)]
     assert f.points()[-1][1] == 1.0
 
@@ -120,15 +123,15 @@ def test_ecdf_scale_shift_equivariance():
     rng = random.Random(14)
     values = [rng.uniform(-5, 5) for _ in range(40)]
     c, s = 2.5, -3.0
-    f = ecdf(values)
-    g = ecdf([c * v + s for v in values])
+    f = ecdf(Counter(values))
+    g = ecdf(Counter(c * v + s for v in values))
     for t in [rng.uniform(-6, 6) for _ in range(25)]:
         assert g.evaluate(c * t + s) == pytest.approx(f.evaluate(t))
 
 
 def test_ecdf_empty_rejected():
     with pytest.raises(ValueError):
-        ecdf([])
+        ecdf(Counter())
 
 
 # ---------------------------------------------------------------------------
@@ -142,26 +145,26 @@ def _brute_force_d(a, b):
 
 
 def test_ks_identical_samples():
-    res = ks_two_sample([1, 2, 3], [1, 2, 3])
+    res = ks_two_sample(Counter([1, 2, 3]), Counter([1, 2, 3]))
     assert res.d_statistic == 0.0
     assert res.p_value == 1.0
 
 
 def test_ks_disjoint_supports():
-    res = ks_two_sample([0, 0, 0], [1, 1, 1])
+    res = ks_two_sample(Counter([0, 0, 0]), Counter([1, 1, 1]))
     assert res.d_statistic == 1.0
 
 
 def test_ks_shifted_quadruple():
-    res = ks_two_sample([1, 2, 3, 4], [2, 3, 4, 5])
+    res = ks_two_sample(Counter([1, 2, 3, 4]), Counter([2, 3, 4, 5]))
     assert res.d_statistic == pytest.approx(0.25, abs=1e-12)
 
 
 def test_ks_rejects_empty():
     with pytest.raises(ValueError):
-        ks_two_sample([], [1])
+        ks_two_sample(Counter(), Counter([1]))
     with pytest.raises(ValueError):
-        ks_two_sample([1], [])
+        ks_two_sample(Counter([1]), Counter())
 
 
 def test_ks_symmetry():
@@ -169,8 +172,8 @@ def test_ks_symmetry():
     for _ in range(100):
         a = [rng.randint(0, 6) for _ in range(rng.randint(1, 12))]
         b = [rng.randint(0, 6) for _ in range(rng.randint(1, 12))]
-        r1 = ks_two_sample(a, b)
-        r2 = ks_two_sample(b, a)
+        r1 = ks_two_sample(Counter(a), Counter(b))
+        r2 = ks_two_sample(Counter(b), Counter(a))
         assert r1.d_statistic == r2.d_statistic
         assert r1.p_value == r2.p_value
 
@@ -180,8 +183,8 @@ def test_ks_replication_shrinks_p():
     a, b = [0.0, 1.0, 1.5], [1.0, 2.0, 2.5]
     previous = None
     for k in (1, 2, 4, 8):
-        res = ks_two_sample(a * k, b * k)
-        assert res.d_statistic == ks_two_sample(a, b).d_statistic
+        res = ks_two_sample(Counter(a * k), Counter(b * k))
+        assert res.d_statistic == ks_two_sample(Counter(a), Counter(b)).d_statistic
         if previous is not None:
             assert res.p_value < previous
         previous = res.p_value
@@ -192,7 +195,7 @@ def test_ks_d_matches_scipy():
     for _ in range(200):
         a = [rng.uniform(0, 3) for _ in range(rng.randint(2, 25))]
         b = [rng.uniform(0, 3) for _ in range(rng.randint(2, 25))]
-        res = ks_two_sample(a, b)
+        res = ks_two_sample(Counter(a), Counter(b))
         oracle = scipy.stats.ks_2samp(a, b, method="asymp")
         assert res.d_statistic == pytest.approx(oracle.statistic, abs=1e-12)
 
@@ -202,7 +205,7 @@ def test_ks_p_matches_kolmogorov_sf():
     for _ in range(200):
         a = [rng.randint(0, 4) for _ in range(rng.randint(2, 20))]
         b = [rng.randint(0, 4) for _ in range(rng.randint(2, 20))]
-        res = ks_two_sample(a, b)
+        res = ks_two_sample(Counter(a), Counter(b))
         lam = res.d_statistic * math.sqrt(res.n1 * res.n2 / (res.n1 + res.n2))
         assert res.p_value == pytest.approx(float(scipy.special.kolmogorov(lam)), abs=1e-9)
         assert 0.0 <= res.p_value <= 1.0
@@ -213,8 +216,19 @@ def test_ks_d_zero_iff_cdfs_agree():
     for _ in range(150):
         a = [rng.randint(0, 3) for _ in range(rng.randint(1, 10))]
         b = [rng.randint(0, 3) for _ in range(rng.randint(1, 10))]
-        res = ks_two_sample(a, b)
+        res = ks_two_sample(Counter(a), Counter(b))
         assert res.d_statistic == pytest.approx(_brute_force_d(a, b), abs=1e-15)
-        fa, fb = ecdf(a), ecdf(b)
+        fa, fb = ecdf(Counter(a)), ecdf(Counter(b))
         agree = all(fa.evaluate(x) == fb.evaluate(x) for x in set(a) | set(b))
         assert (res.d_statistic == 0.0) == agree
+
+
+samples = st.lists(st.sampled_from([-2.5, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]), min_size=1, max_size=30)
+
+
+@given(samples, samples)
+def test_ks_on_counts_equals_brute_force_on_lists(a, b):
+    res = ks_two_sample(Counter(a), Counter(b))
+    assert res.d_statistic == _brute_force_d(a, b)
+    assert (res.n1, res.n2) == (len(a), len(b))
+    assert ecdf(Counter(a)).points()[-1] == (max(a), 1.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from botminer.detector import Classification, Label, group_summary
+from botminer.detector import Classification, Label, fold_groups, group_summary
 from botminer.errors import ConfigError
 from botminer.textmine import (
     SentimentLexicon,
@@ -23,7 +23,6 @@ from botminer.textmine import (
     tokenize,
     tokenize_text,
     top_cooccurrents,
-    tweet_sentiment,
 )
 
 from conftest import doc, docs_of, tweet
@@ -96,7 +95,7 @@ def test_tokenize_idempotent():
 def test_term_frequencies_counts():
     docs = docs_of([["a", "b"], ["a"]])
     assert cooccurrence(docs).term_freq == {"a": 2, "b": 1}
-    assert build_vocab(docs, min_df=0.0, max_df=1.0).counts == {"a": 2, "b": 1}
+    assert build_vocab(cooccurrence(docs), min_df=0.0, max_df=1.0).counts == {"a": 2, "b": 1}
 
 
 def test_term_frequencies_empty():
@@ -106,7 +105,7 @@ def test_term_frequencies_empty():
 def test_term_frequencies_multi_occurrence():
     docs = docs_of([["trump", "trump"]] * 3 + [["other"]])
     assert cooccurrence(docs).term_freq == {"trump": 6, "other": 1}
-    assert build_vocab(docs, min_df=0.0, max_df=1.0).counts == {"trump": 6, "other": 1}
+    assert build_vocab(cooccurrence(docs), 0.0, 1.0).counts == {"trump": 6, "other": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +114,14 @@ def test_term_frequencies_multi_occurrence():
 
 def test_vocab_prunes_ubiquitous_terms():
     docs = docs_of([["common", f"rare{i}"] for i in range(100)])
-    vocab = build_vocab(docs, min_df=0.0, max_df=0.45)
+    vocab = build_vocab(cooccurrence(docs), min_df=0.0, max_df=0.45)
     assert "common" not in vocab.terms  # df 1.0 > 0.45
     assert "rare7" in vocab.terms
 
 
 def test_vocab_prunes_rare_terms():
     docs = docs_of([["filler"]] * 999 + [["oneoff"]])
-    vocab = build_vocab(docs, min_df=0.01, max_df=0.999)
+    vocab = build_vocab(cooccurrence(docs), min_df=0.01, max_df=0.999)
     assert "oneoff" not in vocab.terms  # df 0.001 < 0.01
     assert "filler" in vocab.terms
 
@@ -130,23 +129,24 @@ def test_vocab_prunes_rare_terms():
 def test_vocab_band_is_inclusive():
     # term in exactly 1 of 100 docs sits on the min_df=0.01 edge
     docs = docs_of([["edge"]] + [[f"other{i}"] for i in range(99)])
-    vocab = build_vocab(docs, min_df=0.01, max_df=0.45)
+    vocab = build_vocab(cooccurrence(docs), min_df=0.01, max_df=0.45)
     assert "edge" in vocab.terms
 
 
 def test_vocab_tfidf_hand_value():
     docs = docs_of([["term", "term", "term"], ["term"], ["x"], ["y"]])
-    vocab = build_vocab(docs, min_df=0.0, max_df=0.5)
+    vocab = build_vocab(cooccurrence(docs), min_df=0.0, max_df=0.5)
     assert (vocab.n_docs, vocab.doc_freq["term"]) == (4, 2)
     d0 = tfidf_weight(3, vocab.n_docs, vocab.doc_freq["term"])
     assert d0 == pytest.approx(3 * math.log(2), abs=1e-12)
     assert d0 == pytest.approx(2.0794415416798357, abs=1e-12)
-    assert vocab.tfidf_sums["term"] == d0 + tfidf_weight(1, 4, 2)
+    assert vocab.tfidf_sums["term"] == tfidf_weight(4, 4, 2)
+    assert vocab.tfidf_sums["term"] == pytest.approx(d0 + tfidf_weight(1, 4, 2), rel=1e-12)
 
 
 def test_vocab_zero_law():
     docs = docs_of([["shared", f"u{i}"] for i in range(4)])
-    vocab = build_vocab(docs, min_df=0.0, max_df=1.0)
+    vocab = build_vocab(cooccurrence(docs), min_df=0.0, max_df=1.0)
     assert tfidf_weight(1, vocab.n_docs, vocab.doc_freq["shared"]) == 0.0
     assert vocab.tfidf_sums["shared"] == 0.0
     assert vocab.counts["shared"] == 4
@@ -155,10 +155,10 @@ def test_vocab_zero_law():
 def test_vocab_rejects_bad_band_or_empty():
     docs = docs_of([["a"]])
     with pytest.raises(ValueError):
-        build_vocab([], 0.01, 0.45)
+        build_vocab(cooccurrence([]), 0.01, 0.45)
     for lo, hi in ((0.5, 0.5), (0.6, 0.4), (-0.1, 0.45), (0.01, 1.1)):
         with pytest.raises(ValueError):
-            build_vocab(docs, lo, hi)
+            build_vocab(cooccurrence(docs), lo, hi)
 
 
 def test_vocab_pruning_monotonicity():
@@ -166,8 +166,9 @@ def test_vocab_pruning_monotonicity():
     words = [f"w{i}" for i in range(12)]
     docs = docs_of([[rng.choice(words) for _ in range(rng.randint(1, 6))]
                     for _ in range(30)])
-    wide = set(build_vocab(docs, min_df=0.0, max_df=1.0).terms)
-    narrow = set(build_vocab(docs, min_df=0.1, max_df=0.6).terms)
+    model = cooccurrence(docs)
+    wide = set(build_vocab(model, min_df=0.0, max_df=1.0).terms)
+    narrow = set(build_vocab(model, min_df=0.1, max_df=0.6).terms)
     assert narrow <= wide
 
 
@@ -177,7 +178,7 @@ def test_vocab_matches_direct_formula():
     for _ in range(30):
         docs = docs_of([[rng.choice(words) for _ in range(rng.randint(1, 8))]
                         for _ in range(rng.randint(1, 10))])
-        vocab = build_vocab(docs, min_df=0.0, max_df=1.0)
+        vocab = build_vocab(cooccurrence(docs), min_df=0.0, max_df=1.0)
         n = len(docs)
         df = Counter()
         for d in docs:
@@ -192,7 +193,7 @@ def test_vocab_matches_direct_formula():
 
 def test_vocab_totals_and_sums():
     docs = docs_of([["a", "a", "b"], ["b"]])
-    vocab = build_vocab(docs, min_df=0.0, max_df=1.0)
+    vocab = build_vocab(cooccurrence(docs), min_df=0.0, max_df=1.0)
     assert vocab.counts == {"a": 2, "b": 2}
     assert vocab.tfidf_sums["a"] == pytest.approx(2 * math.log(2))
     assert vocab.tfidf_sums["b"] == pytest.approx(0.0)
@@ -203,9 +204,9 @@ df_bands = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda b: 
 
 
 @given(token_lists, df_bands)
-def test_vocab_totals_equal_per_doc_sums_in_doc_order(lists, band):
+def test_vocab_totals_equal_per_doc_sums(lists, band):
     docs = docs_of(lists)
-    vocab = build_vocab(docs, *band)
+    vocab = build_vocab(cooccurrence(docs), *band)
     n = len(docs)
     df = Counter(t for d in docs for t in set(d.tokens))
     kept = sorted(t for t, c in df.items() if band[0] <= c / n <= band[1])
@@ -214,14 +215,33 @@ def test_vocab_totals_equal_per_doc_sums_in_doc_order(lists, band):
     for term in kept:
         counts[term] = 0
         sums[term] = 0.0
-        for d in docs:  # document order, so the float sum is the same one
+        for d in docs:
             c = d.tokens.count(term)
             if c:
                 counts[term] += c
                 sums[term] += c * math.log(n / df[term])
     assert vocab.terms == tuple(kept)
     assert vocab.counts == counts
-    assert vocab.tfidf_sums == sums  # exact, not approximate
+    assert set(vocab.tfidf_sums) == set(sums)
+    for term, total in sums.items():  # count * ln(N/df) rounds once, the sum once per doc
+        assert vocab.tfidf_sums[term] == tfidf_weight(counts[term], n, df[term])
+        assert vocab.tfidf_sums[term] == pytest.approx(total, rel=1e-12, abs=1e-12)
+
+
+@given(token_lists, token_lists, st.integers(1, 5))
+def test_cooccurrence_of_concatenation_is_sum_of_models(first, second, window):
+    a, b = docs_of(first), docs_of(second)
+    whole = cooccurrence(a + b, window)
+    parts = cooccurrence(a, window) + cooccurrence(b, window)
+    assert whole.pair_counts == parts.pair_counts
+    assert whole.term_freq == parts.term_freq
+    assert whole.doc_freq == parts.doc_freq
+    assert whole.n_docs == parts.n_docs == len(a) + len(b)
+
+
+def test_cooccurrence_models_of_different_windows_do_not_add():
+    with pytest.raises(ValueError, match="window"):
+        cooccurrence([doc("a", "b")], 2) + cooccurrence([doc("a", "b")], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +361,22 @@ def test_top_cooccurrents_rejects_bad_k():
 LEX = SentimentLexicon({"bad": -1, "terrible": -1, "good": 1})
 
 
+def tweet_sentiment(d):
+    """A tweet's sentiment: the mean sentiment of a group holding only it."""
+    samples = group_word_sentiment_samples({Label.NO_BOT: [d]}, LEX)
+    return group_mean_sentiment(samples, {Label.NO_BOT: 1})[Label.NO_BOT]
+
+
 def test_tweet_sentiment_sum():
-    assert tweet_sentiment(doc("bad", "terrible", "protest"), LEX) == -2
+    assert tweet_sentiment(doc("bad", "terrible", "protest")) == -2
 
 
 def test_tweet_sentiment_no_overlap():
-    assert tweet_sentiment(doc("quiet", "evening"), LEX) == 0.0
+    assert tweet_sentiment(doc("quiet", "evening")) == 0.0
 
 
 def test_tweet_sentiment_cancellation():
-    assert tweet_sentiment(doc("good", "bad"), LEX) == 0.0
+    assert tweet_sentiment(doc("good", "bad")) == 0.0
 
 
 def test_tweet_sentiment_linearity():
@@ -359,9 +385,8 @@ def test_tweet_sentiment_linearity():
     for _ in range(50):
         left = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
         right = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
-        combined = tweet_sentiment(doc(*(left + right)), LEX)
-        assert combined == pytest.approx(
-            tweet_sentiment(doc(*left), LEX) + tweet_sentiment(doc(*right), LEX))
+        combined = tweet_sentiment(doc(*(left + right)))
+        assert combined == pytest.approx(tweet_sentiment(doc(*left)) + tweet_sentiment(doc(*right)))
 
 
 def _word_values(docs):
@@ -372,17 +397,17 @@ def _word_values(docs):
 
 def test_word_sentiment_values_multiset():
     docs = docs_of([["bad"], ["bad", "good"]])
-    assert _word_values(docs) == [-1, -1, 1]  # doc order, then token order
+    assert _word_values(docs) == Counter({-1: 2, 1: 1})
 
 
 def test_word_sentiment_values_empty():
-    assert _word_values([]) == []
-    assert _word_values(docs_of([["quiet"], []])) == []
+    assert _word_values([]) == Counter()
+    assert _word_values(docs_of([["quiet"], []])) == Counter()
 
 
 def test_word_sentiment_values_repeats():
     docs = docs_of([["bad"] * 10])
-    assert _word_values(docs) == [-1] * 10
+    assert _word_values(docs) == Counter({-1: 10})
 
 
 def _grouped_docs():
@@ -395,9 +420,16 @@ def _grouped_docs():
     return cls, docs
 
 
+def _group_means(cls, docs):
+    """group_mean_sentiment on the path the pipeline takes."""
+    groups = group_docs(cls, docs)
+    samples = fold_groups(group_word_sentiment_samples(groups, LEX))
+    return group_mean_sentiment(samples, fold_groups({k: len(v) for k, v in groups.items()}))
+
+
 def test_group_mean_sentiment_inclusive():
     cls, docs = _grouped_docs()
-    means = group_mean_sentiment(group_docs(cls, docs), LEX)
+    means = _group_means(cls, docs)
     assert means[Label.BOT] == pytest.approx(-2.0)
     assert means[Label.NO_BOT] == pytest.approx(1.0)
     # Suspicious averages its own tweet and the Bot tweet
@@ -408,24 +440,24 @@ def test_group_mean_sentiment_simple_mean():
     docs = [doc("bad", tweet_id="t1"), doc("plain", tweet_id="t2")]
     cls = [Classification("t1", Label.NO_BOT, frozenset()),
            Classification("t2", Label.NO_BOT, frozenset())]
-    means = group_mean_sentiment(group_docs(cls, docs), LEX)
+    means = _group_means(cls, docs)
     assert means[Label.NO_BOT] == pytest.approx(-0.5)
 
 
 def test_group_mean_sentiment_empty_group_is_none():
     docs = [doc("good", tweet_id="t1")]
     cls = [Classification("t1", Label.NO_BOT, frozenset())]
-    means = group_mean_sentiment(group_docs(cls, docs), LEX)
+    means = _group_means(cls, docs)
     assert means[Label.BOT] is None
     assert means[Label.SUSPICIOUS] is None
 
 
 def test_group_samples_inclusive_and_checked():
     cls, docs = _grouped_docs()
-    samples = group_word_sentiment_samples(group_docs(cls, docs), LEX)
-    assert sorted(samples[Label.SUSPICIOUS]) == [-1, -1, -1]  # bot words included
-    assert samples[Label.BOT] == [-1, -1]
-    assert samples[Label.NO_BOT] == [1]
+    samples = fold_groups(group_word_sentiment_samples(group_docs(cls, docs), LEX))
+    assert samples[Label.SUSPICIOUS] == Counter({-1: 3})  # bot words included
+    assert samples[Label.BOT] == Counter({-1: 2})
+    assert samples[Label.NO_BOT] == Counter({1: 1})
     with pytest.raises(ValueError):
         group_docs(cls, [doc("x", tweet_id="unseen")])
 
@@ -458,16 +490,17 @@ def _labelled(label_list):
 def test_group_docs_keeps_order_and_suspicious_includes_bot(label_list):
     cls, docs = _labelled(label_list)
     groups = group_docs(cls, docs)
-    for label in (Label.NO_BOT, Label.BOT):
+    for label in Label:  # disjoint: every doc listed once, under its own label
         assert groups[label] == [d for d, c in zip(docs, cls) if c.label is label]
-    assert groups[Label.SUSPICIOUS] == [
-        d for d, c in zip(docs, cls) if c.label in (Label.SUSPICIOUS, Label.BOT)]
+    folded = fold_groups(groups)
+    assert folded[Label.SUSPICIOUS] == groups[Label.SUSPICIOUS] + groups[Label.BOT]
+    assert (folded[Label.NO_BOT], folded[Label.BOT]) == (groups[Label.NO_BOT], groups[Label.BOT])
 
 
 @given(labels)
 def test_group_summary_counts_equal_group_sizes(label_list):
     cls, docs = _labelled(label_list)
-    groups = group_docs(cls, docs)
+    groups = fold_groups(group_docs(cls, docs))
     summary = group_summary(cls)
     for label in Label:
         assert summary[label].count == len(groups[label])
@@ -508,6 +541,10 @@ def test_load_lexicon_rejects_malformed(tmp_path):
     bad_value.write_text("word\tpositive\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_lexicon(bad_value)
+    for polarity in ("nan", "inf", "-inf", "NaN", "-Infinity"):
+        bad_value.write_text(f"good\t1\nword\t{polarity}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="line 2"):
+            load_lexicon(bad_value)
 
 
 def test_lexicon_rejects_empty():
