@@ -111,12 +111,9 @@ def cmd_detect(args) -> int:
     shares = detector_mod.group_summary(classifications)
     _print_shares(shares, classifications.threshold, settings.detector.activity_strategy.value)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        name = "classifications.csv" if settings.output_format == "csv" else "classifications.jsonl"
-        pipeline_mod.write_classifications(out_dir / name, settings.fingerprint(),
-                                           classifications, settings.output_format)
-        print(f"wrote {out_dir / name}")
+        path = pipeline_mod.save_classifications(args.out, settings.fingerprint(),
+                                                 classifications, settings.output_format)
+        print(f"wrote {path}")
     return 0
 
 
@@ -157,7 +154,8 @@ def cmd_synth(args) -> int:
     corpus_path = out_dir / "corpus.ndjson"
     truth_path = out_dir / "ground_truth.csv"
     truth = syngen_mod.generate(config, corpus_path, truth_path)
-    n_lines = sum(1 for _ in open(corpus_path, encoding="utf-8"))
+    with open(corpus_path, encoding="utf-8") as fh:
+        n_lines = sum(1 for _ in fh)
     print(f"wrote {corpus_path} ({n_lines} tweets)")
     print(f"wrote {truth_path} ({len(truth)} accounts)")
     return 0

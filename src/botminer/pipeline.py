@@ -16,6 +16,7 @@ import os
 import shutil
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
@@ -31,11 +32,13 @@ from .stats import KsResult
 __all__ = [
     "GROUP_SLUGS",
     "COMPARISON_PAIRS",
+    "CLASSIFICATION_FILES",
     "PipelineSettings",
     "RunSummary",
     "settings_from_flags",
     "compare_group_sentiment",
     "write_classifications",
+    "save_classifications",
     "execute_pipeline",
     "run_pipeline",
 ]
@@ -51,6 +54,9 @@ COMPARISON_PAIRS = (
     (Label.NO_BOT, Label.SUSPICIOUS),
     (Label.SUSPICIOUS, Label.BOT),
 )
+
+# output_format -> name of the per-tweet classification file
+CLASSIFICATION_FILES = {"csv": "classifications.csv", "jsonl": "classifications.jsonl"}
 
 
 @dataclass(frozen=True)
@@ -71,13 +77,21 @@ class PipelineSettings:
     lexicon_path: str | None = None
 
     def __post_init__(self):
-        if self.output_format not in ("csv", "jsonl"):
+        if self.output_format not in CLASSIFICATION_FILES:
             raise ValueError(f"output_format must be csv or jsonl, got {self.output_format!r}")
 
-    def fingerprint(self) -> str:
-        """sha256 over the resolved configuration (content, not file paths)."""
-        stopwords = textmine_mod.load_stopwords(self.stopwords_path)
-        lexicon = textmine_mod.load_lexicon(self.lexicon_path)
+    def load_lists(self) -> tuple:
+        """The (stop-word set, SentimentLexicon) pair read from the configured files."""
+        return (textmine_mod.load_stopwords(self.stopwords_path),
+                textmine_mod.load_lexicon(self.lexicon_path))
+
+    def fingerprint(self, lists: tuple | None = None) -> str:
+        """sha256 over the resolved configuration (content, not file paths).
+
+        *lists* is the load_lists() pair a run uses, so the hash covers
+        exactly those objects; it is loaded here when omitted.
+        """
+        stopwords, lexicon = self.load_lists() if lists is None else lists
         payload = {
             "detector": {
                 "min_followers": self.detector.min_followers,
@@ -206,6 +220,37 @@ def write_classifications(path: Path, fingerprint: str, classifications, fmt: st
                 fh.write("\n")
 
 
+@contextmanager
+def _staging_dir(out_dir: Path):
+    """A temporary directory made inside out_dir, removed on exit.
+
+    Files written there reach out_dir only through _publish, so a failure
+    before it leaves out_dir's files as they were.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    work_dir = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
+    try:
+        yield work_dir
+    finally:
+        shutil.rmtree(work_dir, ignore_errors=True)
+
+
+def _publish(work_dir: Path, names):
+    """Move the named files from a _staging_dir into its out_dir, in order."""
+    for name in names:
+        os.replace(work_dir / name, work_dir.parent / name)
+
+
+def save_classifications(out_dir, fingerprint: str, classifications, fmt: str) -> Path:
+    """Write the classification file into out_dir all-or-nothing; returns its path."""
+    out_dir = Path(out_dir)
+    name = CLASSIFICATION_FILES[fmt]
+    with _staging_dir(out_dir) as work_dir:
+        write_classifications(work_dir / name, fingerprint, classifications, fmt)
+        _publish(work_dir, [name])
+    return out_dir / name
+
+
 def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = None) -> RunSummary:
     """Run the full chain on a corpus file and write all artifacts to out_dir.
 
@@ -213,128 +258,127 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
     per-tweet classification file, and run_summary.json.  Artifacts are
     written to a temporary directory inside out_dir and moved into place only
     when every stage succeeded, so a failed run leaves the previous run's
-    artifacts as they were; PipelineStageError names the stage that died.
+    artifacts as they were; a successful one removes the other format's
+    classification file.  PipelineStageError names the stage that died.
     """
     if settings is None:
         settings = PipelineSettings()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    work_dir = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
-    timings: dict[str, float] = {}
-    stage = "setup"
-    try:
-        fingerprint = settings.fingerprint()
+    with _staging_dir(out_dir) as work_dir:
+        timings: dict[str, float] = {}
+        stage = "setup"
+        try:
+            stopwords, lexicon = lists = settings.load_lists()
+            fingerprint = settings.fingerprint(lists)
 
-        stage = "ingest"
-        t0 = time.perf_counter()
-        corpus = corpus_mod.ingest(corpus_path, strictness=settings.strictness,
-                                   rate_basis=settings.rate_basis)
-        timings[stage] = time.perf_counter() - t0
+            stage = "ingest"
+            t0 = time.perf_counter()
+            corpus = corpus_mod.ingest(corpus_path, strictness=settings.strictness,
+                                       rate_basis=settings.rate_basis)
+            timings[stage] = time.perf_counter() - t0
 
-        stage = "detect"
-        t0 = time.perf_counter()
-        classifications = detector_mod.classify(corpus, settings.detector)
-        shares = detector_mod.group_summary(classifications)
-        timings[stage] = time.perf_counter() - t0
+            stage = "detect"
+            t0 = time.perf_counter()
+            classifications = detector_mod.classify(corpus, settings.detector)
+            shares = detector_mod.group_summary(classifications)
+            timings[stage] = time.perf_counter() - t0
 
-        stage = "analyze"
-        t0 = time.perf_counter()
-        stopwords = textmine_mod.load_stopwords(settings.stopwords_path)
-        lexicon = textmine_mod.load_lexicon(settings.lexicon_path)
-        docs = textmine_mod.tokenize_corpus(corpus.tweets, stopwords, settings.query_term)
-        label_docs = textmine_mod.group_docs(classifications, docs)
-        models = detector_mod.fold_groups(
-            {label: textmine_mod.cooccurrence(ldocs, settings.window)
-             for label, ldocs in label_docs.items()})
+            stage = "analyze"
+            t0 = time.perf_counter()
+            docs = textmine_mod.tokenize_corpus(corpus.tweets, stopwords, settings.query_term)
+            label_docs = textmine_mod.group_docs(classifications, docs)
+            models = detector_mod.fold_groups(
+                {label: textmine_mod.cooccurrence(ldocs, settings.window)
+                 for label, ldocs in label_docs.items()})
 
-        for label, slug in GROUP_SLUGS.items():
-            model = models[label]
-            cloud_rows = []
-            edge_rows = []
-            if model.n_docs:
-                vocab = textmine_mod.build_vocab(model, settings.min_df, settings.max_df)
-                counts = vocab.counts
-                cloud_rows = [(term, counts[term], vocab.tfidf_sums[term])
-                              for term in sorted(vocab.terms,
-                                                 key=lambda t: (-counts[t], t))]
-                edge_rows = textmine_mod.top_cooccurrents(
-                    model, settings.k_terms, settings.k_neighbors)
-            _write_table(work_dir / f"wordcloud_{slug}.csv", fingerprint,
-                         ["term", "count", "tfidf_sum"], cloud_rows)
-            _write_table(work_dir / f"cooccurrence_{slug}.csv", fingerprint,
-                         ["term", "neighbor", "association"], edge_rows)
+            for label, slug in GROUP_SLUGS.items():
+                model = models[label]
+                cloud_rows = []
+                edge_rows = []
+                if model.n_docs:
+                    vocab = textmine_mod.build_vocab(model, settings.min_df, settings.max_df)
+                    counts = vocab.counts
+                    cloud_rows = [(term, counts[term], vocab.tfidf_sums[term])
+                                  for term in sorted(vocab.terms,
+                                                     key=lambda t: (-counts[t], t))]
+                    edge_rows = textmine_mod.top_cooccurrents(
+                        model, settings.k_terms, settings.k_neighbors)
+                _write_table(work_dir / f"wordcloud_{slug}.csv", fingerprint,
+                             ["term", "count", "tfidf_sum"], cloud_rows)
+                _write_table(work_dir / f"cooccurrence_{slug}.csv", fingerprint,
+                             ["term", "neighbor", "association"], edge_rows)
 
-        samples = detector_mod.fold_groups(
-            textmine_mod.group_word_sentiment_samples(label_docs, lexicon))
-        mean_sentiment = textmine_mod.group_mean_sentiment(
-            samples, {label: model.n_docs for label, model in models.items()})
-        timings[stage] = time.perf_counter() - t0
+            samples = detector_mod.fold_groups(
+                textmine_mod.group_word_sentiment_samples(label_docs, lexicon))
+            mean_sentiment = textmine_mod.group_mean_sentiment(
+                samples, {label: model.n_docs for label, model in models.items()})
+            timings[stage] = time.perf_counter() - t0
 
-        stage = "compare"
-        t0 = time.perf_counter()
-        for label, slug in GROUP_SLUGS.items():
-            points = []
-            if samples[label]:
-                points = stats_mod.ecdf(samples[label]).points()
-            _write_table(work_dir / f"ecdf_{slug}.csv", fingerprint,
-                         ["value", "cumulative_probability"], points)
-        ks_results = compare_group_sentiment(samples)
-        timings[stage] = time.perf_counter() - t0
+            stage = "compare"
+            t0 = time.perf_counter()
+            for label, slug in GROUP_SLUGS.items():
+                points = []
+                if samples[label]:
+                    points = stats_mod.ecdf(samples[label]).points()
+                _write_table(work_dir / f"ecdf_{slug}.csv", fingerprint,
+                             ["value", "cumulative_probability"], points)
+            ks_results = compare_group_sentiment(samples)
+            timings[stage] = time.perf_counter() - t0
 
-        stage = "report"
-        t0 = time.perf_counter()
-        class_name = "classifications.csv" if settings.output_format == "csv" else "classifications.jsonl"
-        write_classifications(work_dir / class_name, fingerprint, classifications,
-                              settings.output_format)
+            stage = "report"
+            t0 = time.perf_counter()
+            class_name = CLASSIFICATION_FILES[settings.output_format]
+            write_classifications(work_dir / class_name, fingerprint, classifications,
+                                  settings.output_format)
 
-        rule_hits = {rule.value: 0 for rule in detector_mod.Rule}
-        overrides = 0
-        disjoint_counts = {label: 0 for label in Label}
-        for c in classifications:
-            disjoint_counts[c.label] += 1
-            if c.verified_override:
-                overrides += 1
-            for rule in c.rules:
-                rule_hits[rule.value] += 1
-        total = len(corpus)
-        disjoint = {label.value: {"count": n, "share": n / total}
-                    for label, n in disjoint_counts.items()}
+            rule_hits = {rule.value: 0 for rule in detector_mod.Rule}
+            overrides = 0
+            disjoint_counts = {label: 0 for label in Label}
+            for c in classifications:
+                disjoint_counts[c.label] += 1
+                if c.verified_override:
+                    overrides += 1
+                for rule in c.rules:
+                    rule_hits[rule.value] += 1
+            total = len(corpus)
+            disjoint = {label.value: {"count": n, "share": n / total}
+                        for label, n in disjoint_counts.items()}
 
-        summary = RunSummary(
-            config_fingerprint=fingerprint,
-            total_tweets=len(corpus),
-            total_accounts=len(corpus.accounts),
-            span_start=corpus.span_start.isoformat(),
-            span_end=corpus.span_end.isoformat(),
-            skipped_records=corpus.skipped_count,
-            duplicate_ids=corpus.duplicate_count,
-            rate_basis=settings.rate_basis,
-            activity_strategy=settings.detector.activity_strategy.value,
-            activity_threshold=classifications.threshold,
-            label_shares={label.value: {"count": gs.count, "share": gs.share}
-                          for label, gs in shares.items()},
-            disjoint_shares=disjoint,
-            rule_hits=rule_hits,
-            verified_overrides=overrides,
-            mean_sentiment={label.value: mean_sentiment[label] for label in Label},
-            ks_comparisons={key: (None if res is None else {
-                "d_statistic": res.d_statistic, "p_value": res.p_value,
-                "n1": res.n1, "n2": res.n2}) for key, res in ks_results.items()},
-            artifacts=sorted(os.listdir(work_dir)) + ["run_summary.json"],
-            timings=timings,
-        )
-        with open(work_dir / "run_summary.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        for name in summary.artifacts:  # run_summary.json last
-            os.replace(work_dir / name, out_dir / name)
-        timings[stage] = time.perf_counter() - t0
-        summary.timings = dict(timings)
-        return summary
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
-    finally:
-        shutil.rmtree(work_dir, ignore_errors=True)
+            summary = RunSummary(
+                config_fingerprint=fingerprint,
+                total_tweets=len(corpus),
+                total_accounts=len(corpus.accounts),
+                span_start=corpus.span_start.isoformat(),
+                span_end=corpus.span_end.isoformat(),
+                skipped_records=corpus.skipped_count,
+                duplicate_ids=corpus.duplicate_count,
+                rate_basis=settings.rate_basis,
+                activity_strategy=settings.detector.activity_strategy.value,
+                activity_threshold=classifications.threshold,
+                label_shares={label.value: {"count": gs.count, "share": gs.share}
+                              for label, gs in shares.items()},
+                disjoint_shares=disjoint,
+                rule_hits=rule_hits,
+                verified_overrides=overrides,
+                mean_sentiment={label.value: mean_sentiment[label] for label in Label},
+                ks_comparisons={key: (None if res is None else {
+                    "d_statistic": res.d_statistic, "p_value": res.p_value,
+                    "n1": res.n1, "n2": res.n2}) for key, res in ks_results.items()},
+                artifacts=sorted(os.listdir(work_dir)) + ["run_summary.json"],
+                timings=timings,
+            )
+            with open(work_dir / "run_summary.json", "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            _publish(work_dir, summary.artifacts)  # run_summary.json last
+            for name in CLASSIFICATION_FILES.values():
+                if name != class_name:
+                    (out_dir / name).unlink(missing_ok=True)
+            timings[stage] = time.perf_counter() - t0
+            summary.timings = dict(timings)
+            return summary
+        except Exception as exc:
+            raise PipelineStageError(stage, exc) from exc
 
 
 _RATE_BASIS_ALIASES = {

@@ -98,8 +98,28 @@ def tokenize(tweet, stopwords: frozenset,
 
 def tokenize_corpus(tweets, stopwords: frozenset,
                     query_term: str = DEFAULT_QUERY_TERM) -> list:
-    """Tokenize a tweet sequence in order."""
-    return [tokenize(t, stopwords, query_term) for t in tweets]
+    """Tokenize a tweet sequence in order, one TokenizedDoc per tweet.
+
+    Each distinct text is tokenized once; tweets with the same text share one
+    token tuple.
+    """
+    tokens_of = {}
+    docs = []
+    for t in tweets:
+        tokens = tokens_of.get(t.text)
+        if tokens is None:
+            tokens = tokens_of[t.text] = tuple(tokenize_text(t.text, stopwords, query_term))
+        docs.append(TokenizedDoc(t.id, tokens))
+    return docs
+
+
+def _token_streams(docs: Iterable[TokenizedDoc]) -> Counter:
+    """Distinct token streams of *docs* -> number of docs carrying each.
+
+    Keys are in first-occurrence order, so walking them visits every token,
+    pair and polarity first where a per-doc walk would.
+    """
+    return Counter(doc.tokens for doc in docs)
 
 
 def group_docs(classifications: Iterable[Classification],
@@ -206,7 +226,8 @@ def cooccurrence(docs: Iterable[TokenizedDoc], window: int = 5) -> CooccurrenceM
 
     Pairs never cross document boundaries and a term does not co-occur with
     itself (repeats at close range are ignored).  Term and document
-    frequencies are counted in the same pass.
+    frequencies are counted in the same pass.  Docs with the same token
+    stream are walked once and counted with their multiplicity.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -214,20 +235,20 @@ def cooccurrence(docs: Iterable[TokenizedDoc], window: int = 5) -> CooccurrenceM
     term_freq = Counter()
     doc_freq = Counter()
     n_docs = 0
-    for doc in docs:
-        tokens = doc.tokens
-        n_docs += 1
-        term_freq.update(tokens)
-        doc_freq.update(set(tokens))
+    for tokens, m in _token_streams(docs).items():
+        n_docs += m
+        for term in set(tokens):
+            doc_freq[term] += m
         length = len(tokens)
         for i in range(length):
             left = tokens[i]
+            term_freq[left] += m
             for j in range(i + 1, min(i + window, length - 1) + 1):
                 right = tokens[j]
                 if left == right:
                     continue
                 key = (left, right) if left <= right else (right, left)
-                pair_counts[key] += 1
+                pair_counts[key] += m
     return CooccurrenceModel(window, pair_counts, term_freq, doc_freq, n_docs)
 
 
@@ -299,16 +320,17 @@ def group_word_sentiment_samples(groups: Mapping[Label, Sequence[TokenizedDoc]],
     """Word-level polarity histogram per group: Counter of polarity -> occurrences.
 
     *groups* maps a key to its docs (group_docs gives one per disjoint label);
-    every occurrence of a lexicon word in those docs counts once.
+    every occurrence of a lexicon word in those docs counts once.  Docs with
+    the same token stream are walked once and counted with their multiplicity.
     """
     samples = {}
     for label, docs in groups.items():
         values = samples[label] = Counter()
-        for doc in docs:
-            for token in doc.tokens:
+        for tokens, m in _token_streams(docs).items():
+            for token in tokens:
                 value = lexicon.value(token)
                 if value is not None:
-                    values[value] += 1
+                    values[value] += m
     return samples
 
 

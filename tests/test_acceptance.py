@@ -292,7 +292,8 @@ def test_criterion_8_scale_smoke(tmp_path):
     corpus_path = tmp_path / "big.ndjson"
     cfg = SynthConfig(seed=13, n_humans=60000, n_bots=3000, bot_rate_mean=200.0)
     generate(cfg, corpus_path, tmp_path / "truth.csv")  # setup, untimed
-    n_lines = sum(1 for _ in open(corpus_path, encoding="utf-8"))
+    with open(corpus_path, encoding="utf-8") as fh:
+        n_lines = sum(1 for _ in fh)
     assert 850_000 <= n_lines <= 950_000
 
     t0 = time.perf_counter()

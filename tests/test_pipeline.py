@@ -1,10 +1,12 @@
 """Pipeline orchestration, artifact layout, and the CLI wrapper."""
 
 import json
+import os
 from collections import Counter
 
 import pytest
 
+from botminer import pipeline, textmine
 from botminer.cli import main
 from botminer.detector import ActivityStrategy, Classification, DetectorConfig, Label, fold_groups
 from botminer.errors import PipelineStageError
@@ -52,6 +54,28 @@ def test_pipeline_writes_expected_artifacts(synth_corpus, tmp_path):
     for name in EXPECTED_ARTIFACTS - {"run_summary.json"}:
         first = (out / name).read_text("utf-8").splitlines()[0]
         assert first == f"# config_fingerprint={fingerprint}"
+
+
+@pytest.mark.parametrize("first, second", [("csv", "jsonl"), ("jsonl", "csv")])
+def test_rerun_in_other_format_removes_stale_classifications(synth_corpus, tmp_path,
+                                                             first, second):
+    out = tmp_path / "artifacts"
+    execute_pipeline(synth_corpus, out, PipelineSettings(output_format=first))
+    summary = execute_pipeline(synth_corpus, out, PipelineSettings(output_format=second))
+    assert sorted(os.listdir(out)) == sorted(summary.artifacts)
+    assert f"classifications.{second}" in summary.artifacts
+
+
+def test_pipeline_loads_each_list_once(synth_corpus, tmp_path, monkeypatch):
+    loads = Counter()
+    for name in ("load_stopwords", "load_lexicon"):
+        def counting(*args, _real=getattr(textmine, name), _name=name):
+            loads[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(textmine, name, counting)
+    summary = execute_pipeline(synth_corpus, tmp_path / "artifacts")
+    assert loads == {"load_stopwords": 1, "load_lexicon": 1}
+    assert summary.config_fingerprint == PipelineSettings().fingerprint()
 
 
 def test_pipeline_summary_file_contents(synth_corpus, tmp_path):
@@ -289,7 +313,8 @@ def test_run_pipeline_wraps_config_errors(tmp_path):
 
 def test_fingerprint_stable_and_sensitive():
     base = PipelineSettings()
-    assert base.fingerprint() == PipelineSettings().fingerprint()
+    assert base.fingerprint() == PipelineSettings().fingerprint() == "8ce6488eb20f63f1"
+    assert base.fingerprint(base.load_lists()) == base.fingerprint()
     assert len(base.fingerprint()) == 16
     int(base.fingerprint(), 16)  # hex
     tweaked = PipelineSettings(detector=DetectorConfig(ratio_tolerance=0.2))
@@ -346,6 +371,27 @@ def test_cli_detect_writes_records(synth_corpus, tmp_path, capsys):
                  "--format", "jsonl"]) == 0
     assert (out / "classifications.jsonl").exists()
     assert "wrote" in capsys.readouterr().out
+
+
+def test_cli_detect_failed_write_keeps_previous_file(synth_corpus, tmp_path, monkeypatch):
+    out = tmp_path / "det"
+    assert main(["detect", str(synth_corpus), "--out", str(out)]) == 0
+    before = (out / "classifications.csv").read_bytes()
+    real_write = pipeline.write_classifications
+
+    def write_then_fail(path, fingerprint, classifications, fmt):
+        def rows():
+            for i, c in enumerate(classifications):
+                if i == 10:
+                    raise OSError("disk full")
+                yield c
+        real_write(path, fingerprint, rows(), fmt)
+
+    monkeypatch.setattr(pipeline, "write_classifications", write_then_fail)
+    assert main(["detect", str(synth_corpus), "--out", str(out),
+                 "--ratio-tolerance", "0.2"]) == 1
+    assert os.listdir(out) == ["classifications.csv"]
+    assert (out / "classifications.csv").read_bytes() == before
 
 
 def test_cli_run_full_pipeline(synth_corpus, tmp_path, capsys):

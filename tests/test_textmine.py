@@ -21,6 +21,7 @@ from botminer.textmine import (
     load_stopwords,
     tfidf_weight,
     tokenize,
+    tokenize_corpus,
     tokenize_text,
     top_cooccurrents,
 )
@@ -74,6 +75,17 @@ def test_tokenize_wraps_tweet():
     d = tokenize(t, STOPWORDS)
     assert d.tweet_id == "55"
     assert d.tokens == ("protests", "continue", "tonight")
+
+
+@given(st.lists(st.text("ab #@:/.htpIRAN", max_size=24), min_size=1, max_size=4)
+       .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=20)))
+def test_tokenize_corpus_equals_per_tweet_tokenize(texts):
+    tweets = [tweet(i=str(k), text=text) for k, text in enumerate(texts)]
+    docs = tokenize_corpus(tweets, STOPWORDS)
+    assert docs == [tokenize(t, STOPWORDS) for t in tweets]
+    first = {}
+    for t, d in zip(tweets, docs):  # one token tuple per distinct text
+        assert d.tokens is first.setdefault(t.text, d.tokens)
 
 
 def test_tokenize_idempotent():
@@ -239,6 +251,45 @@ def test_cooccurrence_of_concatenation_is_sum_of_models(first, second, window):
     assert whole.n_docs == parts.n_docs == len(a) + len(b)
 
 
+def per_doc_cooccurrence(docs, window):
+    """Reference: the per-doc loop cooccurrence ran before it walked distinct streams."""
+    pair_counts = Counter()
+    term_freq = Counter()
+    doc_freq = Counter()
+    n_docs = 0
+    for d in docs:
+        tokens = d.tokens
+        n_docs += 1
+        term_freq.update(tokens)
+        doc_freq.update(set(tokens))
+        length = len(tokens)
+        for i in range(length):
+            left = tokens[i]
+            for j in range(i + 1, min(i + window, length - 1) + 1):
+                right = tokens[j]
+                if left == right:
+                    continue
+                key = (left, right) if left <= right else (right, left)
+                pair_counts[key] += 1
+    return pair_counts, term_freq, doc_freq, n_docs
+
+
+# docs drawn from a pool of at most four token streams, so streams repeat
+repeated_docs = st.lists(st.lists(st.sampled_from("abcde"), max_size=8), min_size=1, max_size=4) \
+    .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=20)).map(docs_of)
+
+
+@given(repeated_docs, st.integers(1, 5))
+def test_cooccurrence_equals_per_doc_loop(docs, window):
+    model = cooccurrence(docs, window)
+    pair_counts, term_freq, doc_freq, n_docs = per_doc_cooccurrence(docs, window)
+    assert model.n_docs == n_docs
+    for got, want in ((model.pair_counts, pair_counts), (model.term_freq, term_freq),
+                      (model.doc_freq, doc_freq)):
+        assert got == want
+        assert list(got) == list(want)  # same first-occurrence key order
+
+
 def test_cooccurrence_models_of_different_windows_do_not_add():
     with pytest.raises(ValueError, match="window"):
         cooccurrence([doc("a", "b")], 2) + cooccurrence([doc("a", "b")], 3)
@@ -365,6 +416,31 @@ def tweet_sentiment(d):
     """A tweet's sentiment: the mean sentiment of a group holding only it."""
     samples = group_word_sentiment_samples({Label.NO_BOT: [d]}, LEX)
     return group_mean_sentiment(samples, {Label.NO_BOT: 1})[Label.NO_BOT]
+
+
+def per_token_samples(groups, lexicon):
+    """Reference: every lexicon token of every doc adds one to its polarity."""
+    samples = {}
+    for label, docs in groups.items():
+        values = samples[label] = Counter()
+        for d in docs:
+            for token in d.tokens:
+                value = lexicon.value(token)
+                if value is not None:
+                    values[value] += 1
+    return samples
+
+
+SIGNED_ZERO_LEX = SentimentLexicon({"a": 0.0, "b": -0.0, "c": 1.5, "d": -2})
+
+
+@given(st.fixed_dictionaries({label: repeated_docs for label in Label}))
+def test_group_samples_equal_per_token_loop(groups):
+    got = group_word_sentiment_samples(groups, SIGNED_ZERO_LEX)
+    want = per_token_samples(groups, SIGNED_ZERO_LEX)
+    assert got == want
+    for label in Label:  # repr tells 0.0 from -0.0: the first zero seen is the key
+        assert list(map(repr, got[label])) == list(map(repr, want[label]))
 
 
 def test_tweet_sentiment_sum():
