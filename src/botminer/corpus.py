@@ -180,6 +180,70 @@ def _count_field(user: Mapping, key: str) -> int:
     return count
 
 
+class _Parser:
+    """parse_record for the records of one ingest.
+
+    Each distinct timestamp string and ``source`` string is parsed once and
+    its result shared by every tweet that repeats it.  Only successful
+    parses are kept, so a malformed timestamp is checked (and reported)
+    again wherever it occurs.
+    """
+
+    def __init__(self):
+        self._timestamps: dict[str, datetime] = {}
+        self._sources: dict[str, str] = {}
+
+    def _timestamp(self, raw: str) -> datetime:
+        dt = self._timestamps.get(raw)
+        if dt is None:
+            dt = self._timestamps[raw] = parse_timestamp(raw)
+        return dt
+
+    def parse(self, obj: Mapping) -> Tweet:
+        """See parse_record."""
+        if type(obj) is not dict and not isinstance(obj, Mapping):
+            raise MalformedRecordError("record is not a JSON object")
+        user = _field(obj, "user", (dict,))
+        try:
+            tweet_id = str(_field(obj, "id", (str, int)))
+            tweet_id.encode("utf-8")  # an id with a lone surrogate could not be written out
+            account_id = str(_field(user, "id", (str, int)))
+        except ValueError as exc:  # that, or str() of an int id past the digit limit
+            raise MalformedRecordError(str(exc)) from None
+        text = unicodedata.normalize("NFC", _field(obj, "text", (str,)))
+        created_at = self._timestamp(_field(obj, "created_at", (str,)))
+        raw_user_created = _field(user, "created_at", (str,), "")
+
+        author = AccountSnapshot(
+            account_id=account_id,
+            screen_name=_field(user, "screen_name", (str,), ""),
+            followers=_count_field(user, "followers_count"),
+            friends=_count_field(user, "friends_count"),
+            verified=_field(user, "verified", (bool,), False),
+            statuses_total=_count_field(user, "statuses_count"),
+            account_created_at=(self._timestamp(raw_user_created) if raw_user_created
+                                else created_at),
+        )
+        is_retweet = (
+            obj.get("retweeted_status") is not None
+            or obj.get("retweeted_status_id") not in (None, "")
+            or text.startswith("RT @")
+        )
+        raw_source = _field(obj, "source", (str,), "")
+        source_app = self._sources.get(raw_source)
+        if source_app is None:
+            source_app = self._sources[raw_source] = extract_source_app(raw_source)
+        return Tweet(
+            id=tweet_id,
+            text=text,
+            created_at=created_at,
+            source_raw=raw_source,
+            source_app=source_app,
+            is_retweet=is_retweet,
+            author=author,
+        )
+
+
 def parse_record(obj: Mapping) -> Tweet:
     """Normalize one decoded JSON object into a Tweet.
 
@@ -188,43 +252,7 @@ def parse_record(obj: Mapping) -> Tweet:
     that cannot be written as UTF-8, unparseable or out-of-range timestamps,
     negative or oversized counts.
     """
-    if not isinstance(obj, Mapping):
-        raise MalformedRecordError("record is not a JSON object")
-    user = _field(obj, "user", (dict,))
-    try:
-        tweet_id = str(_field(obj, "id", (str, int)))
-        tweet_id.encode("utf-8")  # an id with a lone surrogate could not be written out
-        account_id = str(_field(user, "id", (str, int)))
-    except ValueError as exc:  # that, or str() of an int id past the digit limit
-        raise MalformedRecordError(str(exc)) from None
-    text = unicodedata.normalize("NFC", _field(obj, "text", (str,)))
-    created_at = parse_timestamp(_field(obj, "created_at", (str,)))
-    raw_user_created = _field(user, "created_at", (str,), "")
-
-    author = AccountSnapshot(
-        account_id=account_id,
-        screen_name=_field(user, "screen_name", (str,), ""),
-        followers=_count_field(user, "followers_count"),
-        friends=_count_field(user, "friends_count"),
-        verified=_field(user, "verified", (bool,), False),
-        statuses_total=_count_field(user, "statuses_count"),
-        account_created_at=parse_timestamp(raw_user_created) if raw_user_created else created_at,
-    )
-    is_retweet = (
-        obj.get("retweeted_status") is not None
-        or obj.get("retweeted_status_id") not in (None, "")
-        or text.startswith("RT @")
-    )
-    raw_source = _field(obj, "source", (str,), "")
-    return Tweet(
-        id=tweet_id,
-        text=text,
-        created_at=created_at,
-        source_raw=raw_source,
-        source_app=extract_source_app(raw_source),
-        is_retweet=is_retweet,
-        author=author,
-    )
+    return _Parser().parse(obj)
 
 
 def _lifetime_days(account_created: datetime, span_end: datetime) -> float:
@@ -235,22 +263,28 @@ def _lifetime_days(account_created: datetime, span_end: datetime) -> float:
 def _aggregate_accounts(tweets, span_days: float, span_end: datetime,
                         rate_basis: str) -> dict:
     # latest snapshot per account decides followers/friends/verified/statuses
-    latest: dict[str, tuple] = {}  # account_id -> (created_at, position, snapshot)
-    per_account: dict[str, list] = {}
+    # (of equal timestamps, the later tweet's)
+    latest: dict[str, tuple] = {}  # account_id -> (created_at, snapshot)
+    n_tweets: dict[str, int] = {}
     sources: dict[str, set] = {}
-    for pos, tweet in enumerate(tweets):
-        acct = tweet.author_id
-        per_account.setdefault(acct, []).append(tweet)
-        sources.setdefault(acct, set()).add(tweet.source_app)
-        key = (tweet.created_at, pos)
-        if acct not in latest or key > latest[acct][:2]:
-            latest[acct] = (tweet.created_at, pos, tweet.author)
+    for tweet in tweets:
+        author = tweet.author
+        acct = author.account_id
+        seen = latest.get(acct)
+        if seen is None:
+            latest[acct] = (tweet.created_at, author)
+            n_tweets[acct] = 1
+            sources[acct] = {tweet.source_app}
+        else:
+            if tweet.created_at >= seen[0]:
+                latest[acct] = (tweet.created_at, author)
+            n_tweets[acct] += 1
+            sources[acct].add(tweet.source_app)
 
     out = {}
-    for acct, (_, _, snap) in latest.items():
-        observed = per_account[acct]
+    for acct, (_, snap) in latest.items():
         if rate_basis == RATE_CORPUS_WINDOW:
-            rate = len(observed) / span_days
+            rate = n_tweets[acct] / span_days
         elif rate_basis == RATE_LIFETIME:
             rate = snap.statuses_total / _lifetime_days(snap.account_created_at, span_end)
         else:
@@ -262,7 +296,7 @@ def _aggregate_accounts(tweets, span_days: float, span_end: datetime,
             friends=snap.friends,
             verified=snap.verified,
             statuses_total=snap.statuses_total,
-            tweets_in_corpus=len(observed),
+            tweets_in_corpus=n_tweets[acct],
             tweets_per_day=rate,
             account_created_at=snap.account_created_at,
             sources_used=frozenset(sources[acct]),
@@ -311,9 +345,12 @@ def ingest(path, strictness: str = LENIENT,
     naming the offending line.
     Repeated tweet ids keep the last record (dict semantics) and are tallied
     in ``duplicate_count``.  Blank lines (streaming keep-alives) are ignored.
+    Records are parsed as parse_record parses them, but each distinct
+    timestamp and source string once.
     """
     if strictness not in (LENIENT, STRICT):
         raise ValueError(f"unknown strictness {strictness!r}")
+    parse = _Parser().parse
     by_id: dict[str, Tweet] = {}
     skipped = 0
     duplicates = 0
@@ -329,7 +366,7 @@ def ingest(path, strictness: str = LENIENT,
                     raise MalformedRecordError(f"invalid UTF-8: {exc}") from None
                 except (ValueError, RecursionError) as exc:
                     raise MalformedRecordError(f"invalid JSON: {exc}") from None
-                tweet = parse_record(obj)
+                tweet = parse(obj)
             except MalformedRecordError as exc:
                 if strictness == STRICT:
                     raise MalformedRecordError(f"line {lineno}: {exc}") from None

@@ -91,7 +91,7 @@ class RuleHit:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     """Final verdict for one tweet."""
 
@@ -316,38 +316,42 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
         (a.tweets_per_day for a in corpus.accounts.values()), config)
     duplicate_hits = duplicate_rule(corpus, config)
 
-    account_hits: dict[str, tuple] = {}
+    # Accounts with the same rule hits and verified flag classify alike: each
+    # distinct (hits, verified) pair is one kind, numbered in first-seen order.
+    kinds: dict[tuple, int] = {}
+    kind_of: dict[str, int] = {}
     for acct_id, account in corpus.accounts.items():
-        hits = []
-        hit = ratio_rule(account, config)
-        if hit is not None:
-            hits.append(hit)
-        hit = activity_rule(account, threshold)
-        if hit is not None:
-            hits.append(hit)
-        account_hits[acct_id] = tuple(hits)
+        hits = tuple(hit for hit in (ratio_rule(account, config),
+                                     activity_rule(account, threshold)) if hit is not None)
+        kind_of[acct_id] = kinds.setdefault((hits, account.verified), len(kinds))
+    kind_list = list(kinds)
 
+    # A tweet's outcome follows from its account's kind, its app and its
+    # duplicate hit; each is combined once.
+    outcomes: dict[tuple, tuple] = {}  # (kind, app, duplicate reason) -> outcome
     out = Detection((), threshold)
     for tweet in corpus.tweets:
-        hits = list(account_hits[tweet.author_id])
-        hit = source_rule(tweet, config)
-        if hit is not None:
-            hits.append(hit)
-        hit = duplicate_hits.get(tweet.id)
-        if hit is not None:
-            hits.append(hit)
-        distinct = {h.rule for h in hits}
-        if len(distinct) >= 2:
-            label = Label.BOT
-        elif len(distinct) == 1:
-            label = Label.SUSPICIOUS
-        else:
-            label = Label.NO_BOT
-        override = False
-        if distinct and corpus.accounts[tweet.author_id].verified:
-            label = Label.NO_BOT  # verified authors are trusted outright
-            override = True
-        out.append(Classification(tweet.id, label, frozenset(hits), override))
+        kind = kind_of[tweet.author.account_id]
+        duplicate = duplicate_hits.get(tweet.id)
+        key = (kind, tweet.source_app, None if duplicate is None else duplicate.reason)
+        outcome = outcomes.get(key)
+        if outcome is None:
+            account_hits, verified = kind_list[kind]
+            hits = [hit for hit in (*account_hits, source_rule(tweet, config), duplicate)
+                    if hit is not None]
+            distinct = {h.rule for h in hits}
+            if len(distinct) >= 2:
+                label = Label.BOT
+            elif len(distinct) == 1:
+                label = Label.SUSPICIOUS
+            else:
+                label = Label.NO_BOT
+            override = False
+            if distinct and verified:
+                label = Label.NO_BOT  # verified authors are trusted outright
+                override = True
+            outcome = outcomes[key] = (label, frozenset(hits), override)
+        out.append(Classification(tweet.id, *outcome))
     return out
 
 

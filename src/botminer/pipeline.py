@@ -13,9 +13,11 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -57,6 +59,10 @@ COMPARISON_PAIRS = (
 
 # output_format -> name of the per-tweet classification file
 CLASSIFICATION_FILES = {"csv": "classifications.csv", "jsonl": "classifications.jsonl"}
+
+# A run's temporary directory in --out is named .partial-<pid>-<mkdtemp suffix>.
+_STAGING_PREFIX = ".partial-"
+_STAGING_NAME = re.compile(r"\.partial-(\d+)-[a-z0-9_]{8}")
 
 
 @dataclass(frozen=True)
@@ -201,23 +207,51 @@ def _write_table(path: Path, fingerprint: str, header, rows):
         writer.writerows(rows)
 
 
+def _per_outcome(classifications, render):
+    """(tweet id, render(c)) for each classification c, in order.
+
+    Classifications with the same label, hits and override share one
+    rendering, so render runs once per distinct outcome.
+    """
+    rendered = {}
+    for c in classifications:
+        key = (c.label, c.hits, c.verified_override)
+        value = rendered.get(key)
+        if value is None:
+            value = rendered[key] = render(c)
+        yield c.tweet_id, value
+
+
 def write_classifications(path: Path, fingerprint: str, classifications, fmt: str):
-    """Write per-tweet classification records as csv or jsonl."""
+    """Write per-tweet classification records as csv or jsonl.
+
+    Only the tweet id is formatted per record; the rest of each row is
+    formatted once per distinct outcome.
+    """
     if fmt == "csv":
+        def cells(c):
+            return (c.label.value, "|".join(r.value for r in c.rules),
+                    str(c.verified_override).lower())
+
         _write_table(path, fingerprint, ["tweet_id", "label", "rules", "verified_override"],
-                     ([c.tweet_id, c.label.value, "|".join(r.value for r in c.rules),
-                       str(c.verified_override).lower()] for c in classifications))
+                     ((tweet_id, *rest) for tweet_id, rest in _per_outcome(classifications, cells)))
     else:
+        def template(c):
+            # the record with a marker for the id, split around it: the id is
+            # the last string field (keys are sorted, verified_override is a bool)
+            record = json.dumps({
+                "tweet_id": "",
+                "label": c.label.value,
+                "rules": [r.value for r in c.rules],
+                "verified_override": c.verified_override,
+                "config_fingerprint": fingerprint,
+            }, sort_keys=True, separators=(",", ":"))
+            head, _, tail = record.rpartition('""')
+            return head, tail + "\n"
+
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for c in classifications:
-                fh.write(json.dumps({
-                    "tweet_id": c.tweet_id,
-                    "label": c.label.value,
-                    "rules": [r.value for r in c.rules],
-                    "verified_override": c.verified_override,
-                    "config_fingerprint": fingerprint,
-                }, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
+            fh.writelines(f"{head}{json.dumps(tweet_id)}{tail}"
+                          for tweet_id, (head, tail) in _per_outcome(classifications, template))
 
 
 @contextmanager
@@ -228,17 +262,40 @@ def _staging_dir(out_dir: Path):
     before it leaves out_dir's files as they were.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    work_dir = Path(tempfile.mkdtemp(prefix=".partial-", dir=out_dir))
+    work_dir = Path(tempfile.mkdtemp(prefix=f"{_STAGING_PREFIX}{os.getpid()}-", dir=out_dir))
     try:
         yield work_dir
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
 
 
+def _process_alive(pid: int) -> bool:
+    """Whether a process with this id runs (assumed so where it cannot be told)."""
+    if os.name != "posix":
+        return True  # os.kill there ends the process instead of probing it
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        pass  # another user's process, or an id too large to tell: keep
+    return True
+
+
 def _publish(work_dir: Path, names):
-    """Move the named files from a _staging_dir into its out_dir, in order."""
+    """Move the named files from a _staging_dir into its out_dir, in order.
+
+    Then remove the staging directories in out_dir whose run is dead: runs
+    killed before their own clean-up leave them behind.  Staging directories
+    of live runs, and entries named otherwise, are kept.
+    """
+    out_dir = work_dir.parent
     for name in names:
-        os.replace(work_dir / name, work_dir.parent / name)
+        os.replace(work_dir / name, out_dir / name)
+    for entry in out_dir.iterdir():
+        m = _STAGING_NAME.fullmatch(entry.name)
+        if m and entry != work_dir and entry.is_dir() and not _process_alive(int(m[1])):
+            shutil.rmtree(entry, ignore_errors=True)
 
 
 def save_classifications(out_dir, fingerprint: str, classifications, fmt: str) -> Path:
@@ -334,12 +391,13 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             rule_hits = {rule.value: 0 for rule in detector_mod.Rule}
             overrides = 0
             disjoint_counts = {label: 0 for label in Label}
-            for c in classifications:
-                disjoint_counts[c.label] += 1
-                if c.verified_override:
-                    overrides += 1
-                for rule in c.rules:
-                    rule_hits[rule.value] += 1
+            outcomes = Counter((c.label, c.hits, c.verified_override) for c in classifications)
+            for (label, hits, override), n in outcomes.items():
+                disjoint_counts[label] += n
+                if override:
+                    overrides += n
+                for rule in {h.rule for h in hits}:
+                    rule_hits[rule.value] += n
             total = len(corpus)
             disjoint = {label.value: {"count": n, "share": n / total}
                         for label, n in disjoint_counts.items()}

@@ -19,7 +19,7 @@ from botminer.corpus import (
 )
 from botminer.errors import EmptyCorpusError, MalformedRecordError
 
-from conftest import corpus_of, record, tweet, write_ndjson
+from conftest import WEB_CLIENT, corpus_of, record, tweet, write_ndjson
 
 
 # ---------------------------------------------------------------------------
@@ -426,3 +426,120 @@ def test_sources_used_collects_all_apps():
     )
     assert corpus.accounts["u1"].sources_used == frozenset(
         {"IFTTT", "Twitter for iPhone", "unknown"})
+
+
+# ---------------------------------------------------------------------------
+# ingest parses each distinct timestamp and source once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("changes", [{"verified": 1}, {"followers_count": 5.0}],
+                         ids=["verified_1", "followers_5.0"])
+def test_ingest_skips_retyped_user_after_equal_valid_one(tmp_path, changes):
+    # True == 1 and 5 == 5.0, but only the first of each is valid JSON input
+    good = record(i="1", verified=True, followers=5)
+    bad = record(i="2", verified=True, followers=5)
+    bad["user"].update(changes)
+    path = write_ndjson(tmp_path / "c.ndjson", [good, bad])
+    corpus = ingest(path, LENIENT)
+    assert [t.id for t in corpus.tweets] == ["1"]
+    assert corpus.skipped_count == 1
+    with pytest.raises(MalformedRecordError) as alone:
+        parse_record(bad)
+    with pytest.raises(MalformedRecordError) as strict:
+        ingest(path, STRICT)
+    assert str(strict.value) == f"line 2: {alone.value}"
+
+
+def test_ingest_author_without_created_at_takes_each_tweet_time(tmp_path):
+    path = write_ndjson(tmp_path / "c.ndjson",
+                        [record(i="1", minutes=0), record(i="2", minutes=30)])
+    first, second = ingest(path).tweets
+    assert first.author.account_created_at == first.created_at
+    assert second.author.account_created_at == second.created_at
+
+
+_U1 = {"id": "u1", "screen_name": "a", "followers_count": 10, "friends_count": 20,
+       "verified": False, "statuses_count": 100, "created_at": "2015-01-01T00:00:00Z"}
+ORACLE_USERS = [  # the valid payloads, then the malformed ones
+    _U1,
+    dict(_U1, followers_count=12, statuses_count=101),
+    {"id": "u2", "followers_count": 5, "verified": True},  # no created_at: the tweet's
+    {"id": 7, "screen_name": None, "verified": None, "created_at": ""},
+    dict(_U1, followers_count=10.0),  # equal to _U1 in Python, not in JSON
+    dict(_U1, verified=0),
+    dict(_U1, statuses_count=-1),
+    {"id": "u4", "created_at": "yesterday"},
+    {"id": ["u5"]},
+    {"screen_name": "no id"},
+]
+
+
+def _mostly(valid, malformed):
+    return st.sampled_from(valid * 4 + malformed)
+
+
+oracle_lines = st.lists(st.one_of(
+    st.fixed_dictionaries({
+        "id": _mostly(["1", "2", "3", 4], [True]),
+        "text": _mostly(["hello", "RT @x hello", "café"], [3]),
+        "created_at": _mostly(["2017-12-30T12:00:00Z", "2017-12-30T12:05:00+01:00",
+                               "Sat Dec 30 13:08:45 +0000 2017", "2017-12-30T12:00:00"],
+                              ["soon", 1514635200]),
+        "source": _mostly([WEB_CLIENT, '<a href="x" rel="nofollow">Q &amp; A</a>',
+                           "Twitter for iPhone", "", None], [7]),
+        "user": _mostly([0, 1, 2, 3], list(range(4, len(ORACLE_USERS)))),
+    }),
+    st.sampled_from([[], "not a record", None])), min_size=1, max_size=25)
+
+
+def _oracle_reference(lines):
+    """ingest done line by line with parse_record.
+
+    Returns the tweets by id (the last record of an id wins), the skipped
+    and duplicate counts, and the strict-mode error.
+    """
+    by_id, skipped, duplicates, first_error = {}, 0, 0, None
+    for lineno, line in enumerate(lines, start=1):
+        obj = json.loads(line)
+        try:
+            tweet = parse_record(obj)
+        except MalformedRecordError as exc:
+            skipped += 1
+            first_error = first_error or f"line {lineno}: {exc}"
+            continue
+        duplicates += tweet.id in by_id
+        by_id[tweet.id] = tweet
+    return by_id, skipped, duplicates, first_error
+
+
+@given(oracle_lines)
+def test_ingest_equals_parse_record_per_line(tmp_path_factory, drawn):
+    lines = [json.dumps(dict(item, user=ORACLE_USERS[item["user"]])
+                        if isinstance(item, dict) else item) for item in drawn]
+    path = tmp_path_factory.mktemp("oracle") / "c.ndjson"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    by_id, skipped, duplicates, first_error = _oracle_reference(lines)
+
+    if by_id:
+        corpus = ingest(path, LENIENT)
+        assert corpus.tweets == tuple(by_id.values())
+        assert (corpus.skipped_count, corpus.duplicate_count) == (skipped, duplicates)
+        # accounts: the latest snapshot by (created_at, position), every tweet, every app
+        for acct, stats in corpus.accounts.items():
+            own = [(t.created_at, pos, t) for pos, t in enumerate(corpus.tweets)
+                   if t.author_id == acct]
+            latest = max(own, key=lambda e: e[:2])[2].author
+            assert (stats.followers, stats.statuses_total, stats.verified) == (
+                latest.followers, latest.statuses_total, latest.verified)
+            assert stats.tweets_in_corpus == len(own)
+            assert stats.sources_used == {t.source_app for _, _, t in own}
+    else:
+        with pytest.raises(EmptyCorpusError):
+            ingest(path, LENIENT)
+
+    if first_error is None:
+        assert len(ingest(path, STRICT)) == len(by_id)
+    else:
+        with pytest.raises(MalformedRecordError) as strict:
+            ingest(path, STRICT)
+        assert str(strict.value) == first_error

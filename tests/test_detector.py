@@ -322,6 +322,54 @@ def test_quantile_threshold_flags_at_most_one_minus_q():
         assert flagged <= (1 - q) * n + 1e-9
 
 
+def _classify_per_tweet(corpus, config):
+    """Reference for classify: every rule evaluated and combined for every tweet."""
+    threshold = activity_threshold([a.tweets_per_day for a in corpus.accounts.values()], config)
+    duplicates = duplicate_rule(corpus, config)
+    out = []
+    for tweet in corpus.tweets:
+        account = corpus.accounts[tweet.author_id]
+        hits = [hit for hit in (ratio_rule(account, config), activity_rule(account, threshold),
+                                source_rule(tweet, config), duplicates.get(tweet.id))
+                if hit is not None]
+        n_rules = len({hit.rule for hit in hits})
+        label = Label.BOT if n_rules >= 2 else Label.SUSPICIOUS if n_rules else Label.NO_BOT
+        override = bool(n_rules) and account.verified
+        out.append(Classification(tweet.id, Label.NO_BOT if override else label,
+                                  frozenset(hits), override))
+    return out
+
+
+oracle_rows = st.lists(st.tuples(
+    st.integers(0, 5),                              # account
+    st.sampled_from([50, 150, 160, 1000]),          # followers
+    st.sampled_from([0, 150, 155, 900]),            # friends
+    st.booleans(),                                  # verified
+    st.sampled_from(["twittbot", "Zapier", "Twitter Web Client", "IFTTT"]),
+    st.sampled_from(["alpha", "beta", "RT @x alpha", " alpha ", "gamma"]),
+    st.integers(0, 24 * 60),                        # minutes
+), min_size=1, max_size=30)
+
+
+@given(oracle_rows, st.sampled_from([
+    config_with(activity_quantile=0.5),
+    config_with(activity_strategy=ActivityStrategy.IQR_FENCE, iqr_multiplier=0.1,
+                suspicious_sources=frozenset({"twittbot", "zapier"}), duplicate_min_cluster=3),
+]))
+def test_classify_equals_per_tweet_loop(rows, config):
+    corpus = corpus_of(*(record(i=f"t{k}", account=f"a{a}", followers=followers,
+                                friends=friends, verified=verified, text=text,
+                                source=f'<a href="x">{app}</a>', minutes=minutes)
+                         for k, (a, followers, friends, verified, app, text, minutes)
+                         in enumerate(rows)))
+    detection = classify(corpus, config)
+    reference = _classify_per_tweet(corpus, config)
+    assert list(detection) == reference  # ids, labels, hit sets and overrides
+    assert [c.rules for c in detection] == [c.rules for c in reference]
+    assert (Counter(h for c in detection for h in c.hits)
+            == Counter(h for c in reference for h in c.hits))
+
+
 # ---------------------------------------------------------------------------
 # group_summary
 # ---------------------------------------------------------------------------

@@ -1,14 +1,28 @@
 """Pipeline orchestration, artifact layout, and the CLI wrapper."""
 
+import csv
+import io
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from botminer import pipeline, textmine
 from botminer.cli import main
-from botminer.detector import ActivityStrategy, Classification, DetectorConfig, Label, fold_groups
+from botminer.detector import (
+    ActivityStrategy,
+    Classification,
+    DetectorConfig,
+    Label,
+    Rule,
+    RuleHit,
+    fold_groups,
+)
 from botminer.errors import PipelineStageError
 from botminer.pipeline import (
     PipelineSettings,
@@ -100,6 +114,30 @@ def test_pipeline_summary_file_contents(synth_corpus, tmp_path):
         disjoint["Suspicious"]["count"] + disjoint["Bot"]["count"])
     assert set(on_disk["sentiment"]["ks_comparisons"]) == {
         "NoBot_vs_Bot", "NoBot_vs_Suspicious", "Suspicious_vs_Bot"}
+
+
+def test_summary_counts_equal_per_tweet_counts(tmp_path):
+    bot_app = '<a href="x">twittbot</a>'
+    recs = [record(i=f"h{k}", account=f"h{k}", text=f"hope {k}", minutes=k) for k in range(30)]
+    recs += [record(i=f"b{k}", account="busy", text=f"terror {k}", minutes=k,
+                    followers=500, friends=510, source=bot_app) for k in range(8)]
+    recs += [record(i=f"d{k}", account=f"d{k}", text="good bad", minutes=k) for k in range(2)]
+    recs += [record(i=f"v{k}", account="v", verified=True, source=bot_app, text="hope",
+                    minutes=k) for k in range(2)]
+    out = tmp_path / "artifacts"
+    summary = execute_pipeline(write_ndjson(tmp_path / "c.ndjson", recs), out)
+    rows = (out / "classifications.csv").read_text("utf-8").splitlines()[2:]
+    labels, rules, overrides = Counter(), Counter(), 0
+    for row in rows:
+        _, label, fired, override = row.split(",")
+        labels[label] += 1
+        rules.update(fired.split("|") if fired else ())
+        overrides += override == "true"
+    assert overrides == summary.verified_overrides == 2
+    assert {k: v["count"] for k, v in summary.disjoint_shares.items()} == {
+        label.value: labels[label.value] for label in Label}
+    assert summary.rule_hits == {rule.value: rules[rule.value] for rule in Rule}
+    assert min(summary.rule_hits.values()) > 0
 
 
 def test_pipeline_is_byte_deterministic(synth_corpus, tmp_path):
@@ -437,3 +475,87 @@ def test_cli_empty_corpus_names_stage(tmp_path, capsys):
 def test_cli_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+# ---------------------------------------------------------------------------
+# leftovers of killed runs; classification records formatted once per outcome
+# ---------------------------------------------------------------------------
+
+posix_only = pytest.mark.skipif(os.name != "posix",
+                                reason="staging directories are only probed on POSIX")
+
+
+def _dead_pid():
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
+@posix_only
+def test_successful_runs_remove_leftover_staging_dirs(synth_corpus, tmp_path, capsys):
+    # a run killed mid-way (SIGKILL, OOM) never removes its staging directory
+    out = tmp_path / "artifacts"
+    killed = out / f".partial-{_dead_pid()}-k1lled_x"
+    killed.mkdir(parents=True)
+    (killed / "wordcloud_bot.csv").write_text("half", encoding="utf-8")
+    summary = execute_pipeline(synth_corpus, out)
+    assert sorted(os.listdir(out)) == sorted(summary.artifacts)
+
+    det = tmp_path / "det"
+    (det / f".partial-{_dead_pid()}-k1lled_x").mkdir(parents=True)
+    assert main(["detect", str(synth_corpus), "--out", str(det)]) == 0
+    assert os.listdir(det) == ["classifications.csv"]
+    capsys.readouterr()
+
+
+@posix_only
+def test_successful_runs_keep_staging_dirs_of_live_runs(synth_corpus, tmp_path, capsys):
+    out = tmp_path / "artifacts"
+    live = out / f".partial-{os.getpid()}-runn1ng_"  # a run still writing into out
+    live.mkdir(parents=True)
+    (live / "wordcloud_bot.csv").write_text("half", encoding="utf-8")
+    own = out / ".partial-stale"  # not a staging directory's name
+    own.mkdir()
+    summary = execute_pipeline(synth_corpus, out)
+    assert sorted(os.listdir(out)) == sorted([*summary.artifacts, live.name, own.name])
+    assert (live / "wordcloud_bot.csv").read_text(encoding="utf-8") == "half"
+    capsys.readouterr()
+
+
+FINGERPRINT = "cafe0123"
+HIT_SETS = [
+    frozenset(),
+    frozenset({RuleHit(Rule.SOURCE, "posted via suspicious app 'x'")}),
+    frozenset({RuleHit(Rule.RATIO, "r"), RuleHit(Rule.ACTIVITY, "a")}),
+    frozenset({RuleHit(Rule.DUPLICATE, "shared by 2"), RuleHit(Rule.DUPLICATE, "shared by 3")}),
+    frozenset({RuleHit(Rule.DUPLICATE, "d"), RuleHit(Rule.SOURCE, "s"), RuleHit(Rule.RATIO, "r")}),
+]
+tweet_ids = st.text() | st.sampled_from(
+    ["é", "日本語", 'say "hi"', "back\\slash", "tab\tline\nfeed", "cr\r", "  ",
+     "\x00\x1f\x7f", "line\u2028sep\u2029", "", ",", "a,b", "😀", '""'])
+classification_lists = st.lists(st.builds(
+    Classification, tweet_ids, st.sampled_from(list(Label)), st.sampled_from(HIT_SETS),
+    st.booleans()), max_size=20)
+
+
+@given(classification_lists)
+def test_write_classifications_equals_per_record_reference(tmp_path_factory, cls):
+    root = tmp_path_factory.mktemp("records")
+    write_classifications(root / "c.jsonl", FINGERPRINT, cls, "jsonl")
+    expected = "".join(json.dumps({
+        "tweet_id": c.tweet_id,
+        "label": c.label.value,
+        "rules": [r.value for r in c.rules],
+        "verified_override": c.verified_override,
+        "config_fingerprint": FINGERPRINT,
+    }, sort_keys=True, separators=(",", ":")) + "\n" for c in cls)
+    assert (root / "c.jsonl").read_bytes() == expected.encode("utf-8")
+
+    write_classifications(root / "c.csv", FINGERPRINT, cls, "csv")
+    buf = io.StringIO()
+    buf.write(f"# config_fingerprint={FINGERPRINT}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["tweet_id", "label", "rules", "verified_override"])
+    for c in cls:
+        writer.writerow([c.tweet_id, c.label.value, "|".join(r.value for r in c.rules),
+                         str(c.verified_override).lower()])
+    assert (root / "c.csv").read_bytes() == buf.getvalue().encode("utf-8")
