@@ -67,7 +67,6 @@ from .textmine import (
     load_lexicon,
     load_stopwords,
     tfidf_weight,
-    tokenize,
     tokenize_corpus,
     top_cooccurrents,
 )

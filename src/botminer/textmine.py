@@ -11,6 +11,7 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .detector import Classification, Label
@@ -22,7 +23,6 @@ __all__ = [
     "TokenizedDoc",
     "load_stopwords",
     "tokenize_text",
-    "tokenize",
     "tokenize_corpus",
     "group_docs",
     "VocabModel",
@@ -52,20 +52,61 @@ class TokenizedDoc:
     tokens: tuple
 
 
-def load_stopwords(path=None) -> frozenset:
-    """Stop-word list, one word per line, '#' comments, lowercased."""
-    words = {line.lower() for _, line in read_entries(path, "stopwords.txt")}
-    if not words:
-        raise ConfigError("stop-word list is empty")
-    return frozenset(words)
-
-
 def _clean(raw: str) -> str:
     prefix = raw[0] if raw[0] in _KEPT_PREFIXES else ""
     body = _NONWORD_RE.sub("", raw[len(prefix):])
     if not body:
         return ""
     return prefix + body
+
+
+def _check_cleaned(entry: str, what: str, lineno: int) -> None:
+    """Reject a list entry that no cleaned token can equal."""
+    if _clean(entry) != entry:
+        raise ConfigError(f"{what} line {lineno}: {entry!r} is not a cleaned token "
+                          f"(expected {_clean(entry)!r}), so it would never match")
+
+
+def load_stopwords(path=None) -> frozenset:
+    """Stop-word list, one word per line, '#' comments, lowercased.
+
+    Every entry must already be in cleaned token form ("dont", not "don't").
+    """
+    words = set()
+    for lineno, line in read_entries(path, "stopwords.txt"):
+        word = line.lower()
+        _check_cleaned(word, "stop-word list", lineno)
+        words.add(word)
+    if not words:
+        raise ConfigError("stop-word list is empty")
+    return frozenset(words)
+
+
+class _Tokenizer(dict):
+    """tokenize_text for the texts of one tokenize_corpus call.
+
+    Maps each lowercased whitespace piece to its kept token, or to "" when the
+    piece is dropped.  A piece is cleaned and checked once, on first sight,
+    and equal tokens ("word" from "word" and "word!") are one shared str.
+    """
+
+    def __init__(self, stopwords: frozenset, query_term: str):
+        super().__init__()
+        self._stopwords = stopwords
+        self._query = query_term.lower()
+        self._shared: dict[str, str] = {}
+
+    def __missing__(self, raw: str) -> str:
+        token = ""
+        if not raw.startswith("http"):  # URL tokens carry no topical signal
+            token = _clean(raw)
+            if token.startswith("http") or token in self._stopwords or token == self._query:
+                token = ""
+        token = self[raw] = self._shared.setdefault(token, token)
+        return token
+
+    def tokens(self, text: str) -> tuple:
+        return tuple(filter(None, map(self.__getitem__, text.lower().split())))
 
 
 def tokenize_text(text: str, stopwords: frozenset,
@@ -76,39 +117,23 @@ def tokenize_text(text: str, stopwords: frozenset,
     its word so hashtags and mentions survive as distinct tokens.  The output
     is stable under re-tokenization.
     """
-    query = query_term.lower()
-    out = []
-    for raw in text.lower().split():
-        if raw.startswith("http"):
-            continue  # URL tokens carry no topical signal
-        token = _clean(raw)
-        if not token or token.startswith("http"):
-            continue
-        if token in stopwords or token == query:
-            continue
-        out.append(token)
-    return out
-
-
-def tokenize(tweet, stopwords: frozenset,
-             query_term: str = DEFAULT_QUERY_TERM) -> TokenizedDoc:
-    """Tokenize one tweet into a TokenizedDoc."""
-    return TokenizedDoc(tweet.id, tuple(tokenize_text(tweet.text, stopwords, query_term)))
+    return list(_Tokenizer(stopwords, query_term).tokens(text))
 
 
 def tokenize_corpus(tweets, stopwords: frozenset,
                     query_term: str = DEFAULT_QUERY_TERM) -> list:
     """Tokenize a tweet sequence in order, one TokenizedDoc per tweet.
 
-    Each distinct text is tokenized once; tweets with the same text share one
-    token tuple.
+    Each distinct text is tokenized once and each distinct raw token cleaned
+    once; tweets with the same text share one token tuple.
     """
+    tokenizer = _Tokenizer(stopwords, query_term)
     tokens_of = {}
     docs = []
     for t in tweets:
         tokens = tokens_of.get(t.text)
         if tokens is None:
-            tokens = tokens_of[t.text] = tuple(tokenize_text(t.text, stopwords, query_term))
+            tokens = tokens_of[t.text] = tokenizer.tokens(t.text)
         docs.append(TokenizedDoc(t.id, tokens))
     return docs
 
@@ -120,6 +145,29 @@ def _token_streams(docs: Iterable[TokenizedDoc]) -> Counter:
     pair and polarity first where a per-doc walk would.
     """
     return Counter(doc.tokens for doc in docs)
+
+
+def _repeats(streams: Counter) -> dict:
+    """m -> the distinct streams of *streams* that m > 1 docs carry."""
+    repeats = defaultdict(list)
+    for stream, m in streams.items():
+        if m > 1:
+            repeats[m].append(stream)
+    return repeats
+
+
+def _count_items(streams: Counter, repeats: dict, items) -> Counter:
+    """Counter of items(stream) over every doc, each distinct stream walked once.
+
+    Every stream is counted once first, so keys are in the order a per-doc
+    walk first sees them; the other m - 1 docs of each repeated stream are
+    added afterwards, bucketed by m, to keys that already exist.
+    """
+    counts = Counter(chain.from_iterable(map(items, streams)))
+    for m, group in repeats.items():
+        for key, c in Counter(chain.from_iterable(map(items, group))).items():
+            counts[key] += c * (m - 1)
+    return counts
 
 
 def group_docs(classifications: Iterable[Classification],
@@ -221,35 +269,46 @@ class CooccurrenceModel:
         return self.count(w1, w2) / freq
 
 
+def _ordered_pairs(window: int):
+    """Stream -> iterator over the (tokens[i], tokens[j]) pairs a per-doc walk visits.
+
+    The walk is i-major with j from i + 1 to min(i + window, n - 1); its index
+    tuples are built once per stream length n, so the pairs themselves are
+    produced in C.
+    """
+    index = {}
+
+    def pairs(tokens):
+        n = len(tokens)
+        ij = index.get(n)
+        if ij is None:
+            spans = [(i, range(i + 1, min(i + window, n - 1) + 1)) for i in range(n)]
+            ij = index[n] = (tuple(i for i, js in spans for _ in js),
+                             tuple(j for _, js in spans for j in js))
+        return zip(map(tokens.__getitem__, ij[0]), map(tokens.__getitem__, ij[1]))
+
+    return pairs
+
+
 def cooccurrence(docs: Iterable[TokenizedDoc], window: int = 5) -> CooccurrenceModel:
     """Count token pairs at positional distance <= window inside each doc.
 
     Pairs never cross document boundaries and a term does not co-occur with
     itself (repeats at close range are ignored).  Term and document
-    frequencies are counted in the same pass.  Docs with the same token
-    stream are walked once and counted with their multiplicity.
+    frequencies are counted too.  Docs with the same token stream are walked
+    once and counted with their multiplicity.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    streams = _token_streams(docs)
+    repeats = _repeats(streams)
     pair_counts = Counter()
-    term_freq = Counter()
-    doc_freq = Counter()
-    n_docs = 0
-    for tokens, m in _token_streams(docs).items():
-        n_docs += m
-        for term in set(tokens):
-            doc_freq[term] += m
-        length = len(tokens)
-        for i in range(length):
-            left = tokens[i]
-            term_freq[left] += m
-            for j in range(i + 1, min(i + window, length - 1) + 1):
-                right = tokens[j]
-                if left == right:
-                    continue
-                key = (left, right) if left <= right else (right, left)
-                pair_counts[key] += m
-    return CooccurrenceModel(window, pair_counts, term_freq, doc_freq, n_docs)
+    for pair, c in _count_items(streams, repeats, _ordered_pairs(window)).items():
+        left, right = pair
+        if left != right:  # canonical (min, max), once per distinct ordered pair
+            pair_counts[pair if left < right else (right, left)] += c
+    return CooccurrenceModel(window, pair_counts, _count_items(streams, repeats, iter),
+                             _count_items(streams, repeats, set), sum(streams.values()))
 
 
 def top_cooccurrents(model: CooccurrenceModel, k_terms: int = 20,
@@ -299,7 +358,10 @@ class SentimentLexicon:
 
 
 def load_lexicon(path=None) -> SentimentLexicon:
-    """Load a two-column TSV lexicon (word <TAB> finite polarity, '#' comments)."""
+    """Load a two-column TSV lexicon (word <TAB> finite polarity, '#' comments).
+
+    Every word must be in cleaned token form once lowercased.
+    """
     polarity = {}
     for lineno, line in read_entries(path, "lexicon.tsv"):
         parts = line.split("\t")
@@ -311,7 +373,9 @@ def load_lexicon(path=None) -> SentimentLexicon:
                 raise ValueError("polarity must be finite")
         except ValueError:
             raise ConfigError(f"lexicon line {lineno}: bad polarity {parts[1]!r}") from None
-        polarity[parts[0].strip()] = value
+        word = parts[0].strip()
+        _check_cleaned(word.lower(), "lexicon", lineno)
+        polarity[word] = value
     return SentimentLexicon(polarity)
 
 
@@ -326,11 +390,13 @@ def group_word_sentiment_samples(groups: Mapping[Label, Sequence[TokenizedDoc]],
     samples = {}
     for label, docs in groups.items():
         values = samples[label] = Counter()
-        for tokens, m in _token_streams(docs).items():
-            for token in tokens:
-                value = lexicon.value(token)
-                if value is not None:
-                    values[value] += m
+        streams = _token_streams(docs)
+        # first-seen token order, so the first token carrying a polarity is
+        # where a per-doc walk first sees it (and 0.0 vs -0.0 keys hold)
+        for token, c in _count_items(streams, _repeats(streams), iter).items():
+            value = lexicon.value(token)
+            if value is not None:
+                values[value] += c
     return samples
 
 

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import json
+import shutil
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -76,3 +77,16 @@ def default_synth(tmp_path_factory):
     truth_path = root / "ground_truth.csv"
     truth = generate(SynthConfig(), corpus_path, truth_path)
     return corpus_path, truth_path, truth
+
+
+@pytest.fixture(scope="session")
+def scale_corpus(tmp_path_factory):
+    """The paper-scale corpus (~900k tweets, ~400 MB), generated once, removed at teardown."""
+    from botminer.syngen import SynthConfig, generate
+
+    root = tmp_path_factory.mktemp("synth_scale")
+    corpus_path = root / "big.ndjson"
+    cfg = SynthConfig(seed=13, n_humans=60000, n_bots=3000, bot_rate_mean=200.0)
+    generate(cfg, corpus_path, root / "truth.csv")
+    yield corpus_path
+    shutil.rmtree(root)

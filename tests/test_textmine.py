@@ -2,16 +2,18 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from botminer.detector import Classification, Label, fold_groups, group_summary
 from botminer.errors import ConfigError
 from botminer.textmine import (
     SentimentLexicon,
+    TokenizedDoc,
     build_vocab,
     cooccurrence,
     group_docs,
@@ -20,7 +22,6 @@ from botminer.textmine import (
     load_lexicon,
     load_stopwords,
     tfidf_weight,
-    tokenize,
     tokenize_corpus,
     tokenize_text,
     top_cooccurrents,
@@ -72,9 +73,32 @@ def test_tokenize_drops_pure_punctuation():
 
 def test_tokenize_wraps_tweet():
     t = tweet(i="55", text="Protests continue tonight")
-    d = tokenize(t, STOPWORDS)
+    (d,) = tokenize_corpus([t], STOPWORDS)
     assert d.tweet_id == "55"
     assert d.tokens == ("protests", "continue", "tonight")
+
+
+def reference_tokenize_text(text, stopwords, query_term="iran"):
+    """Reference: clean and check every raw token of *text* on its own."""
+    query = query_term.lower()
+    out = []
+    for raw in text.lower().split():
+        if raw.startswith("http"):
+            continue
+        prefix = raw[0] if raw[0] in "#@" else ""
+        body = re.sub(r"\W+", "", raw[len(prefix):])
+        token = prefix + body if body else ""
+        if not token or token.startswith("http"):
+            continue
+        if token in stopwords or token == query:
+            continue
+        out.append(token)
+    return out
+
+
+def reference_docs(tweets, stopwords, query_term="iran"):
+    return [TokenizedDoc(t.id, tuple(reference_tokenize_text(t.text, stopwords, query_term)))
+            for t in tweets]
 
 
 @given(st.lists(st.text("ab #@:/.htpIRAN", max_size=24), min_size=1, max_size=4)
@@ -82,10 +106,40 @@ def test_tokenize_wraps_tweet():
 def test_tokenize_corpus_equals_per_tweet_tokenize(texts):
     tweets = [tweet(i=str(k), text=text) for k, text in enumerate(texts)]
     docs = tokenize_corpus(tweets, STOPWORDS)
-    assert docs == [tokenize(t, STOPWORDS) for t in tweets]
+    assert docs == reference_docs(tweets, STOPWORDS)
     first = {}
     for t, d in zip(tweets, docs):  # one token tuple per distinct text
         assert d.tokens is first.setdefault(t.text, d.tokens)
+
+
+# raw tokens that take each branch of the cleaning: URLs, kept and stripped
+# prefixes, punctuation only, the query term in mixed case, stop words, and
+# letters whose lowercase form differs in length or by context
+RAW_TOKENS = ["http://t.co/x", "HTTPS", "httpfoo", "#http", "@Https", "#Tag", "@User,",
+              "#", "@", "...", "!!", "--", "IRAN", "Iran!", "iRaN", "#iran", "The", "don't",
+              "dont", "İstanbul", "İ", "ß", "STRASSE", "Σ", "ΟΔΟΣ", "οδος", "a", "word", "Word!"]
+raw_tokens = st.sampled_from(RAW_TOKENS) | st.text("aB#@:/.htİßΣς!", min_size=1, max_size=6)
+# texts drawn from a pool of at most six raw tokens, so raw tokens repeat across texts
+texts_of_shared_tokens = st.lists(raw_tokens, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.lists(st.sampled_from(pool), max_size=8).map(" ".join),
+                          min_size=1, max_size=12))
+
+
+@given(texts_of_shared_tokens, st.sampled_from(["iran", "IRAN", "İstanbul", "ß", "σ"]))
+@example(["word up", "Word! #tag", "WORD... up"], "iran")  # one token from three raw forms
+def test_tokenize_corpus_equals_reference_on_shared_raw_tokens(texts, query):
+    tweets = [tweet(i=str(k), text=text) for k, text in enumerate(texts)]
+    docs = tokenize_corpus(tweets, STOPWORDS, query)
+    assert docs == reference_docs(tweets, STOPWORDS, query)
+    seen = {}
+    for d in docs:  # equal tokens are one str object
+        for token in d.tokens:
+            assert token is seen.setdefault(token, token)
+    # other lists on the same texts: nothing carries over from the first call
+    stopwords = frozenset(list(seen)[::2])
+    for other_stop, other_query in ((stopwords, query), (STOPWORDS, "tag")):
+        got = tokenize_corpus(tweets, other_stop, other_query)
+        assert got == reference_docs(tweets, other_stop, other_query)
 
 
 def test_tokenize_idempotent():
@@ -274,12 +328,14 @@ def per_doc_cooccurrence(docs, window):
     return pair_counts, term_freq, doc_freq, n_docs
 
 
-# docs drawn from a pool of at most four token streams, so streams repeat
+# docs drawn from a pool of at most four token streams plus an empty and a
+# one-token stream, so streams repeat and the shortest lengths are in every pool
 repeated_docs = st.lists(st.lists(st.sampled_from("abcde"), max_size=8), min_size=1, max_size=4) \
+    .map(lambda pool: pool + [[], ["a"]]) \
     .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=20)).map(docs_of)
 
 
-@given(repeated_docs, st.integers(1, 5))
+@given(repeated_docs, st.integers(1, 10))  # windows past the longest (8-token) stream
 def test_cooccurrence_equals_per_doc_loop(docs, window):
     model = cooccurrence(docs, window)
     pair_counts, term_freq, doc_freq, n_docs = per_doc_cooccurrence(docs, window)
@@ -597,6 +653,26 @@ def test_load_stopwords_custom_and_empty(tmp_path):
     (tmp_path / "empty.txt").write_text("", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_stopwords(tmp_path / "empty.txt")
+
+
+def test_load_stopwords_rejects_entry_no_token_can_equal(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("@User\nDont\n", encoding="utf-8")
+    assert load_stopwords(path) == frozenset({"@user", "dont"})
+    for entry in ("Don't", "a b", "@", "...", "İstanbul"):
+        path.write_text(f"# comment\nfoo\n{entry}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="line 3"):
+            load_stopwords(path)
+
+
+def test_load_lexicon_rejects_word_no_token_can_equal(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("GOOD\t1\n@Win\t2\n", encoding="utf-8")
+    assert load_lexicon(path).polarity == {"good": 1.0, "@win": 2.0}
+    for word in ("good!", "don't", "well done", "@", "İyi"):
+        path.write_text(f"fine\t1\n{word}\t-1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="line 2"):
+            load_lexicon(path)
 
 
 def test_default_lexicon_loads():
