@@ -13,7 +13,6 @@ from .corpus import (
     AccountStats,
     Corpus,
     Tweet,
-    account_stats,
     build_corpus,
     extract_source_app,
     ingest,
@@ -52,7 +51,7 @@ from .pipeline import (
     settings_from_flags,
 )
 from .rng import SplitMix64
-from .stats import Ecdf, KsResult, ecdf, iqr, ks_two_sample, quantile
+from .stats import Ecdf, KsResult, ecdf, ks_two_sample, quantile
 from .syngen import DetectionReport, SynthConfig, evaluate_detection, generate, load_ground_truth
 from .textmine import (
     CooccurrenceModel,

@@ -12,10 +12,11 @@ import html
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EmptyCorpusError, MalformedRecordError
 
@@ -33,7 +34,6 @@ __all__ = [
     "parse_record",
     "ingest",
     "build_corpus",
-    "account_stats",
 ]
 
 LENIENT = "lenient"
@@ -47,11 +47,9 @@ _ANCHOR_RE = re.compile(r"<a\b[^>]*>(.*?)</a>", re.IGNORECASE | re.DOTALL)
 _SECONDS_PER_DAY = 86400.0
 
 
-@dataclass(frozen=True, slots=True)
-class AccountSnapshot:
+class AccountSnapshot(NamedTuple):
     """Author state embedded in a single tweet record."""
 
-    account_id: str
     screen_name: str
     followers: int
     friends: int
@@ -60,21 +58,15 @@ class AccountSnapshot:
     account_created_at: datetime
 
 
-@dataclass(frozen=True, slots=True)
-class Tweet:
+class Tweet(NamedTuple):
     """One normalized tweet."""
 
     id: str
     text: str
     created_at: datetime
-    source_raw: str
     source_app: str
     is_retweet: bool
-    author: AccountSnapshot
-
-    @property
-    def author_id(self) -> str:
-        return self.author.account_id
+    author_id: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +82,6 @@ class AccountStats:
     tweets_in_corpus: int
     tweets_per_day: float
     account_created_at: datetime
-    sources_used: frozenset = field(default_factory=frozenset)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,10 +174,12 @@ def _count_field(user: Mapping, key: str) -> int:
 class _Parser:
     """parse_record for the records of one ingest.
 
-    Each distinct timestamp string and ``source`` string is parsed once and
-    its result shared by every tweet that repeats it.  Only successful
-    parses are kept, so a malformed timestamp is checked (and reported)
-    again wherever it occurs.
+    Each field is checked inline by its exact type; ``_field`` and
+    ``_count_field`` run only for a value that fails that check, to give its
+    default or raise its message.  Each distinct timestamp string and
+    ``source`` string is parsed once and its result shared by every tweet
+    that repeats it.  Only successful parses are kept, so a malformed
+    timestamp is checked (and reported) again wherever it occurs.
     """
 
     def __init__(self):
@@ -199,54 +192,82 @@ class _Parser:
             dt = self._timestamps[raw] = parse_timestamp(raw)
         return dt
 
-    def parse(self, obj: Mapping) -> Tweet:
+    def parse(self, obj: Mapping) -> tuple[Tweet, AccountSnapshot]:
         """See parse_record."""
         if type(obj) is not dict and not isinstance(obj, Mapping):
             raise MalformedRecordError("record is not a JSON object")
-        user = _field(obj, "user", (dict,))
+        get = obj.get
+        user = get("user")
+        if type(user) is not dict:
+            user = _field(obj, "user", (dict,))
+        user_get = user.get
+        tweet_id = _id(obj)
         try:
-            tweet_id = str(_field(obj, "id", (str, int)))
             tweet_id.encode("utf-8")  # an id with a lone surrogate could not be written out
-            account_id = str(_field(user, "id", (str, int)))
-        except ValueError as exc:  # that, or str() of an int id past the digit limit
+        except UnicodeEncodeError as exc:
             raise MalformedRecordError(str(exc)) from None
-        text = unicodedata.normalize("NFC", _field(obj, "text", (str,)))
-        created_at = self._timestamp(_field(obj, "created_at", (str,)))
-        raw_user_created = _field(user, "created_at", (str,), "")
-
+        account_id = _id(user)
+        text = get("text")
+        if type(text) is not str:
+            text = _field(obj, "text", (str,))
+        text = unicodedata.normalize("NFC", text)
+        raw_created = get("created_at")
+        if type(raw_created) is not str:
+            raw_created = _field(obj, "created_at", (str,))
+        created_at = self._timestamp(raw_created)
+        raw_user_created = user_get("created_at")
+        if type(raw_user_created) is not str:
+            raw_user_created = _field(user, "created_at", (str,), "")
+        screen_name = user_get("screen_name")
+        if type(screen_name) is not str:
+            screen_name = _field(user, "screen_name", (str,), "")
+        followers = user_get("followers_count")
+        if type(followers) is not int or not 0 <= followers <= _MAX_COUNT:
+            followers = _count_field(user, "followers_count")
+        friends = user_get("friends_count")
+        if type(friends) is not int or not 0 <= friends <= _MAX_COUNT:
+            friends = _count_field(user, "friends_count")
+        verified = user_get("verified")
+        if type(verified) is not bool:
+            verified = _field(user, "verified", (bool,), False)
+        statuses = user_get("statuses_count")
+        if type(statuses) is not int or not 0 <= statuses <= _MAX_COUNT:
+            statuses = _count_field(user, "statuses_count")
         author = AccountSnapshot(
-            account_id=account_id,
-            screen_name=_field(user, "screen_name", (str,), ""),
-            followers=_count_field(user, "followers_count"),
-            friends=_count_field(user, "friends_count"),
-            verified=_field(user, "verified", (bool,), False),
-            statuses_total=_count_field(user, "statuses_count"),
-            account_created_at=(self._timestamp(raw_user_created) if raw_user_created
-                                else created_at),
-        )
+            screen_name, followers, friends, verified, statuses,
+            self._timestamp(raw_user_created) if raw_user_created else created_at)
+
         is_retweet = (
-            obj.get("retweeted_status") is not None
-            or obj.get("retweeted_status_id") not in (None, "")
+            get("retweeted_status") is not None
+            or get("retweeted_status_id") not in (None, "")
             or text.startswith("RT @")
         )
-        raw_source = _field(obj, "source", (str,), "")
+        raw_source = get("source")
+        if type(raw_source) is not str:
+            raw_source = _field(obj, "source", (str,), "")
         source_app = self._sources.get(raw_source)
         if source_app is None:
             source_app = self._sources[raw_source] = extract_source_app(raw_source)
-        return Tweet(
-            id=tweet_id,
-            text=text,
-            created_at=created_at,
-            source_raw=raw_source,
-            source_app=source_app,
-            is_retweet=is_retweet,
-            author=author,
-        )
+        return Tweet(tweet_id, text, created_at, source_app, is_retweet, account_id), author
 
 
-def parse_record(obj: Mapping) -> Tweet:
-    """Normalize one decoded JSON object into a Tweet.
+def _id(obj: Mapping) -> str:
+    """obj["id"] as a string: a JSON string, or an int written in decimal."""
+    value = obj.get("id")
+    if type(value) is str:
+        return value
+    value = _field(obj, "id", (str, int))
+    try:
+        return str(value)
+    except ValueError as exc:  # an int past the digit limit
+        raise MalformedRecordError(str(exc)) from None
 
+
+def parse_record(obj: Mapping) -> tuple[Tweet, AccountSnapshot]:
+    """Normalize one decoded JSON object into a (Tweet, AccountSnapshot) pair.
+
+    The snapshot is the author state the record carries; build_corpus turns
+    the latest one per account into its AccountStats.
     Raises MalformedRecordError on structural problems: missing required
     fields, a field of the wrong JSON type (nothing is coerced), a tweet id
     that cannot be written as UTF-8, unparseable or out-of-range timestamps,
@@ -260,26 +281,17 @@ def _lifetime_days(account_created: datetime, span_end: datetime) -> float:
     return max(age, 1.0)  # brand-new accounts count as one day old
 
 
-def _aggregate_accounts(tweets, span_days: float, span_end: datetime,
+def _aggregate_accounts(records, span_days: float, span_end: datetime,
                         rate_basis: str) -> dict:
     # latest snapshot per account decides followers/friends/verified/statuses
     # (of equal timestamps, the later tweet's)
-    latest: dict[str, tuple] = {}  # account_id -> (created_at, snapshot)
-    n_tweets: dict[str, int] = {}
-    sources: dict[str, set] = {}
-    for tweet in tweets:
-        author = tweet.author
-        acct = author.account_id
-        seen = latest.get(acct)
-        if seen is None:
-            latest[acct] = (tweet.created_at, author)
-            n_tweets[acct] = 1
-            sources[acct] = {tweet.source_app}
-        else:
-            if tweet.created_at >= seen[0]:
-                latest[acct] = (tweet.created_at, author)
-            n_tweets[acct] += 1
-            sources[acct].add(tweet.source_app)
+    latest: dict[str, tuple] = {}  # account_id -> its latest (Tweet, AccountSnapshot)
+    for record in records:
+        tweet = record[0]
+        seen = latest.get(tweet.author_id)
+        if seen is None or tweet.created_at >= seen[0].created_at:
+            latest[tweet.author_id] = record
+    n_tweets = Counter(tweet.author_id for tweet, _ in records)
 
     out = {}
     for acct, (_, snap) in latest.items():
@@ -299,26 +311,30 @@ def _aggregate_accounts(tweets, span_days: float, span_end: datetime,
             tweets_in_corpus=n_tweets[acct],
             tweets_per_day=rate,
             account_created_at=snap.account_created_at,
-            sources_used=frozenset(sources[acct]),
         )
     return out
 
 
-def build_corpus(tweets: Iterable[Tweet], rate_basis: str = RATE_CORPUS_WINDOW,
+def build_corpus(records: Iterable[tuple], rate_basis: str = RATE_CORPUS_WINDOW,
                  skipped_count: int = 0, duplicate_count: int = 0) -> Corpus:
-    """Assemble a Corpus from already-parsed tweets (order preserved)."""
-    seq = tuple(tweets)
-    if not seq:
+    """Assemble a Corpus from parse_record's (Tweet, AccountSnapshot) pairs.
+
+    Tweet order is preserved.  The snapshots only feed the account aggregates;
+    the Corpus keeps none of them.
+    """
+    records = tuple(records)
+    if not records:
         raise EmptyCorpusError("no usable tweets")
-    span_start = min(t.created_at for t in seq)
-    span_end = max(t.created_at for t in seq)
+    tweets = tuple(tweet for tweet, _ in records)
+    span_start = min(t.created_at for t in tweets)
+    span_end = max(t.created_at for t in tweets)
     span = span_end - span_start
     if span < _MIN_SPAN:
         span = _MIN_SPAN
     span_days = span.total_seconds() / _SECONDS_PER_DAY
-    accounts = _aggregate_accounts(seq, span_days, span_end, rate_basis)
+    accounts = _aggregate_accounts(records, span_days, span_end, rate_basis)
     return Corpus(
-        tweets=seq,
+        tweets=tweets,
         accounts=accounts,
         span_start=span_start,
         span_end=span_end,
@@ -328,11 +344,13 @@ def build_corpus(tweets: Iterable[Tweet], rate_basis: str = RATE_CORPUS_WINDOW,
     )
 
 
-def account_stats(corpus: Corpus, rate_basis: str | None = None) -> Mapping[str, AccountStats]:
-    """Per-account aggregates, optionally under a different rate basis."""
-    if rate_basis is None or rate_basis == corpus.rate_basis:
-        return corpus.accounts
-    return _aggregate_accounts(corpus.tweets, corpus.span_days, corpus.span_end, rate_basis)
+def _decode_error(line: str, msg: str, pos: int) -> MalformedRecordError:
+    """The error json.loads gives for *line*, where scan_once stopped at *pos*."""
+    if line.startswith("\ufeff"):
+        msg, pos = "Unexpected UTF-8 BOM (decode using utf-8-sig)", 0
+    elif msg == "Extra data":  # json.loads reports it past the whitespace
+        pos = json.decoder.WHITESPACE.match(line, pos).end()
+    return MalformedRecordError(f"invalid JSON: {json.JSONDecodeError(msg, line, pos)}")
 
 
 def ingest(path, strictness: str = LENIENT,
@@ -342,7 +360,8 @@ def ingest(path, strictness: str = LENIENT,
     Lines end at newline bytes and are decoded as UTF-8 one by one.  Lenient
     mode counts malformed lines (bad UTF-8, bad JSON, bad records) in
     ``skipped_count`` and moves on; strict mode raises MalformedRecordError
-    naming the offending line.
+    naming the offending line.  A stripped line is a record exactly when
+    ``json.loads`` accepts it.
     Repeated tweet ids keep the last record (dict semantics) and are tallied
     in ``duplicate_count``.  Blank lines (streaming keep-alives) are ignored.
     Records are parsed as parse_record parses them, but each distinct
@@ -351,7 +370,8 @@ def ingest(path, strictness: str = LENIENT,
     if strictness not in (LENIENT, STRICT):
         raise ValueError(f"unknown strictness {strictness!r}")
     parse = _Parser().parse
-    by_id: dict[str, Tweet] = {}
+    scan_once = json.JSONDecoder().scan_once
+    by_id: dict[str, tuple] = {}  # tweet id -> (Tweet, AccountSnapshot)
     skipped = 0
     duplicates = 0
     with open(Path(path), "rb") as fh:
@@ -361,21 +381,26 @@ def ingest(path, strictness: str = LENIENT,
                     line = raw.decode("utf-8").strip()
                     if not line:
                         continue
-                    obj = json.loads(line)
+                    obj, end = scan_once(line, 0)
                 except UnicodeDecodeError as exc:
                     raise MalformedRecordError(f"invalid UTF-8: {exc}") from None
+                except StopIteration as exc:
+                    raise _decode_error(line, "Expecting value", exc.value) from None
                 except (ValueError, RecursionError) as exc:
                     raise MalformedRecordError(f"invalid JSON: {exc}") from None
-                tweet = parse(obj)
+                if end != len(line):
+                    raise _decode_error(line, "Extra data", end)
+                record = parse(obj)
             except MalformedRecordError as exc:
                 if strictness == STRICT:
                     raise MalformedRecordError(f"line {lineno}: {exc}") from None
                 skipped += 1
                 continue
-            if tweet.id in by_id:
+            tweet_id = record[0].id
+            if tweet_id in by_id:
                 duplicates += 1
-            by_id[tweet.id] = tweet
+            by_id[tweet_id] = record
     if not by_id:
         raise EmptyCorpusError(f"no usable records in {path}")
-    return build_corpus(tuple(by_id.values()), rate_basis=rate_basis,
+    return build_corpus(by_id.values(), rate_basis=rate_basis,
                         skipped_count=skipped, duplicate_count=duplicates)

@@ -331,7 +331,7 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
     outcomes: dict[tuple, tuple] = {}  # (kind, app, duplicate reason) -> outcome
     out = Detection((), threshold)
     for tweet in corpus.tweets:
-        kind = kind_of[tweet.author.account_id]
+        kind = kind_of[tweet.author_id]
         duplicate = duplicate_hits.get(tweet.id)
         key = (kind, tweet.source_app, None if duplicate is None else duplicate.reason)
         outcome = outcomes.get(key)

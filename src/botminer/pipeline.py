@@ -28,7 +28,7 @@ from . import detector as detector_mod
 from . import stats as stats_mod
 from . import textmine as textmine_mod
 from .detector import DetectorConfig, Label
-from .errors import PipelineStageError
+from .errors import ConfigError, PipelineStageError
 from .stats import KsResult
 
 __all__ = [
@@ -87,9 +87,19 @@ class PipelineSettings:
             raise ValueError(f"output_format must be csv or jsonl, got {self.output_format!r}")
 
     def load_lists(self) -> tuple:
-        """The (stop-word set, SentimentLexicon) pair read from the configured files."""
-        return (textmine_mod.load_stopwords(self.stopwords_path),
-                textmine_mod.load_lexicon(self.lexicon_path))
+        """The (stop-word set, SentimentLexicon) pair read from the configured files.
+
+        Tokens are filtered before the lexicon lookup, so a lexicon word that
+        is a stop word or the query term could never count: ConfigError.
+        """
+        stopwords = textmine_mod.load_stopwords(self.stopwords_path)
+        lexicon = textmine_mod.load_lexicon(self.lexicon_path)
+        unreachable = sorted(word for word in lexicon.polarity
+                             if word in stopwords or word == self.query_term.lower())
+        if unreachable:
+            raise ConfigError(f"lexicon words {unreachable} are stop words or the query "
+                              f"term {self.query_term!r}, so they would never be counted")
+        return stopwords, lexicon
 
     def fingerprint(self, lists: tuple | None = None) -> str:
         """sha256 over the resolved configuration (content, not file paths).

@@ -17,7 +17,6 @@ __all__ = [
     "NEAREST_RANK",
     "LINEAR",
     "quantile",
-    "iqr",
     "Ecdf",
     "ecdf",
     "KsResult",
@@ -58,12 +57,6 @@ def quantile(values: Iterable[float], q: float, method: str = NEAREST_RANK) -> f
             return float(data[lo])
         return data[lo] + frac * (data[lo + 1] - data[lo])
     raise ValueError(f"unknown quantile method {method!r}")
-
-
-def iqr(values: Iterable[float]) -> float:
-    """Interquartile range Q3 - Q1, quartiles via linear interpolation."""
-    data = sorted(values)
-    return quantile(data, 0.75, LINEAR) - quantile(data, 0.25, LINEAR)
 
 
 @dataclass(frozen=True)

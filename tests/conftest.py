@@ -47,11 +47,12 @@ def record(i="1", text="hello world", minutes=0.0, source=WEB_CLIENT,
 
 
 def tweet(**kw):
-    return parse_record(record(**kw))
+    """The Tweet of one record (parse_record also returns its author snapshot)."""
+    return parse_record(record(**kw))[0]
 
 
 def corpus_of(*recs, rate_basis="corpus-window"):
-    return build_corpus(tuple(parse_record(r) for r in recs), rate_basis=rate_basis)
+    return build_corpus([parse_record(r) for r in recs], rate_basis=rate_basis)
 
 
 def doc(*tokens, tweet_id="d1"):

@@ -3,14 +3,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botminer.corpus import (
     LENIENT,
     RATE_LIFETIME,
     STRICT,
-    account_stats,
     build_corpus,
     extract_source_app,
     ingest,
@@ -74,12 +73,12 @@ def test_parse_timestamp_garbage():
 
 
 def test_parse_record_roundtrip():
-    t = tweet(i="42", text="hello", account="a9", screen_name="sn",
-              followers=7, friends=3, statuses=55)
+    t, author = parse_record(record(i="42", text="hello", account="a9", screen_name="sn",
+                                    followers=7, friends=3, statuses=55))
     assert t.id == "42"
     assert t.author_id == "a9"
-    assert t.author.screen_name == "sn"
-    assert (t.author.followers, t.author.friends, t.author.statuses_total) == (7, 3, 55)
+    assert author.screen_name == "sn"
+    assert (author.followers, author.friends, author.statuses_total) == (7, 3, 55)
     assert t.source_app == "Twitter Web Client"
     assert not t.is_retweet
 
@@ -108,9 +107,9 @@ def test_parse_record_counts_default_to_zero():
     rec = record()
     del rec["user"]["followers_count"]
     rec["user"]["friends_count"] = None
-    t = parse_record(rec)
-    assert t.author.followers == 0
-    assert t.author.friends == 0
+    _, author = parse_record(rec)
+    assert author.followers == 0
+    assert author.friends == 0
 
 
 def test_parse_record_nfc_normalization():
@@ -128,10 +127,10 @@ def test_retweet_detection_variants():
 
 
 def test_user_created_defaults_to_tweet_time():
-    t = tweet()
-    assert t.author.account_created_at == t.created_at
-    t2 = tweet(account_created="2015-01-01T00:00:00Z")
-    assert t2.author.account_created_at.year == 2015
+    t, author = parse_record(record())
+    assert author.account_created_at == t.created_at
+    _, author2 = parse_record(record(account_created="2015-01-01T00:00:00Z"))
+    assert author2.account_created_at.year == 2015
 
 
 @pytest.mark.parametrize("field, value", [
@@ -165,17 +164,47 @@ def test_parse_record_rejects_wrong_types(field, value):
         parse_record(rec)
 
 
+def test_parse_record_checks_fields_in_a_fixed_order():
+    # every field is bad; mending them one at a time shows each check's
+    # message in the order the checks run
+    rec = {"id": 1.5, "text": 5, "created_at": 7, "source": 7, "user": ["u"]}
+    user = {"id": 1.5, "created_at": 7, "screen_name": 7, "followers_count": -1,
+            "friends_count": -1, "verified": 1, "statuses_count": -1}
+    steps = [
+        ("user has type list", rec, "user", user),
+        ("id has type float", rec, "id", "1"),
+        ("id has type float", user, "id", "u1"),
+        ("text has type int", rec, "text", "hello"),
+        ("created_at has type int", rec, "created_at", "2017-12-30T12:00:00Z"),
+        ("created_at has type int", user, "created_at", "yesterday"),
+        ("screen_name has type int", user, "screen_name", "sn"),
+        ("followers_count out of range: -1", user, "followers_count", 1),
+        ("friends_count out of range: -1", user, "friends_count", 2),
+        ("verified has type int", user, "verified", False),
+        ("statuses_count out of range: -1", user, "statuses_count", 3),
+        ("unparseable timestamp 'yesterday'", user, "created_at", "2015-01-01T00:00:00Z"),
+        ("source has type int", rec, "source", ""),
+    ]
+    for message, target, key, mended in steps:
+        with pytest.raises(MalformedRecordError) as err:
+            parse_record(rec)
+        assert str(err.value) == message
+        target[key] = mended
+    t, author = parse_record(rec)
+    assert (t.id, t.author_id, author.followers, author.friends) == ("1", "u1", 1, 2)
+
+
 def test_parse_record_accepts_int_ids_and_null_defaults():
     rec = record(i=42, account=7, source=None)
     rec["user"].update(verified=None, screen_name=None, created_at=None)
-    t = parse_record(rec)
+    t, author = parse_record(rec)
     assert (t.id, t.author_id) == ("42", "7")
-    assert t.author.verified is False
-    assert t.author.screen_name == ""
-    assert t.author.account_created_at == t.created_at
-    assert (t.source_raw, t.source_app) == ("", "unknown")
-    assert tweet(verified=True).author.verified is True
-    assert tweet(followers=2**63 - 1).author.followers == 2**63 - 1
+    assert author.verified is False
+    assert author.screen_name == ""
+    assert author.account_created_at == t.created_at
+    assert t.source_app == "unknown"
+    assert parse_record(record(verified=True))[1].verified is True
+    assert parse_record(record(followers=2**63 - 1))[1].followers == 2**63 - 1
 
 
 edge_values = st.sampled_from([
@@ -198,13 +227,13 @@ edits = st.lists(st.tuples(st.booleans(), st.integers(0, 6), edge_values | json_
 
 def _parses_or_is_malformed(value):
     try:
-        t = parse_record(value)
+        t, author = parse_record(value)
     except MalformedRecordError:
         return
     assert isinstance(t.id, str) and isinstance(t.author_id, str)
-    assert isinstance(t.author.verified, bool)
+    assert isinstance(author.verified, bool)
     assert all(type(n) is int and n >= 0 for n in
-               (t.author.followers, t.author.friends, t.author.statuses_total))
+               (author.followers, author.friends, author.statuses_total))
 
 
 @given(json_values)
@@ -347,14 +376,16 @@ def test_ingest_high_follower_account_fixture(tmp_path):
                followers=27374, friends=15854,
                source='<a href="http://ifttt.com">IFTTT</a>'),
     ])
-    stats = ingest(path).accounts["dw"]
+    corpus = ingest(path)
+    stats = corpus.accounts["dw"]
     assert stats.followers == 27374
     assert stats.friends == 15854
-    assert stats.sources_used == frozenset({"IFTTT"})
+    assert stats.screen_name == "Davewellwisher"
+    assert corpus.tweets[0].source_app == "IFTTT"
 
 
 # ---------------------------------------------------------------------------
-# account_stats / rates
+# account aggregates / rates
 # ---------------------------------------------------------------------------
 
 def test_rate_corpus_window_24h():
@@ -406,26 +437,9 @@ def test_span_floor_one_hour():
     assert corpus.accounts["u1"].tweets_per_day == pytest.approx(48.0)
 
 
-def test_account_stats_rebasis():
-    corpus = corpus_of(record(statuses=7300, account_created="2016-12-30T12:00:00Z"))
-    assert account_stats(corpus) is corpus.accounts
-    relifed = account_stats(corpus, RATE_LIFETIME)
-    assert relifed["u1"].tweets_per_day == pytest.approx(20.0)
-
-
 def test_build_corpus_empty():
     with pytest.raises(EmptyCorpusError):
         build_corpus(())
-
-
-def test_sources_used_collects_all_apps():
-    corpus = corpus_of(
-        record(i="1", source='<a href="h">IFTTT</a>'),
-        record(i="2", minutes=1, source="Twitter for iPhone"),
-        record(i="3", minutes=2, source=""),
-    )
-    assert corpus.accounts["u1"].sources_used == frozenset(
-        {"IFTTT", "Twitter for iPhone", "unknown"})
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +465,12 @@ def test_ingest_skips_retyped_user_after_equal_valid_one(tmp_path, changes):
 
 
 def test_ingest_author_without_created_at_takes_each_tweet_time(tmp_path):
-    path = write_ndjson(tmp_path / "c.ndjson",
-                        [record(i="1", minutes=0), record(i="2", minutes=30)])
-    first, second = ingest(path).tweets
-    assert first.author.account_created_at == first.created_at
-    assert second.author.account_created_at == second.created_at
+    path = write_ndjson(tmp_path / "c.ndjson", [record(i="1", account="a", minutes=0),
+                                                record(i="2", account="b", minutes=30)])
+    corpus = ingest(path)
+    first, second = corpus.tweets
+    assert corpus.accounts["a"].account_created_at == first.created_at
+    assert corpus.accounts["b"].account_created_at == second.created_at
 
 
 _U1 = {"id": "u1", "screen_name": "a", "followers_count": 10, "friends_count": 20,
@@ -478,7 +493,7 @@ def _mostly(valid, malformed):
     return st.sampled_from(valid * 4 + malformed)
 
 
-oracle_lines = st.lists(st.one_of(
+oracle_items = st.one_of(
     st.fixed_dictionaries({
         "id": _mostly(["1", "2", "3", 4], [True]),
         "text": _mostly(["hello", "RT @x hello", "café"], [3]),
@@ -489,57 +504,124 @@ oracle_lines = st.lists(st.one_of(
                            "Twitter for iPhone", "", None], [7]),
         "user": _mostly([0, 1, 2, 3], list(range(4, len(ORACLE_USERS)))),
     }),
-    st.sampled_from([[], "not a record", None])), min_size=1, max_size=25)
+    st.sampled_from([[], "not a record", None]))
+oracle_lines = st.lists(oracle_items, min_size=1, max_size=25)
 
 
 def _oracle_reference(lines):
-    """ingest done line by line with parse_record.
+    """ingest done line by line with json.loads and parse_record.
 
-    Returns the tweets by id (the last record of an id wins), the skipped
-    and duplicate counts, and the strict-mode error.
+    Returns the (Tweet, AccountSnapshot) pairs by tweet id (the last record
+    of an id wins, at the first one's position), the skipped and duplicate
+    counts, and the strict-mode error.
     """
     by_id, skipped, duplicates, first_error = {}, 0, 0, None
     for lineno, line in enumerate(lines, start=1):
-        obj = json.loads(line)
+        line = line.strip()
+        if not line:
+            continue
         try:
-            tweet = parse_record(obj)
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise MalformedRecordError(f"invalid JSON: {exc}") from None
+            pair = parse_record(obj)
         except MalformedRecordError as exc:
             skipped += 1
             first_error = first_error or f"line {lineno}: {exc}"
             continue
-        duplicates += tweet.id in by_id
-        by_id[tweet.id] = tweet
+        duplicates += pair[0].id in by_id
+        by_id[pair[0].id] = pair
     return by_id, skipped, duplicates, first_error
 
 
-@given(oracle_lines)
-def test_ingest_equals_parse_record_per_line(tmp_path_factory, drawn):
-    lines = [json.dumps(dict(item, user=ORACLE_USERS[item["user"]])
-                        if isinstance(item, dict) else item) for item in drawn]
-    path = tmp_path_factory.mktemp("oracle") / "c.ndjson"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _assert_ingest_matches_oracle(path, lines):
     by_id, skipped, duplicates, first_error = _oracle_reference(lines)
 
     if by_id:
         corpus = ingest(path, LENIENT)
-        assert corpus.tweets == tuple(by_id.values())
+        assert corpus.tweets == tuple(t for t, _ in by_id.values())
         assert (corpus.skipped_count, corpus.duplicate_count) == (skipped, duplicates)
-        # accounts: the latest snapshot by (created_at, position), every tweet, every app
+        # accounts: the latest snapshot by (created_at, position), every tweet
+        assert list(corpus.accounts) == list(dict.fromkeys(t.author_id for t in corpus.tweets))
         for acct, stats in corpus.accounts.items():
-            own = [(t.created_at, pos, t) for pos, t in enumerate(corpus.tweets)
-                   if t.author_id == acct]
-            latest = max(own, key=lambda e: e[:2])[2].author
-            assert (stats.followers, stats.statuses_total, stats.verified) == (
-                latest.followers, latest.statuses_total, latest.verified)
+            own = [(t.created_at, pos, author)
+                   for pos, (t, author) in enumerate(by_id.values()) if t.author_id == acct]
+            latest = max(own, key=lambda e: e[:2])[2]
+            assert (stats.screen_name, stats.followers, stats.friends, stats.verified,
+                    stats.statuses_total, stats.account_created_at) == latest
             assert stats.tweets_in_corpus == len(own)
-            assert stats.sources_used == {t.source_app for _, _, t in own}
     else:
         with pytest.raises(EmptyCorpusError):
             ingest(path, LENIENT)
 
-    if first_error is None:
-        assert len(ingest(path, STRICT)) == len(by_id)
-    else:
+    if first_error is not None:
         with pytest.raises(MalformedRecordError) as strict:
             ingest(path, STRICT)
         assert str(strict.value) == first_error
+    elif by_id:
+        assert len(ingest(path, STRICT)) == len(by_id)
+    else:  # blank lines only
+        with pytest.raises(EmptyCorpusError):
+            ingest(path, STRICT)
+
+
+def _write_lines(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("oracle") / "c.ndjson"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _oracle_line(item) -> str:
+    return json.dumps(dict(item, user=ORACLE_USERS[item["user"]])
+                      if isinstance(item, dict) else item)
+
+
+# A duplicated id whose earlier record is the account's latest by created_at
+# and carries other counts: that record is replaced (its id stays first), so
+# its snapshot must not reach corpus.accounts: followers 10 from user 0 of the
+# replacing record, not 12 from user 1.
+_REPLACED_LATEST = [
+    {"id": "1", "text": "hello", "created_at": "Sat Dec 30 13:08:45 +0000 2017",
+     "source": "", "user": 1},
+    {"id": "2", "text": "hello", "created_at": "2017-12-30T12:05:00+01:00", "source": "",
+     "user": 0},
+    {"id": "1", "text": "hello", "created_at": "2017-12-30T12:00:00Z", "source": "", "user": 0},
+]
+
+
+@example(drawn=_REPLACED_LATEST)
+@given(oracle_lines)
+def test_ingest_equals_parse_record_per_line(tmp_path_factory, drawn):
+    lines = [_oracle_line(item) for item in drawn]
+    _assert_ingest_matches_oracle(_write_lines(tmp_path_factory, lines), lines)
+
+
+# Text json.loads is touchy about, put around a record line: a BOM, whitespace
+# that str.strip removes but JSON does not allow, and trailing garbage.
+_PREFIXES = ["", "", "\ufeff", " ", "\t", "\x0c", "\x85", "\xa0", "\u2028", "\x1c"]
+_SUFFIXES = ["", "", " ", "\r", "\x0c", "\x85", "\xa0", "\ufeff", " x", "}", "{}", ",",
+             " \x85 ]", "\x00"]
+_DEEP = 100_000  # far past the recursion limit
+touchy_lines = st.lists(st.one_of(
+    st.builds(lambda item, pre, post: pre + _oracle_line(item) + post,
+              oracle_items, st.sampled_from(_PREFIXES), st.sampled_from(_SUFFIXES)),
+    st.sampled_from([
+        "[" * _DEEP,
+        "[" * _DEEP + "]" * _DEEP,
+        _oracle_line(_REPLACED_LATEST[1])[:-1] + ', "x": ' + "[" * _DEEP + "]" * _DEEP + "}",
+        _oracle_line(_REPLACED_LATEST[1])[:-1] + ', "x": ' + "[" * 20 + "]" * 20 + "}",
+        "\ufeff", "\x85", "\xa0 \x0c", "{} {}", '"text"', "1e400", "NaN",
+    ])), min_size=1, max_size=8)
+
+
+@settings(max_examples=200)
+@example(lines=["\ufeff{}"])
+@example(lines=["{} x"])
+@example(lines=["[" * _DEEP])
+@example(lines=["\x85" + _oracle_line(_REPLACED_LATEST[1]) + "\xa0"])
+@given(touchy_lines)
+def test_ingest_decodes_a_line_exactly_as_json_loads(tmp_path_factory, lines):
+    # a line is skipped exactly when json.loads(line.strip()) raises (or the
+    # record is malformed), and strict mode reports json.loads's own message
+    _assert_ingest_matches_oracle(_write_lines(tmp_path_factory, lines), lines)

@@ -23,7 +23,7 @@ from botminer.detector import (
     RuleHit,
     fold_groups,
 )
-from botminer.errors import PipelineStageError
+from botminer.errors import ConfigError, PipelineStageError
 from botminer.pipeline import (
     PipelineSettings,
     compare_group_sentiment,
@@ -188,6 +188,22 @@ def test_failed_rerun_keeps_previous_artifacts(synth_corpus, tmp_path):
     with pytest.raises(PipelineStageError, match="stage 'compare' failed"):
         execute_pipeline(synth_corpus, out, PipelineSettings(lexicon_path=str(lexicon)))
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_lexicon_word_filtered_out_as_stop_word_or_query_term_is_rejected(synth_corpus, tmp_path):
+    # tokens are filtered before the lexicon lookup, so "against" (a bundled
+    # stop word) and the query term could never be counted
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("good\t1\nagainst\t-1\n", encoding="utf-8")
+    settings = PipelineSettings(lexicon_path=str(lexicon))
+    with pytest.raises(ConfigError, match=r"\['against'\]"):
+        settings.load_lists()
+    with pytest.raises(PipelineStageError, match="stage 'setup' failed.*against"):
+        execute_pipeline(synth_corpus, tmp_path / "out", settings)
+    lexicon.write_text("good\t1\nWar\t-1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\['war'\].*'War'"):
+        PipelineSettings(lexicon_path=str(lexicon), query_term="War").load_lists()
+    assert len(PipelineSettings(lexicon_path=str(lexicon)).load_lists()[1]) == 2
 
 
 def test_pipeline_empty_bot_group_keeps_headers(tmp_path):

@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from botminer.stats import LINEAR, NEAREST_RANK, ecdf, iqr, ks_two_sample, quantile
+from botminer.stats import LINEAR, NEAREST_RANK, ecdf, ks_two_sample, quantile
 
 
 # ---------------------------------------------------------------------------
@@ -62,20 +62,6 @@ def test_linear_matches_numpy():
         q = rng.uniform(0.01, 0.99)
         assert quantile(values, q, LINEAR) == pytest.approx(
             float(np.quantile(values, q)), abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# iqr
-# ---------------------------------------------------------------------------
-
-def test_iqr_1_to_10():
-    assert iqr(range(1, 11)) == pytest.approx(4.5, abs=1e-12)  # 7.75 - 3.25
-
-
-def test_iqr_constant_and_small():
-    assert iqr([4, 4, 4, 4]) == 0.0
-    # Q1 = 1.75, Q3 = 3.25
-    assert iqr([1, 2, 3, 4]) == pytest.approx(1.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
