@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyCorpusError, MalformedRecordError
 
@@ -69,8 +69,7 @@ class Tweet(NamedTuple):
     author_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class AccountStats:
+class AccountStats(NamedTuple):
     """Per-account aggregate over the corpus (latest snapshot wins)."""
 
     account_id: str
@@ -192,8 +191,10 @@ class _Parser:
             dt = self._timestamps[raw] = parse_timestamp(raw)
         return dt
 
-    def parse(self, obj: Mapping) -> tuple[Tweet, AccountSnapshot]:
-        """See parse_record."""
+    def parse(self, obj: Mapping) -> tuple[Tweet, tuple]:
+        """See parse_record; the author fields come as a plain tuple in
+        AccountSnapshot order, which the GC stops tracking (a NamedTuple it
+        never does)."""
         if type(obj) is not dict and not isinstance(obj, Mapping):
             raise MalformedRecordError("record is not a JSON object")
         get = obj.get
@@ -233,9 +234,8 @@ class _Parser:
         statuses = user_get("statuses_count")
         if type(statuses) is not int or not 0 <= statuses <= _MAX_COUNT:
             statuses = _count_field(user, "statuses_count")
-        author = AccountSnapshot(
-            screen_name, followers, friends, verified, statuses,
-            self._timestamp(raw_user_created) if raw_user_created else created_at)
+        author = (screen_name, followers, friends, verified, statuses,
+                  self._timestamp(raw_user_created) if raw_user_created else created_at)
 
         is_retweet = (
             get("retweeted_status") is not None
@@ -273,7 +273,8 @@ def parse_record(obj: Mapping) -> tuple[Tweet, AccountSnapshot]:
     that cannot be written as UTF-8, unparseable or out-of-range timestamps,
     negative or oversized counts.
     """
-    return _Parser().parse(obj)
+    tweet, author = _Parser().parse(obj)
+    return tweet, AccountSnapshot._make(author)
 
 
 def _lifetime_days(account_created: datetime, span_end: datetime) -> float:
@@ -281,37 +282,33 @@ def _lifetime_days(account_created: datetime, span_end: datetime) -> float:
     return max(age, 1.0)  # brand-new accounts count as one day old
 
 
-def _aggregate_accounts(records, span_days: float, span_end: datetime,
-                        rate_basis: str) -> dict:
-    # latest snapshot per account decides followers/friends/verified/statuses
-    # (of equal timestamps, the later tweet's)
-    latest: dict[str, tuple] = {}  # account_id -> its latest (Tweet, AccountSnapshot)
-    for record in records:
-        tweet = record[0]
-        seen = latest.get(tweet.author_id)
-        if seen is None or tweet.created_at >= seen[0].created_at:
-            latest[tweet.author_id] = record
-    n_tweets = Counter(tweet.author_id for tweet, _ in records)
+def _aggregate_accounts(tweets: tuple, authors: Sequence[tuple], span_days: float,
+                        span_end: datetime, rate_basis: str) -> dict:
+    """AccountStats per account from its latest tweet's author fields.
+
+    *authors* holds each tweet's author fields in AccountSnapshot order,
+    parallel to *tweets*.  The latest tweet is the one with the largest
+    ``created_at``; of equal timestamps, the later one.
+    """
+    if rate_basis not in (RATE_CORPUS_WINDOW, RATE_LIFETIME):
+        raise ValueError(f"unknown rate basis {rate_basis!r}")
+    latest: dict[str, int] = {}  # account_id -> index of its latest tweet
+    for i, tweet in enumerate(tweets):
+        j = latest.get(tweet.author_id)
+        if j is None or tweet.created_at >= tweets[j].created_at:
+            latest[tweet.author_id] = i
+    n_tweets = Counter(tweet.author_id for tweet in tweets)
 
     out = {}
-    for acct, (_, snap) in latest.items():
+    for acct, i in latest.items():
+        screen_name, followers, friends, verified, statuses, created = authors[i]
+        n = n_tweets[acct]
         if rate_basis == RATE_CORPUS_WINDOW:
-            rate = n_tweets[acct] / span_days
-        elif rate_basis == RATE_LIFETIME:
-            rate = snap.statuses_total / _lifetime_days(snap.account_created_at, span_end)
+            rate = n / span_days
         else:
-            raise ValueError(f"unknown rate basis {rate_basis!r}")
-        out[acct] = AccountStats(
-            account_id=acct,
-            screen_name=snap.screen_name,
-            followers=snap.followers,
-            friends=snap.friends,
-            verified=snap.verified,
-            statuses_total=snap.statuses_total,
-            tweets_in_corpus=n_tweets[acct],
-            tweets_per_day=rate,
-            account_created_at=snap.account_created_at,
-        )
+            rate = statuses / _lifetime_days(created, span_end)
+        out[acct] = AccountStats(acct, screen_name, followers, friends, verified,
+                                 statuses, n, rate, created)
     return out
 
 
@@ -319,20 +316,24 @@ def build_corpus(records: Iterable[tuple], rate_basis: str = RATE_CORPUS_WINDOW,
                  skipped_count: int = 0, duplicate_count: int = 0) -> Corpus:
     """Assemble a Corpus from parse_record's (Tweet, AccountSnapshot) pairs.
 
-    Tweet order is preserved.  The snapshots only feed the account aggregates;
-    the Corpus keeps none of them.
+    Tweet order is preserved.  A snapshot may also be a plain tuple of the
+    same fields, as ingest passes it.  The snapshots only feed the account
+    aggregates; the Corpus keeps none of them.
     """
-    records = tuple(records)
-    if not records:
+    tweets, authors = [], []
+    for tweet, author in records:
+        tweets.append(tweet)
+        authors.append(author)
+    if not tweets:
         raise EmptyCorpusError("no usable tweets")
-    tweets = tuple(tweet for tweet, _ in records)
+    tweets = tuple(tweets)
     span_start = min(t.created_at for t in tweets)
     span_end = max(t.created_at for t in tweets)
     span = span_end - span_start
     if span < _MIN_SPAN:
         span = _MIN_SPAN
     span_days = span.total_seconds() / _SECONDS_PER_DAY
-    accounts = _aggregate_accounts(records, span_days, span_end, rate_basis)
+    accounts = _aggregate_accounts(tweets, authors, span_days, span_end, rate_basis)
     return Corpus(
         tweets=tweets,
         accounts=accounts,
@@ -371,7 +372,8 @@ def ingest(path, strictness: str = LENIENT,
         raise ValueError(f"unknown strictness {strictness!r}")
     parse = _Parser().parse
     scan_once = json.JSONDecoder().scan_once
-    by_id: dict[str, tuple] = {}  # tweet id -> (Tweet, AccountSnapshot)
+    by_id: dict[str, Tweet] = {}
+    authors: dict[str, tuple] = {}  # tweet id -> its author fields, as parse gives them
     skipped = 0
     duplicates = 0
     with open(Path(path), "rb") as fh:
@@ -390,17 +392,20 @@ def ingest(path, strictness: str = LENIENT,
                     raise MalformedRecordError(f"invalid JSON: {exc}") from None
                 if end != len(line):
                     raise _decode_error(line, "Extra data", end)
-                record = parse(obj)
+                tweet, author = parse(obj)
             except MalformedRecordError as exc:
                 if strictness == STRICT:
                     raise MalformedRecordError(f"line {lineno}: {exc}") from None
                 skipped += 1
                 continue
-            tweet_id = record[0].id
+            tweet_id = tweet.id
             if tweet_id in by_id:
                 duplicates += 1
-            by_id[tweet_id] = record
+            by_id[tweet_id] = tweet
+            authors[tweet_id] = author
     if not by_id:
         raise EmptyCorpusError(f"no usable records in {path}")
-    return build_corpus(by_id.values(), rate_basis=rate_basis,
+    # Both dicts got the same keys in the same order, so their values pair up.
+    # build_corpus unpacks each pair at once, so zip reuses one pair tuple.
+    return build_corpus(zip(by_id.values(), authors.values()), rate_basis=rate_basis,
                         skipped_count=skipped, duplicate_count=duplicates)

@@ -8,11 +8,11 @@ and a verified author trumps everything back to NoBot.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import stats
 from .corpus import AccountStats, Corpus, Tweet
@@ -91,8 +91,7 @@ class RuleHit:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
+class Classification(NamedTuple):
     """Final verdict for one tweet."""
 
     tweet_id: str
@@ -282,19 +281,18 @@ def duplicate_rule(corpus: Corpus, config: DetectorConfig) -> dict:
 
     Texts are compared after whitespace trimming; clusters smaller than
     ``duplicate_min_cluster`` do not fire.  Retweets are exempt because
-    duplication is their normal mode of existence.
+    duplication is their normal mode of existence.  Tweets of one cluster
+    size share one RuleHit.
     """
-    clusters: dict[str, list] = defaultdict(list)
-    for tweet in corpus.tweets:
-        if tweet.is_retweet:
-            continue
-        clusters[tweet.text.strip()].append(tweet.id)
+    sizes = Counter(t.text.strip() for t in corpus.tweets if not t.is_retweet)
+    hit_of = {n: RuleHit(Rule.DUPLICATE, f"identical text shared by {n} non-retweet tweets")
+              for n in set(sizes.values()) if n >= config.duplicate_min_cluster}
     hits = {}
-    for ids in clusters.values():
-        if len(ids) >= config.duplicate_min_cluster:
-            hit_reason = f"identical text shared by {len(ids)} non-retweet tweets"
-            for tweet_id in ids:
-                hits[tweet_id] = RuleHit(Rule.DUPLICATE, hit_reason)
+    for tweet in corpus.tweets:
+        if not tweet.is_retweet:
+            hit = hit_of.get(sizes[tweet.text.strip()])
+            if hit is not None:
+                hits[tweet.id] = hit
     return hits
 
 

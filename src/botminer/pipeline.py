@@ -90,15 +90,16 @@ class PipelineSettings:
         """The (stop-word set, SentimentLexicon) pair read from the configured files.
 
         Tokens are filtered before the lexicon lookup, so a lexicon word that
-        is a stop word or the query term could never count: ConfigError.
+        tokenization drops (a stop word, the query term or a word starting with
+        ``http``) could never count: ConfigError.
         """
         stopwords = textmine_mod.load_stopwords(self.stopwords_path)
         lexicon = textmine_mod.load_lexicon(self.lexicon_path)
-        unreachable = sorted(word for word in lexicon.polarity
-                             if word in stopwords or word == self.query_term.lower())
+        unreachable = textmine_mod.dropped_words(lexicon.polarity, stopwords, self.query_term)
         if unreachable:
-            raise ConfigError(f"lexicon words {unreachable} are stop words or the query "
-                              f"term {self.query_term!r}, so they would never be counted")
+            raise ConfigError(f"lexicon words {unreachable} are stop words, the query term "
+                              f"{self.query_term!r} or URL pieces starting with 'http', "
+                              "so they would never be counted")
         return stopwords, lexicon
 
     def fingerprint(self, lists: tuple | None = None) -> str:
@@ -259,8 +260,10 @@ def write_classifications(path: Path, fingerprint: str, classifications, fmt: st
             head, _, tail = record.rpartition('""')
             return head, tail + "\n"
 
+        # what json.dumps(str) calls under default settings, minus its wrappers
+        encode_str = json.encoder.encode_basestring_ascii
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{head}{json.dumps(tweet_id)}{tail}"
+            fh.writelines(f"{head}{encode_str(tweet_id)}{tail}"
                           for tweet_id, (head, tail) in _per_outcome(classifications, template))
 
 

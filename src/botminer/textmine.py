@@ -12,7 +12,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .detector import Classification, Label
 from .errors import ConfigError
@@ -23,6 +23,7 @@ __all__ = [
     "TokenizedDoc",
     "load_stopwords",
     "tokenize_text",
+    "dropped_words",
     "tokenize_corpus",
     "group_docs",
     "VocabModel",
@@ -44,8 +45,7 @@ _NONWORD_RE = re.compile(r"\W+", re.UNICODE)
 _KEPT_PREFIXES = ("#", "@")
 
 
-@dataclass(frozen=True, slots=True)
-class TokenizedDoc:
+class TokenizedDoc(NamedTuple):
     """Token stream of a single tweet."""
 
     tweet_id: str
@@ -118,6 +118,17 @@ def tokenize_text(text: str, stopwords: frozenset,
     is stable under re-tokenization.
     """
     return list(_Tokenizer(stopwords, query_term).tokens(text))
+
+
+def dropped_words(words: Iterable[str], stopwords: frozenset,
+                  query_term: str = DEFAULT_QUERY_TERM) -> list:
+    """The cleaned lowercase *words* that tokenization drops, sorted.
+
+    A URL piece (anything starting with ``http``), a stop word or the query
+    term never survives as a token, so no lookup on tokens can ever see it.
+    """
+    token_of = _Tokenizer(stopwords, query_term)  # "" for a dropped piece
+    return sorted(word for word in words if not token_of[word])
 
 
 def tokenize_corpus(tweets, stopwords: frozenset,

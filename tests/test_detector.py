@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from datetime import datetime, timezone
 
 import pytest
@@ -172,6 +172,38 @@ def test_duplicate_rule_retweets_never_anchor():
     corpus = corpus_of(*[record(i=str(k), text="RT @x: spam", minutes=k) for k in range(3)],
                        record(i="9", text="lonely", minutes=9))
     assert duplicate_rule(corpus, DetectorConfig()) == {}
+
+
+def _duplicate_rule_per_text(corpus, config):
+    """Reference for duplicate_rule: one id list per stripped text, one RuleHit per id."""
+    clusters = defaultdict(list)
+    for t in corpus.tweets:
+        if not t.is_retweet:
+            clusters[t.text.strip()].append(t.id)
+    hits = {}
+    for ids in clusters.values():
+        if len(ids) >= config.duplicate_min_cluster:
+            for tweet_id in ids:
+                hits[tweet_id] = RuleHit(
+                    Rule.DUPLICATE, f"identical text shared by {len(ids)} non-retweet tweets")
+    return hits
+
+
+padding = st.sampled_from(["", " ", "\t", "  \n", "\u3000"])
+
+
+@given(st.lists(st.tuples(
+    padding,
+    st.sampled_from(["spam", "spam spam", "ham", "RT @x: spam"]),
+    padding,
+    st.booleans(),                                  # a retweet by retweeted_status_id
+), min_size=1, max_size=40), st.integers(2, 4))
+def test_duplicate_rule_equals_per_text_lists(rows, min_cluster):
+    corpus = corpus_of(*(record(i=f"t{k}", text=lead + text + trail, minutes=k,
+                                retweet_of="99" if retweet else None)
+                         for k, (lead, text, trail, retweet) in enumerate(rows)))
+    config = config_with(duplicate_min_cluster=min_cluster)
+    assert duplicate_rule(corpus, config) == _duplicate_rule_per_text(corpus, config)
 
 
 # ---------------------------------------------------------------------------

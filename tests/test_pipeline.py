@@ -206,6 +206,17 @@ def test_lexicon_word_filtered_out_as_stop_word_or_query_term_is_rejected(synth_
     assert len(PipelineSettings(lexicon_path=str(lexicon)).load_lists()[1]) == 2
 
 
+def test_lexicon_word_starting_with_http_is_rejected(tmp_path):
+    # the tokenizer drops every token starting with "http" as a URL piece
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("good\t1\nhttps\t-1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\['https'\].*'http'"):
+        PipelineSettings(lexicon_path=str(lexicon)).load_lists()
+    assert textmine.tokenize_text("good https news", textmine.load_stopwords()) == ["good", "news"]
+    lexicon.write_text("good\t1\nhtt\t-1\n", encoding="utf-8")
+    assert len(PipelineSettings(lexicon_path=str(lexicon)).load_lists()[1]) == 2
+
+
 def test_pipeline_empty_bot_group_keeps_headers(tmp_path):
     # one account trips only the ratio rule: Suspicious exists, Bot stays empty
     corpus = write_ndjson(tmp_path / "c.ndjson", [
