@@ -67,13 +67,13 @@ def _flags_from_args(args) -> dict:
     return flags
 
 
-def _print_shares(shares, threshold, strategy):
+def _print_shares(label_shares, threshold, strategy):
+    """The label table and threshold line; *label_shares* as in run_summary.json."""
     print(f"{'label':<12}{'count':>10}   share")
-    order = (detector_mod.Label.NO_BOT, detector_mod.Label.SUSPICIOUS, detector_mod.Label.BOT)
-    for label in order:
-        gs = shares[label]
-        note = "  (includes Bot)" if label is detector_mod.Label.SUSPICIOUS else ""
-        print(f"{label.value:<12}{gs.count:>10}   {gs.share:7.2%}{note}")
+    for label in ("NoBot", "Suspicious", "Bot"):
+        row = label_shares[label]
+        note = "  (includes Bot)" if label == "Suspicious" else ""
+        print(f"{label:<12}{row['count']:>10}   {row['share']:7.2%}{note}")
     print(f"activity threshold: {threshold:.4f} tweets/day ({strategy})")
 
 
@@ -107,40 +107,31 @@ def cmd_detect(args) -> int:
     settings = pipeline_mod.settings_from_flags(args.config, _flags_from_args(args))
     corp = corpus_mod.ingest(args.corpus, strictness=settings.strictness,
                              rate_basis=settings.rate_basis)
-    classifications = detector_mod.classify(corp, settings.detector)
-    shares = detector_mod.group_summary(classifications)
-    _print_shares(shares, classifications.threshold, settings.detector.activity_strategy.value)
+    detection = detector_mod.classify(corp, settings.detector)
+    shares = detector_mod.group_summary(detection)
+    _print_shares(pipeline_mod.share_table(shares), detection.threshold,
+                  settings.detector.activity_strategy.value)
     if args.out:
         path = pipeline_mod.save_classifications(args.out, settings.fingerprint(),
-                                                 classifications, settings.output_format)
+                                                 detection, settings.output_format)
         print(f"wrote {path}")
     return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_pipeline(args) -> int:
+    """The full pipeline: run reports it all, analyze (``full_report`` false) its sentiment."""
     summary = pipeline_mod.run_pipeline(args.corpus, args.config, args.out,
                                         _flags_from_args(args))
+    if args.full_report:
+        _print_shares(summary.label_shares, summary.activity_threshold,
+                      summary.activity_strategy)
     _print_sentiment(summary)
+    if args.full_report:
+        print(f"config fingerprint: {summary.config_fingerprint}")
     print(f"artifacts in {args.out}: {', '.join(summary.artifacts)}")
-    return 0
-
-
-def cmd_run(args) -> int:
-    summary = pipeline_mod.run_pipeline(args.corpus, args.config, args.out,
-                                        _flags_from_args(args))
-    inclusive = summary.label_shares
-    print(f"{'label':<12}{'count':>10}   share")
-    for label in ("NoBot", "Suspicious", "Bot"):
-        row = inclusive[label]
-        note = "  (includes Bot)" if label == "Suspicious" else ""
-        print(f"{label:<12}{row['count']:>10}   {row['share']:7.2%}{note}")
-    print(f"activity threshold: {summary.activity_threshold:.4f} tweets/day"
-          f" ({summary.activity_strategy})")
-    _print_sentiment(summary)
-    print(f"config fingerprint: {summary.config_fingerprint}")
-    print(f"artifacts in {args.out}: {', '.join(summary.artifacts)}")
-    for stage, seconds in summary.timings.items():
-        print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
+    if args.full_report:
+        for stage, seconds in summary.timings.items():
+            print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -186,13 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full pipeline, reporting sentiment and KS comparisons")
     p.add_argument("--out", metavar="DIR", required=True, help="artifact directory")
     p.add_argument("--format", choices=["csv", "jsonl"], default=None)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_pipeline, full_report=False)
 
     p = sub.add_parser("run", parents=[corpus_parent, detector_parent, textmine_parent],
                        help="full pipeline with the complete summary report")
     p.add_argument("--out", metavar="DIR", required=True, help="artifact directory")
     p.add_argument("--format", choices=["csv", "jsonl"], default=None)
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_pipeline, full_report=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
     p.add_argument("--out", metavar="DIR", required=True, help="output directory")

@@ -282,6 +282,11 @@ def _lifetime_days(account_created: datetime, span_end: datetime) -> float:
     return max(age, 1.0)  # brand-new accounts count as one day old
 
 
+def _check_rate_basis(rate_basis: str) -> None:
+    if rate_basis not in (RATE_CORPUS_WINDOW, RATE_LIFETIME):
+        raise ValueError(f"unknown rate basis {rate_basis!r}")
+
+
 def _aggregate_accounts(tweets: tuple, authors: Sequence[tuple], span_days: float,
                         span_end: datetime, rate_basis: str) -> dict:
     """AccountStats per account from its latest tweet's author fields.
@@ -290,8 +295,6 @@ def _aggregate_accounts(tweets: tuple, authors: Sequence[tuple], span_days: floa
     parallel to *tweets*.  The latest tweet is the one with the largest
     ``created_at``; of equal timestamps, the later one.
     """
-    if rate_basis not in (RATE_CORPUS_WINDOW, RATE_LIFETIME):
-        raise ValueError(f"unknown rate basis {rate_basis!r}")
     latest: dict[str, int] = {}  # account_id -> index of its latest tweet
     for i, tweet in enumerate(tweets):
         j = latest.get(tweet.author_id)
@@ -320,6 +323,7 @@ def build_corpus(records: Iterable[tuple], rate_basis: str = RATE_CORPUS_WINDOW,
     same fields, as ingest passes it.  The snapshots only feed the account
     aggregates; the Corpus keeps none of them.
     """
+    _check_rate_basis(rate_basis)
     tweets, authors = [], []
     for tweet, author in records:
         tweets.append(tweet)
@@ -370,6 +374,7 @@ def ingest(path, strictness: str = LENIENT,
     """
     if strictness not in (LENIENT, STRICT):
         raise ValueError(f"unknown strictness {strictness!r}")
+    _check_rate_basis(rate_basis)
     parse = _Parser().parse
     scan_once = json.JSONDecoder().scan_once
     by_id: dict[str, Tweet] = {}
@@ -406,6 +411,9 @@ def ingest(path, strictness: str = LENIENT,
     if not by_id:
         raise EmptyCorpusError(f"no usable records in {path}")
     # Both dicts got the same keys in the same order, so their values pair up.
+    # Copied out, the dicts go before the accounts are aggregated.
+    tweets, author_rows = tuple(by_id.values()), tuple(authors.values())
+    del by_id, authors
     # build_corpus unpacks each pair at once, so zip reuses one pair tuple.
-    return build_corpus(zip(by_id.values(), authors.values()), rate_basis=rate_basis,
+    return build_corpus(zip(tweets, author_rows), rate_basis=rate_basis,
                         skipped_count=skipped, duplicate_count=duplicates)

@@ -9,6 +9,7 @@ and a verified author trumps everything back to NoBot.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -105,12 +106,62 @@ class Classification(NamedTuple):
         return tuple(sorted({h.rule for h in self.hits}, key=lambda r: r.value))
 
 
-class Detection(list):
-    """Classifications in corpus order, plus the activity threshold they used."""
+def _code(code_of: dict, outcome: tuple) -> int:
+    """The code of an outcome ``(label, hits, verified_override)``: first seen, first coded."""
+    return code_of.setdefault(outcome, len(code_of))
 
-    def __init__(self, classifications, threshold: float):
-        super().__init__(classifications)
+
+class Detection(Sequence):
+    """Classifications in corpus order, plus the activity threshold they used.
+
+    Each tweet's verdict is one code: ``outcomes[codes[i]]`` is the
+    ``(label, hits, verified_override)`` of tweet ``tweet_ids[i]``.  Equal
+    codes are one int object, so no object lives per tweet.  Indexing and
+    iterating build Classifications on demand.
+    """
+
+    __slots__ = ("tweet_ids", "codes", "outcomes", "threshold")
+
+    def __init__(self, tweet_ids: tuple, codes: list, outcomes: tuple, threshold: float):
+        self.tweet_ids = tweet_ids
+        self.codes = codes
+        self.outcomes = outcomes
         self.threshold = threshold
+
+    @classmethod
+    def of(cls, classifications: Iterable[Classification]) -> Detection:
+        """Code Classifications the way classify codes them; no threshold (NaN)."""
+        code_of, tweet_ids, codes = {}, [], []
+        for c in classifications:
+            tweet_ids.append(c.tweet_id)
+            codes.append(_code(code_of, (c.label, c.hits, c.verified_override)))
+        return cls(tuple(tweet_ids), codes, tuple(code_of), float("nan"))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        """One Classification, or a list of them for a slice."""
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return Classification(self.tweet_ids[i], *self.outcomes[self.codes[i]])
+
+    def __eq__(self, other):
+        if not isinstance(other, (Detection, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def counts(self) -> list:
+        """The number of tweets with each outcome, indexed by code."""
+        n = Counter(self.codes)
+        return [n[code] for code in range(len(self.outcomes))]
+
+    def label_counts(self) -> dict:
+        """The number of tweets with each label, disjoint (Bot not in Suspicious)."""
+        disjoint = dict.fromkeys(Label, 0)
+        for (label, _, _), n in zip(self.outcomes, self.counts()):
+            disjoint[label] += n
+        return disjoint
 
 
 @dataclass(frozen=True)
@@ -306,7 +357,8 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
     Account-level rules (ratio, activity) propagate to all of the account's
     tweets; tweet-level rules (source, duplicate) apply individually.  The
     activity threshold is computed over the whole corpus population first.
-    Returns the Classifications in corpus order, with that threshold.
+    Returns a Detection: the Classifications in corpus order, with that
+    threshold.
     """
     if config is None:
         config = DetectorConfig()
@@ -325,15 +377,16 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
     kind_list = list(kinds)
 
     # A tweet's outcome follows from its account's kind, its app and its
-    # duplicate hit; each is combined once.
-    outcomes: dict[tuple, tuple] = {}  # (kind, app, duplicate reason) -> outcome
-    out = Detection((), threshold)
+    # duplicate hit; each is combined and coded once.
+    code_of: dict[tuple, int] = {}  # outcome -> code
+    key_codes: dict[tuple, int] = {}  # (kind, app, duplicate reason) -> code
+    tweet_ids, codes = [], []
     for tweet in corpus.tweets:
         kind = kind_of[tweet.author_id]
         duplicate = duplicate_hits.get(tweet.id)
         key = (kind, tweet.source_app, None if duplicate is None else duplicate.reason)
-        outcome = outcomes.get(key)
-        if outcome is None:
+        c = key_codes.get(key)
+        if c is None:
             account_hits, verified = kind_list[kind]
             hits = [hit for hit in (*account_hits, source_rule(tweet, config), duplicate)
                     if hit is not None]
@@ -348,19 +401,19 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
             if distinct and verified:
                 label = Label.NO_BOT  # verified authors are trusted outright
                 override = True
-            outcome = outcomes[key] = (label, frozenset(hits), override)
-        out.append(Classification(tweet.id, *outcome))
-    return out
+            c = key_codes[key] = _code(code_of, (label, frozenset(hits), override))
+        tweet_ids.append(tweet.id)
+        codes.append(c)
+    return Detection(tuple(tweet_ids), codes, tuple(code_of), threshold)
 
 
-def group_summary(classifications: Iterable[Classification]) -> dict:
+def group_summary(detection: Detection) -> dict:
     """Counts and shares per label group, with membership from GROUPS_OF.
 
     The Suspicious row includes the Bot row, so shares do not sum to 1.
     """
-    disjoint = Counter(c.label for c in classifications)
-    total = sum(disjoint.values())
+    total = len(detection)
     if total == 0:
         raise ValueError("group_summary of empty classification list")
-    counts = fold_groups({label: disjoint[label] for label in Label})
+    counts = fold_groups(detection.label_counts())
     return {label: GroupShare(n, n / total) for label, n in counts.items()}

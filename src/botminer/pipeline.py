@@ -17,7 +17,6 @@ import re
 import shutil
 import tempfile
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,7 +26,7 @@ from . import corpus as corpus_mod
 from . import detector as detector_mod
 from . import stats as stats_mod
 from . import textmine as textmine_mod
-from .detector import DetectorConfig, Label
+from .detector import Classification, Detection, DetectorConfig, Label
 from .errors import ConfigError, PipelineStageError
 from .stats import KsResult
 
@@ -191,6 +190,11 @@ class RunSummary:
         }
 
 
+def share_table(shares: Mapping[Label, detector_mod.GroupShare]) -> dict:
+    """group_summary's shares as run_summary.json writes them, keyed by label value."""
+    return {label.value: {"count": gs.count, "share": gs.share} for label, gs in shares.items()}
+
+
 def compare_group_sentiment(samples: Mapping[Label, Mapping[float, int]]) -> dict:
     """KS-compare word-level sentiment histograms between label groups.
 
@@ -218,53 +222,38 @@ def _write_table(path: Path, fingerprint: str, header, rows):
         writer.writerows(rows)
 
 
-def _per_outcome(classifications, render):
-    """(tweet id, render(c)) for each classification c, in order.
-
-    Classifications with the same label, hits and override share one
-    rendering, so render runs once per distinct outcome.
-    """
-    rendered = {}
-    for c in classifications:
-        key = (c.label, c.hits, c.verified_override)
-        value = rendered.get(key)
-        if value is None:
-            value = rendered[key] = render(c)
-        yield c.tweet_id, value
-
-
-def write_classifications(path: Path, fingerprint: str, classifications, fmt: str):
+def write_classifications(path: Path, fingerprint: str, detection: Detection, fmt: str):
     """Write per-tweet classification records as csv or jsonl.
 
     Only the tweet id is formatted per record; the rest of each row is
-    formatted once per distinct outcome.
+    formatted once per outcome code.
     """
+    outcomes = [Classification("", *outcome) for outcome in detection.outcomes]
     if fmt == "csv":
-        def cells(c):
-            return (c.label.value, "|".join(r.value for r in c.rules),
-                    str(c.verified_override).lower())
-
+        cells = [(c.label.value, "|".join(r.value for r in c.rules),
+                  str(c.verified_override).lower()) for c in outcomes]
         _write_table(path, fingerprint, ["tweet_id", "label", "rules", "verified_override"],
-                     ((tweet_id, *rest) for tweet_id, rest in _per_outcome(classifications, cells)))
+                     ((tweet_id, *cells[code])
+                      for tweet_id, code in zip(detection.tweet_ids, detection.codes)))
     else:
-        def template(c):
-            # the record with a marker for the id, split around it: the id is
-            # the last string field (keys are sorted, verified_override is a bool)
-            record = json.dumps({
+        # each outcome's record with an empty id, split around it: the id is
+        # the last string field (keys are sorted, verified_override is a bool)
+        heads, tails = [], []
+        for c in outcomes:
+            head, _, tail = json.dumps({
                 "tweet_id": "",
                 "label": c.label.value,
                 "rules": [r.value for r in c.rules],
                 "verified_override": c.verified_override,
                 "config_fingerprint": fingerprint,
-            }, sort_keys=True, separators=(",", ":"))
-            head, _, tail = record.rpartition('""')
-            return head, tail + "\n"
-
+            }, sort_keys=True, separators=(",", ":")).rpartition('""')
+            heads.append(head)
+            tails.append(tail + "\n")
         # what json.dumps(str) calls under default settings, minus its wrappers
         encode_str = json.encoder.encode_basestring_ascii
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{head}{encode_str(tweet_id)}{tail}"
-                          for tweet_id, (head, tail) in _per_outcome(classifications, template))
+            fh.writelines(f"{heads[code]}{encode_str(tweet_id)}{tails[code]}"
+                          for tweet_id, code in zip(detection.tweet_ids, detection.codes))
 
 
 @contextmanager
@@ -311,12 +300,12 @@ def _publish(work_dir: Path, names):
             shutil.rmtree(entry, ignore_errors=True)
 
 
-def save_classifications(out_dir, fingerprint: str, classifications, fmt: str) -> Path:
+def save_classifications(out_dir, fingerprint: str, detection: Detection, fmt: str) -> Path:
     """Write the classification file into out_dir all-or-nothing; returns its path."""
     out_dir = Path(out_dir)
     name = CLASSIFICATION_FILES[fmt]
     with _staging_dir(out_dir) as work_dir:
-        write_classifications(work_dir / name, fingerprint, classifications, fmt)
+        write_classifications(work_dir / name, fingerprint, detection, fmt)
         _publish(work_dir, [name])
     return out_dir / name
 
@@ -349,14 +338,14 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
 
             stage = "detect"
             t0 = time.perf_counter()
-            classifications = detector_mod.classify(corpus, settings.detector)
-            shares = detector_mod.group_summary(classifications)
+            detection = detector_mod.classify(corpus, settings.detector)
+            shares = detector_mod.group_summary(detection)
             timings[stage] = time.perf_counter() - t0
 
             stage = "analyze"
             t0 = time.perf_counter()
             docs = textmine_mod.tokenize_corpus(corpus.tweets, stopwords, settings.query_term)
-            label_docs = textmine_mod.group_docs(classifications, docs)
+            label_docs = textmine_mod.group_docs(detection, docs)
             models = detector_mod.fold_groups(
                 {label: textmine_mod.cooccurrence(ldocs, settings.window)
                  for label, ldocs in label_docs.items()})
@@ -398,22 +387,19 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             stage = "report"
             t0 = time.perf_counter()
             class_name = CLASSIFICATION_FILES[settings.output_format]
-            write_classifications(work_dir / class_name, fingerprint, classifications,
+            write_classifications(work_dir / class_name, fingerprint, detection,
                                   settings.output_format)
 
             rule_hits = {rule.value: 0 for rule in detector_mod.Rule}
             overrides = 0
-            disjoint_counts = {label: 0 for label in Label}
-            outcomes = Counter((c.label, c.hits, c.verified_override) for c in classifications)
-            for (label, hits, override), n in outcomes.items():
-                disjoint_counts[label] += n
+            for (_, hits, override), n in zip(detection.outcomes, detection.counts()):
                 if override:
                     overrides += n
                 for rule in {h.rule for h in hits}:
                     rule_hits[rule.value] += n
             total = len(corpus)
             disjoint = {label.value: {"count": n, "share": n / total}
-                        for label, n in disjoint_counts.items()}
+                        for label, n in detection.label_counts().items()}
 
             summary = RunSummary(
                 config_fingerprint=fingerprint,
@@ -425,9 +411,8 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
                 duplicate_ids=corpus.duplicate_count,
                 rate_basis=settings.rate_basis,
                 activity_strategy=settings.detector.activity_strategy.value,
-                activity_threshold=classifications.threshold,
-                label_shares={label.value: {"count": gs.count, "share": gs.share}
-                              for label, gs in shares.items()},
+                activity_threshold=detection.threshold,
+                label_shares=share_table(shares),
                 disjoint_shares=disjoint,
                 rule_hits=rule_hits,
                 verified_overrides=overrides,
@@ -477,9 +462,9 @@ def settings_from_flags(config_path=None, flags: Mapping | None = None) -> Pipel
         det = DetectorConfig()
 
     det_overrides = {}
-    if flags.get("activity_strategy") is not None:
-        det_overrides["activity_strategy"] = detector_mod.parse_activity_strategy(
-            str(flags.pop("activity_strategy")))
+    strategy = flags.pop("activity_strategy", None)
+    if strategy is not None:
+        det_overrides["activity_strategy"] = detector_mod.parse_activity_strategy(str(strategy))
     for flag, field_name in (("quantile", "activity_quantile"),
                              ("ratio_tolerance", "ratio_tolerance"),
                              ("iqr_multiplier", "iqr_multiplier"),

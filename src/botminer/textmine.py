@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .detector import Classification, Label
+from .detector import Detection, Label
 from .errors import ConfigError
 from .listfile import read_entries
 
@@ -181,19 +181,19 @@ def _count_items(streams: Counter, repeats: dict, items) -> Counter:
     return counts
 
 
-def group_docs(classifications: Iterable[Classification],
-               docs: Iterable[TokenizedDoc]) -> dict:
+def group_docs(detection: Detection, docs: Iterable[TokenizedDoc]) -> dict:
     """Docs per disjoint label, in input order; every doc is listed once.
 
-    *classifications* and *docs* are parallel sequences; a length or tweet id
+    *detection* and *docs* are parallel sequences; a length or tweet id
     mismatch raises ValueError.  detector.fold_groups turns per-label results
     into per-group ones.
     """
     groups = {label: [] for label in Label}
-    for c, doc in zip(classifications, docs, strict=True):
-        if c.tweet_id != doc.tweet_id:
-            raise ValueError(f"tweet id mismatch: {c.tweet_id!r} vs doc {doc.tweet_id!r}")
-        groups[c.label].append(doc)
+    add_to = [groups[label].append for label, _, _ in detection.outcomes]  # per code
+    for tweet_id, code, doc in zip(detection.tweet_ids, detection.codes, docs, strict=True):
+        if tweet_id != doc.tweet_id:
+            raise ValueError(f"tweet id mismatch: {tweet_id!r} vs doc {doc.tweet_id!r}")
+        add_to[code](doc)
     return groups
 
 

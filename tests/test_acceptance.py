@@ -22,6 +22,7 @@ from botminer.corpus import ingest
 from botminer.detector import (
     ActivityStrategy,
     Classification,
+    Detection,
     DetectorConfig,
     Label,
     Rule,
@@ -117,12 +118,12 @@ def test_criterion_1_detector_examples():
     cls = ([Classification(f"n{k}", Label.NO_BOT, frozenset()) for k in range(8)]
            + [Classification("s", Label.SUSPICIOUS, frozenset())]
            + [Classification("b", Label.BOT, frozenset())])
-    summary = group_summary(cls)
+    summary = group_summary(Detection.of(cls))
     assert summary[Label.SUSPICIOUS].count == 2
     assert (summary[Label.NO_BOT].share, summary[Label.SUSPICIOUS].share,
             summary[Label.BOT].share) == (0.8, 0.2, 0.1)
-    all_clean = group_summary(Classification(str(k), Label.NO_BOT, frozenset())
-                              for k in range(10))
+    all_clean = group_summary(Detection.of(Classification(str(k), Label.NO_BOT, frozenset())
+                                           for k in range(10)))
     assert all_clean[Label.NO_BOT].share == 1.0
     assert all_clean[Label.BOT].count == 0
 

@@ -321,6 +321,11 @@ def test_ingest_rejects_unknown_strictness(tmp_path):
         ingest(path, "casual")
 
 
+def test_ingest_checks_rate_basis_before_reading(tmp_path):
+    with pytest.raises(ValueError, match="rate basis"):
+        ingest(tmp_path / "missing.ndjson", rate_basis="bogus")
+
+
 def _line(**kw) -> bytes:
     return json.dumps(record(**kw)).encode("utf-8")
 

@@ -1,5 +1,6 @@
 """Rule-by-rule detector behavior and the three-step combination."""
 
+import gc
 import itertools
 import random
 from collections import Counter, defaultdict
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from botminer.corpus import AccountStats
+from botminer.corpus import AccountStats, ingest
 from botminer.detector import (
     ActivityStrategy,
     Classification,
+    Detection,
     DetectorConfig,
     Label,
     Rule,
@@ -402,6 +404,17 @@ def test_classify_equals_per_tweet_loop(rows, config):
             == Counter(h for c in reference for h in c.hits))
 
 
+def test_classify_keeps_no_tracked_object_per_tweet(default_synth):
+    corpus = ingest(default_synth[0])
+    config = DetectorConfig()
+    gc.collect()
+    before = len(gc.get_objects())
+    detection = classify(corpus, config)
+    gc.collect()
+    assert len(gc.get_objects()) - before < len(corpus) / 10
+    assert len(detection) == len(corpus)
+
+
 # ---------------------------------------------------------------------------
 # group_summary
 # ---------------------------------------------------------------------------
@@ -411,7 +424,8 @@ def _cls(label, n):
 
 
 def test_group_summary_inclusive_suspicious():
-    summary = group_summary(_cls(Label.NO_BOT, 8) + _cls(Label.SUSPICIOUS, 1) + _cls(Label.BOT, 1))
+    summary = group_summary(Detection.of(
+        _cls(Label.NO_BOT, 8) + _cls(Label.SUSPICIOUS, 1) + _cls(Label.BOT, 1)))
     assert summary[Label.NO_BOT].count == 8
     assert summary[Label.SUSPICIOUS].count == 2  # includes the Bot tweet
     assert summary[Label.BOT].count == 1
@@ -421,7 +435,7 @@ def test_group_summary_inclusive_suspicious():
 
 
 def test_group_summary_all_nobot():
-    summary = group_summary(_cls(Label.NO_BOT, 5))
+    summary = group_summary(Detection.of(_cls(Label.NO_BOT, 5)))
     assert summary[Label.NO_BOT].share == 1.0
     assert summary[Label.SUSPICIOUS].count == 0
     assert summary[Label.BOT].count == 0
@@ -436,7 +450,7 @@ def test_group_summary_large_scale_shares():
         itertools.repeat(nobot, 899_745 - 118_071),
         itertools.repeat(susp, 118_071 - 10_126),
         itertools.repeat(bot, 10_126))
-    summary = group_summary(stream)
+    summary = group_summary(Detection.of(stream))
     assert summary[Label.SUSPICIOUS].count == 118_071
     assert summary[Label.SUSPICIOUS].share == pytest.approx(0.1312, abs=1e-4)
     assert summary[Label.BOT].share == pytest.approx(0.0113, abs=1e-4)
@@ -444,7 +458,7 @@ def test_group_summary_large_scale_shares():
 
 def test_group_summary_empty():
     with pytest.raises(ValueError):
-        group_summary([])
+        group_summary(Detection.of([]))
 
 
 counts = st.dictionaries(st.sampled_from("abc"), st.integers(1, 9))

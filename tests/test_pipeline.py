@@ -17,11 +17,14 @@ from botminer.cli import main
 from botminer.detector import (
     ActivityStrategy,
     Classification,
+    Detection,
     DetectorConfig,
+    GroupShare,
     Label,
     Rule,
     RuleHit,
     fold_groups,
+    group_summary,
 )
 from botminer.errors import ConfigError, PipelineStageError
 from botminer.pipeline import (
@@ -33,7 +36,12 @@ from botminer.pipeline import (
     write_classifications,
 )
 from botminer.syngen import SynthConfig, generate
-from botminer.textmine import SentimentLexicon, group_docs, group_word_sentiment_samples
+from botminer.textmine import (
+    SentimentLexicon,
+    TokenizedDoc,
+    group_docs,
+    group_word_sentiment_samples,
+)
 
 from conftest import docs_of, record, write_ndjson
 
@@ -275,7 +283,7 @@ def test_write_classifications_standalone(tmp_path):
     cls = [Classification("t1", Label.BOT, frozenset()),
            Classification("t2", Label.NO_BOT, frozenset(), verified_override=True)]
     path = tmp_path / "cls.csv"
-    write_classifications(path, "cafe0123", cls, "csv")
+    write_classifications(path, "cafe0123", Detection.of(cls), "csv")
     lines = path.read_text("utf-8").splitlines()
     assert lines[0] == "# config_fingerprint=cafe0123"
     assert lines[2] == "t1,Bot,,false"
@@ -312,7 +320,7 @@ def test_compare_groups_disjoint_supports():
            Classification("d2", Label.NO_BOT, frozenset()),
            Classification("d3", Label.NO_BOT, frozenset())]
     out = compare_group_sentiment(
-        fold_groups(group_word_sentiment_samples(group_docs(cls, docs), LEX)))
+        fold_groups(group_word_sentiment_samples(group_docs(Detection.of(cls), docs), LEX)))
     assert out["NoBot_vs_Bot"].d_statistic == 1.0
     # Bot words mirror into Suspicious, so that pair is degenerate-equal
     assert out["Suspicious_vs_Bot"].d_statistic == 0.0
@@ -367,6 +375,15 @@ def test_settings_from_flags_rejects_unknown():
         settings_from_flags(None, {"bogus": 1})
     with pytest.raises(ValueError, match="rate basis"):
         settings_from_flags(None, {"rate_basis": "fortnight"})
+
+
+@pytest.mark.parametrize("flag", [
+    "sources", "activity_strategy", "quantile", "ratio_tolerance", "iqr_multiplier",
+    "iqr_fence_base", "min_followers", "duplicate_min_cluster", "rate_basis", "strict",
+    "format", "lexicon", "stopwords", "query_term", "min_df", "max_df", "window",
+    "k_terms", "k_neighbors"])
+def test_settings_from_flags_none_means_unset(flag):
+    assert settings_from_flags(None, {flag: None}) == settings_from_flags(None, {})
 
 
 def test_run_pipeline_wraps_config_errors(tmp_path):
@@ -444,13 +461,14 @@ def test_cli_detect_failed_write_keeps_previous_file(synth_corpus, tmp_path, mon
     before = (out / "classifications.csv").read_bytes()
     real_write = pipeline.write_classifications
 
-    def write_then_fail(path, fingerprint, classifications, fmt):
-        def rows():
-            for i, c in enumerate(classifications):
+    def write_then_fail(path, fingerprint, detection, fmt):
+        def ids():
+            for i, tweet_id in enumerate(detection.tweet_ids):
                 if i == 10:
                     raise OSError("disk full")
-                yield c
-        real_write(path, fingerprint, rows(), fmt)
+                yield tweet_id
+        real_write(path, fingerprint, Detection(ids(), detection.codes, detection.outcomes,
+                                                detection.threshold), fmt)
 
     monkeypatch.setattr(pipeline, "write_classifications", write_then_fail)
     assert main(["detect", str(synth_corpus), "--out", str(out),
@@ -564,10 +582,9 @@ classification_lists = st.lists(st.builds(
     st.booleans()), max_size=20)
 
 
-@given(classification_lists)
-def test_write_classifications_equals_per_record_reference(tmp_path_factory, cls):
-    root = tmp_path_factory.mktemp("records")
-    write_classifications(root / "c.jsonl", FINGERPRINT, cls, "jsonl")
+def _check_written_per_record(root, cls, detection):
+    """write_classifications(detection) against a per-Classification reference."""
+    write_classifications(root / "c.jsonl", FINGERPRINT, detection, "jsonl")
     expected = "".join(json.dumps({
         "tweet_id": c.tweet_id,
         "label": c.label.value,
@@ -577,7 +594,7 @@ def test_write_classifications_equals_per_record_reference(tmp_path_factory, cls
     }, sort_keys=True, separators=(",", ":")) + "\n" for c in cls)
     assert (root / "c.jsonl").read_bytes() == expected.encode("utf-8")
 
-    write_classifications(root / "c.csv", FINGERPRINT, cls, "csv")
+    write_classifications(root / "c.csv", FINGERPRINT, detection, "csv")
     buf = io.StringIO()
     buf.write(f"# config_fingerprint={FINGERPRINT}\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -586,3 +603,35 @@ def test_write_classifications_equals_per_record_reference(tmp_path_factory, cls
         writer.writerow([c.tweet_id, c.label.value, "|".join(r.value for r in c.rules),
                          str(c.verified_override).lower()])
     assert (root / "c.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+
+@given(classification_lists)
+def test_write_classifications_equals_per_record_reference(tmp_path_factory, cls):
+    _check_written_per_record(tmp_path_factory.mktemp("records"), cls, Detection.of(cls))
+
+
+@given(classification_lists)
+def test_detection_readers_equal_per_classification_reference(tmp_path_factory, cls):
+    detection = Detection.of(cls)
+    assert list(detection) == cls and detection == cls
+    assert len(detection) == len(cls)
+    assert all(detection[i] == c for i, c in enumerate(cls))
+    assert detection[1:] == cls[1:] and detection[::-2] == cls[::-2]
+    assert len(set(detection.outcomes)) == len(detection.outcomes)  # one code per outcome
+
+    labels = Counter(c.label for c in cls)
+    assert detection.label_counts() == {label: labels[label] for label in Label}
+    if cls:
+        inclusive = {Label.NO_BOT: labels[Label.NO_BOT], Label.BOT: labels[Label.BOT],
+                     Label.SUSPICIOUS: labels[Label.SUSPICIOUS] + labels[Label.BOT]}
+        assert group_summary(detection) == {
+            label: GroupShare(n, n / len(cls)) for label, n in inclusive.items()}
+    else:
+        with pytest.raises(ValueError):
+            group_summary(detection)
+
+    docs = [TokenizedDoc(c.tweet_id, (f"w{i}",)) for i, c in enumerate(cls)]
+    assert group_docs(detection, docs) == {
+        label: [d for d, c in zip(docs, cls) if c.label is label] for label in Label}
+
+    _check_written_per_record(tmp_path_factory.mktemp("records"), cls, detection)

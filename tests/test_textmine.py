@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from botminer.detector import Classification, Label, fold_groups, group_summary
+from botminer.detector import Classification, Detection, Label, fold_groups, group_summary
 from botminer.errors import ConfigError
 from botminer.textmine import (
     SentimentLexicon,
@@ -524,7 +524,7 @@ def test_tweet_sentiment_linearity():
 def _word_values(docs):
     """Word-level sentiment sample of *docs*, all labelled NoBot."""
     cls = [Classification(d.tweet_id, Label.NO_BOT, frozenset()) for d in docs]
-    return group_word_sentiment_samples(group_docs(cls, docs), LEX)[Label.NO_BOT]
+    return group_word_sentiment_samples(group_docs(Detection.of(cls), docs), LEX)[Label.NO_BOT]
 
 
 def test_word_sentiment_values_multiset():
@@ -554,7 +554,7 @@ def _grouped_docs():
 
 def _group_means(cls, docs):
     """group_mean_sentiment on the path the pipeline takes."""
-    groups = group_docs(cls, docs)
+    groups = group_docs(Detection.of(cls), docs)
     samples = fold_groups(group_word_sentiment_samples(groups, LEX))
     return group_mean_sentiment(samples, fold_groups({k: len(v) for k, v in groups.items()}))
 
@@ -586,12 +586,12 @@ def test_group_mean_sentiment_empty_group_is_none():
 
 def test_group_samples_inclusive_and_checked():
     cls, docs = _grouped_docs()
-    samples = fold_groups(group_word_sentiment_samples(group_docs(cls, docs), LEX))
+    samples = fold_groups(group_word_sentiment_samples(group_docs(Detection.of(cls), docs), LEX))
     assert samples[Label.SUSPICIOUS] == Counter({-1: 3})  # bot words included
     assert samples[Label.BOT] == Counter({-1: 2})
     assert samples[Label.NO_BOT] == Counter({1: 1})
     with pytest.raises(ValueError):
-        group_docs(cls, [doc("x", tweet_id="unseen")])
+        group_docs(Detection.of(cls), [doc("x", tweet_id="unseen")])
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +601,11 @@ def test_group_samples_inclusive_and_checked():
 def test_group_docs_rejects_mismatched_inputs():
     cls, docs = _grouped_docs()
     with pytest.raises(ValueError):
-        group_docs(cls, docs[:2])  # one classification too many
+        group_docs(Detection.of(cls), docs[:2])  # one classification too many
     with pytest.raises(ValueError):
-        group_docs(cls[:2], docs)  # one doc too many
+        group_docs(Detection.of(cls[:2]), docs)  # one doc too many
     with pytest.raises(ValueError, match="mismatch"):
-        group_docs(cls, docs[::-1])  # same length, ids out of step
+        group_docs(Detection.of(cls), docs[::-1])  # same length, ids out of step
 
 
 labels = st.lists(st.sampled_from(list(Label)), min_size=1, max_size=40)
@@ -621,7 +621,7 @@ def _labelled(label_list):
 @given(labels)
 def test_group_docs_keeps_order_and_suspicious_includes_bot(label_list):
     cls, docs = _labelled(label_list)
-    groups = group_docs(cls, docs)
+    groups = group_docs(Detection.of(cls), docs)
     for label in Label:  # disjoint: every doc listed once, under its own label
         assert groups[label] == [d for d, c in zip(docs, cls) if c.label is label]
     folded = fold_groups(groups)
@@ -632,8 +632,8 @@ def test_group_docs_keeps_order_and_suspicious_includes_bot(label_list):
 @given(labels)
 def test_group_summary_counts_equal_group_sizes(label_list):
     cls, docs = _labelled(label_list)
-    groups = fold_groups(group_docs(cls, docs))
-    summary = group_summary(cls)
+    groups = fold_groups(group_docs(Detection.of(cls), docs))
+    summary = group_summary(Detection.of(cls))
     for label in Label:
         assert summary[label].count == len(groups[label])
 
