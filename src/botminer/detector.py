@@ -335,16 +335,13 @@ def duplicate_rule(corpus: Corpus, config: DetectorConfig) -> dict:
     duplication is their normal mode of existence.  Tweets of one cluster
     size share one RuleHit.
     """
-    sizes = Counter(t.text.strip() for t in corpus.tweets if not t.is_retweet)
+    originals = [t for t in corpus.tweets if not t.is_retweet]
+    texts = [t.text.strip() for t in originals]  # each text stripped once
+    sizes = Counter(texts)
     hit_of = {n: RuleHit(Rule.DUPLICATE, f"identical text shared by {n} non-retweet tweets")
               for n in set(sizes.values()) if n >= config.duplicate_min_cluster}
-    hits = {}
-    for tweet in corpus.tweets:
-        if not tweet.is_retweet:
-            hit = hit_of.get(sizes[tweet.text.strip()])
-            if hit is not None:
-                hits[tweet.id] = hit
-    return hits
+    return {t.id: hit for t, hit in zip(originals, map(hit_of.get, map(sizes.__getitem__, texts)))
+            if hit is not None}
 
 
 # ---------------------------------------------------------------------------

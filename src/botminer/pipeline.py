@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import operator
 import os
 import re
 import shutil
@@ -222,6 +224,16 @@ def _write_table(path: Path, fingerprint: str, header, rows):
         writer.writerows(rows)
 
 
+def _may_need_quoting(values) -> bool:
+    """Whether csv.writer might quote any of the strings *values*.
+
+    It quotes a cell holding the delimiter, the quote character or a line
+    break; which line breaks depends on the Python version, so both count.
+    """
+    joined = "".join(values)
+    return any(char in joined for char in ',"\r\n')
+
+
 def write_classifications(path: Path, fingerprint: str, detection: Detection, fmt: str):
     """Write per-tweet classification records as csv or jsonl.
 
@@ -230,11 +242,25 @@ def write_classifications(path: Path, fingerprint: str, detection: Detection, fm
     """
     outcomes = [Classification("", *outcome) for outcome in detection.outcomes]
     if fmt == "csv":
-        cells = [(c.label.value, "|".join(r.value for r in c.rules),
-                  str(c.verified_override).lower()) for c in outcomes]
-        _write_table(path, fingerprint, ["tweet_id", "label", "rules", "verified_override"],
-                     ((tweet_id, *cells[code])
-                      for tweet_id, code in zip(detection.tweet_ids, detection.codes)))
+        row = io.StringIO()
+        writer = csv.writer(row, lineterminator="\n")
+
+        def render(cells) -> str:
+            row.seek(0)
+            row.truncate()
+            writer.writerow(cells)
+            return row.getvalue()
+
+        # each outcome's row with an empty id, which is its first cell
+        tails = [render(("", c.label.value, "|".join(r.value for r in c.rules),
+                         str(c.verified_override).lower())) for c in outcomes]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# config_fingerprint={fingerprint}\n")
+            fh.write(render(("tweet_id", "label", "rules", "verified_override")))
+            cells = detection.tweet_ids
+            if _may_need_quoting(cells):
+                cells = [render((tweet_id, ""))[:-2] for tweet_id in cells]  # minus ",\n"
+            fh.writelines(map(operator.add, cells, map(tails.__getitem__, detection.codes)))
     else:
         # each outcome's record with an empty id, split around it: the id is
         # the last string field (keys are sorted, verified_override is a bool)
@@ -346,9 +372,11 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             t0 = time.perf_counter()
             docs = textmine_mod.tokenize_corpus(corpus.tweets, stopwords, settings.query_term)
             label_docs = textmine_mod.group_docs(detection, docs)
-            models = detector_mod.fold_groups(
-                {label: textmine_mod.cooccurrence(ldocs, settings.window)
-                 for label, ldocs in label_docs.items()})
+            label_models = {label: textmine_mod.cooccurrence(ldocs, settings.window)
+                            for label, ldocs in label_docs.items()}
+            samples = detector_mod.fold_groups(textmine_mod.group_word_sentiment_samples(
+                {label: model.term_freq for label, model in label_models.items()}, lexicon))
+            models = detector_mod.fold_groups(label_models)
 
             for label, slug in GROUP_SLUGS.items():
                 model = models[label]
@@ -367,8 +395,6 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
                 _write_table(work_dir / f"cooccurrence_{slug}.csv", fingerprint,
                              ["term", "neighbor", "association"], edge_rows)
 
-            samples = detector_mod.fold_groups(
-                textmine_mod.group_word_sentiment_samples(label_docs, lexicon))
             mean_sentiment = textmine_mod.group_mean_sentiment(
                 samples, {label: model.n_docs for label, model in models.items()})
             timings[stage] = time.perf_counter() - t0

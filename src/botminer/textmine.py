@@ -12,7 +12,8 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple
 
 from .detector import Detection, Label
 from .errors import ConfigError
@@ -152,8 +153,8 @@ def tokenize_corpus(tweets, stopwords: frozenset,
 def _token_streams(docs: Iterable[TokenizedDoc]) -> Counter:
     """Distinct token streams of *docs* -> number of docs carrying each.
 
-    Keys are in first-occurrence order, so walking them visits every token,
-    pair and polarity first where a per-doc walk would.
+    Keys are in first-occurrence order, so walking them visits every token
+    and pair first where a per-doc walk would.
     """
     return Counter(doc.tokens for doc in docs)
 
@@ -280,23 +281,41 @@ class CooccurrenceModel:
         return self.count(w1, w2) / freq
 
 
-def _ordered_pairs(window: int):
-    """Stream -> iterator over the (tokens[i], tokens[j]) pairs a per-doc walk visits.
+def _pair_getters(n: int, window: int) -> tuple:
+    """(left, right) getters of a length-n stream's pairs, each returning a tuple.
 
-    The walk is i-major with j from i + 1 to min(i + window, n - 1); its index
-    tuples are built once per stream length n, so the pairs themselves are
-    produced in C.
+    Zipped, the two tuples are the (tokens[i], tokens[j]) pairs of the i-major
+    walk with j from i + 1 to min(i + window, n - 1), and sometimes a self pair.
     """
-    index = {}
+    spans = [range(i + 1, min(i + window, n - 1) + 1) for i in range(n)]
+    left = [i for i, js in enumerate(spans) for _ in js]
+    right = [j for js in spans for j in js]
+    if len(left) == 20:
+        # CPython 3.11 keeps up to 2000 freed 20-item tuples and never reuses
+        # them (0.4 MiB); a self pair, which cooccurrence drops, makes 21
+        left.append(0)
+        right.append(0)
+    if len(left) > 1:
+        return itemgetter(*left), itemgetter(*right)
+    # itemgetter() raises and itemgetter(k) returns a bare item; a slice gives
+    # the 0 or 1 pair of a stream of up to two tokens as a tuple
+    return itemgetter(slice(0, len(left))), itemgetter(slice(1, 1 + len(right)))
+
+
+def _ordered_pair_items(window: int):
+    """Stream -> iterator over its ordered pairs, i-major as a per-doc walk visits them.
+
+    The getters are built once per stream length, so a stream's pairs are
+    gathered and zipped in C.
+    """
+    getters = {}
 
     def pairs(tokens):
         n = len(tokens)
-        ij = index.get(n)
-        if ij is None:
-            spans = [(i, range(i + 1, min(i + window, n - 1) + 1)) for i in range(n)]
-            ij = index[n] = (tuple(i for i, js in spans for _ in js),
-                             tuple(j for _, js in spans for j in js))
-        return zip(map(tokens.__getitem__, ij[0]), map(tokens.__getitem__, ij[1]))
+        got = getters.get(n)
+        if got is None:
+            got = getters[n] = _pair_getters(n, window)
+        return zip(got[0](tokens), got[1](tokens))
 
     return pairs
 
@@ -314,7 +333,7 @@ def cooccurrence(docs: Iterable[TokenizedDoc], window: int = 5) -> CooccurrenceM
     streams = _token_streams(docs)
     repeats = _repeats(streams)
     pair_counts = Counter()
-    for pair, c in _count_items(streams, repeats, _ordered_pairs(window)).items():
+    for pair, c in _count_items(streams, repeats, _ordered_pair_items(window)).items():
         left, right = pair
         if left != right:  # canonical (min, max), once per distinct ordered pair
             pair_counts[pair if left < right else (right, left)] += c
@@ -390,21 +409,20 @@ def load_lexicon(path=None) -> SentimentLexicon:
     return SentimentLexicon(polarity)
 
 
-def group_word_sentiment_samples(groups: Mapping[Label, Sequence[TokenizedDoc]],
+def group_word_sentiment_samples(term_counts: Mapping[Label, Mapping[str, int]],
                                  lexicon: SentimentLexicon) -> dict:
     """Word-level polarity histogram per group: Counter of polarity -> occurrences.
 
-    *groups* maps a key to its docs (group_docs gives one per disjoint label);
-    every occurrence of a lexicon word in those docs counts once.  Docs with
-    the same token stream are walked once and counted with their multiplicity.
+    *term_counts* maps a key to its docs' token counts (the term_freq of the
+    cooccurrence model of each disjoint label's docs); every occurrence of a
+    lexicon word counts once.  Keys follow the counts' order, so with
+    first-occurrence counts the first token carrying a polarity is where a
+    per-token walk first sees it (and 0.0 vs -0.0 keys hold).
     """
     samples = {}
-    for label, docs in groups.items():
+    for label, counts in term_counts.items():
         values = samples[label] = Counter()
-        streams = _token_streams(docs)
-        # first-seen token order, so the first token carrying a polarity is
-        # where a per-doc walk first sees it (and 0.0 vs -0.0 keys hold)
-        for token, c in _count_items(streams, _repeats(streams), iter).items():
+        for token, c in counts.items():
             value = lexicon.value(token)
             if value is not None:
                 values[value] += c

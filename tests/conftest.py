@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from botminer.corpus import build_corpus, parse_record
-from botminer.textmine import TokenizedDoc
+from botminer.textmine import TokenizedDoc, cooccurrence
 
 BASE = datetime(2017, 12, 30, 12, 0, 0, tzinfo=timezone.utc)
 WEB_CLIENT = '<a href="http://twitter.com" rel="nofollow">Twitter Web Client</a>'
@@ -61,6 +61,11 @@ def doc(*tokens, tweet_id="d1"):
 
 def docs_of(token_lists):
     return [TokenizedDoc(f"d{i}", tuple(toks)) for i, toks in enumerate(token_lists)]
+
+
+def term_counts(groups):
+    """Each group's token counts, the input group_word_sentiment_samples takes."""
+    return {key: cooccurrence(docs).term_freq for key, docs in groups.items()}
 
 
 def write_ndjson(path, records):

@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from botminer import pipeline, textmine
@@ -43,7 +43,7 @@ from botminer.textmine import (
     group_word_sentiment_samples,
 )
 
-from conftest import docs_of, record, write_ndjson
+from conftest import docs_of, record, term_counts, write_ndjson
 
 EXPECTED_ARTIFACTS = {
     "classifications.csv", "run_summary.json",
@@ -319,8 +319,9 @@ def test_compare_groups_disjoint_supports():
            Classification("d1", Label.BOT, frozenset()),
            Classification("d2", Label.NO_BOT, frozenset()),
            Classification("d3", Label.NO_BOT, frozenset())]
+    groups = group_docs(Detection.of(cls), docs)
     out = compare_group_sentiment(
-        fold_groups(group_word_sentiment_samples(group_docs(Detection.of(cls), docs), LEX)))
+        fold_groups(group_word_sentiment_samples(term_counts(groups), LEX)))
     assert out["NoBot_vs_Bot"].d_statistic == 1.0
     # Bot words mirror into Suspicious, so that pair is degenerate-equal
     assert out["Suspicious_vs_Bot"].d_statistic == 0.0
@@ -608,6 +609,29 @@ def _check_written_per_record(root, cls, detection):
 @given(classification_lists)
 def test_write_classifications_equals_per_record_reference(tmp_path_factory, cls):
     _check_written_per_record(tmp_path_factory.mktemp("records"), cls, Detection.of(cls))
+
+
+# any encodable id (no lone surrogates), and ids that csv.writer must quote or
+# that sit next to a quoting character
+csv_ids = st.text(st.characters(blacklist_categories=("Cs",))) | st.sampled_from(
+    ["", ",", '"', "\r", "\n", "\r\n", "a,b", 'say "hi"', "é,ü", "日本\n語", " lead", "😀"])
+
+
+@given(st.lists(st.tuples(csv_ids, st.sampled_from(list(Label)), st.sampled_from(HIT_SETS),
+                          st.booleans()), max_size=30))
+@example([("", Label.BOT, HIT_SETS[3], False), ("é", Label.NO_BOT, HIT_SETS[0], True)])
+@example([("1", Label.BOT, HIT_SETS[2], False), ("cr\r", Label.BOT, HIT_SETS[2], False)])
+def test_csv_classifications_equal_csv_writer_rows(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "c.csv"
+    write_classifications(path, FINGERPRINT, Detection.of([Classification(*r) for r in rows]),
+                          "csv")
+    buf = io.StringIO(newline="")
+    buf.write(f"# config_fingerprint={FINGERPRINT}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["tweet_id", "label", "rules", "verified_override"])
+    writer.writerows([tweet_id, label.value, "|".join(sorted({h.rule.value for h in hits})),
+                      "true" if override else "false"] for tweet_id, label, hits, override in rows)
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 @given(classification_lists)

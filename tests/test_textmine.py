@@ -27,7 +27,7 @@ from botminer.textmine import (
     top_cooccurrents,
 )
 
-from conftest import doc, docs_of, tweet
+from conftest import doc, docs_of, term_counts, tweet
 
 STOPWORDS = load_stopwords()
 
@@ -336,6 +336,14 @@ repeated_docs = st.lists(st.lists(st.sampled_from("abcde"), max_size=8), min_siz
 
 
 @given(repeated_docs, st.integers(1, 10))  # windows past the longest (8-token) stream
+# 2- and 3-token streams, windows 1 and past their length: the one-pair streams
+# and the shortest ones with more pairs; multi-character tokens, so a pair
+# taken from a bare token instead of a tuple of tokens shows
+@example(docs_of([["ab", "cd"], ["cd", "ab"], ["ab", "cd"]]), 1)
+@example(docs_of([["ab", "cd"], ["ab"], ["ab", "cd"]]), 3)
+@example(docs_of([["ab", "cd", "ef"], ["ef", "cd", "ab"], ["ab", "cd", "ef"]]), 1)
+@example(docs_of([["ab", "cd", "ab"], ["cd", "ef", "ab"], ["ab", "cd", "ab"]]), 4)
+@example(docs_of([["ab", "cd", "ef", "gh", "ij", "kl", "mn"]] * 2), 5)  # 20 pairs
 def test_cooccurrence_equals_per_doc_loop(docs, window):
     model = cooccurrence(docs, window)
     pair_counts, term_freq, doc_freq, n_docs = per_doc_cooccurrence(docs, window)
@@ -470,7 +478,7 @@ LEX = SentimentLexicon({"bad": -1, "terrible": -1, "good": 1})
 
 def tweet_sentiment(d):
     """A tweet's sentiment: the mean sentiment of a group holding only it."""
-    samples = group_word_sentiment_samples({Label.NO_BOT: [d]}, LEX)
+    samples = group_word_sentiment_samples(term_counts({Label.NO_BOT: [d]}), LEX)
     return group_mean_sentiment(samples, {Label.NO_BOT: 1})[Label.NO_BOT]
 
 
@@ -492,7 +500,7 @@ SIGNED_ZERO_LEX = SentimentLexicon({"a": 0.0, "b": -0.0, "c": 1.5, "d": -2})
 
 @given(st.fixed_dictionaries({label: repeated_docs for label in Label}))
 def test_group_samples_equal_per_token_loop(groups):
-    got = group_word_sentiment_samples(groups, SIGNED_ZERO_LEX)
+    got = group_word_sentiment_samples(term_counts(groups), SIGNED_ZERO_LEX)
     want = per_token_samples(groups, SIGNED_ZERO_LEX)
     assert got == want
     for label in Label:  # repr tells 0.0 from -0.0: the first zero seen is the key
@@ -524,7 +532,8 @@ def test_tweet_sentiment_linearity():
 def _word_values(docs):
     """Word-level sentiment sample of *docs*, all labelled NoBot."""
     cls = [Classification(d.tweet_id, Label.NO_BOT, frozenset()) for d in docs]
-    return group_word_sentiment_samples(group_docs(Detection.of(cls), docs), LEX)[Label.NO_BOT]
+    groups = group_docs(Detection.of(cls), docs)
+    return group_word_sentiment_samples(term_counts(groups), LEX)[Label.NO_BOT]
 
 
 def test_word_sentiment_values_multiset():
@@ -555,7 +564,7 @@ def _grouped_docs():
 def _group_means(cls, docs):
     """group_mean_sentiment on the path the pipeline takes."""
     groups = group_docs(Detection.of(cls), docs)
-    samples = fold_groups(group_word_sentiment_samples(groups, LEX))
+    samples = fold_groups(group_word_sentiment_samples(term_counts(groups), LEX))
     return group_mean_sentiment(samples, fold_groups({k: len(v) for k, v in groups.items()}))
 
 
@@ -586,7 +595,8 @@ def test_group_mean_sentiment_empty_group_is_none():
 
 def test_group_samples_inclusive_and_checked():
     cls, docs = _grouped_docs()
-    samples = fold_groups(group_word_sentiment_samples(group_docs(Detection.of(cls), docs), LEX))
+    groups = group_docs(Detection.of(cls), docs)
+    samples = fold_groups(group_word_sentiment_samples(term_counts(groups), LEX))
     assert samples[Label.SUSPICIOUS] == Counter({-1: 3})  # bot words included
     assert samples[Label.BOT] == Counter({-1: 2})
     assert samples[Label.NO_BOT] == Counter({1: 1})
