@@ -24,7 +24,6 @@ from .detector import (
     DetectorConfig,
     Label,
     Rule,
-    RuleHit,
     activity_rule,
     activity_threshold,
     classify,

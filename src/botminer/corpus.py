@@ -98,10 +98,7 @@ class Corpus:
     @property
     def span_days(self) -> float:
         """Observation span in days, floored at one hour."""
-        span = self.span_end - self.span_start
-        if span < _MIN_SPAN:
-            span = _MIN_SPAN
-        return span.total_seconds() / _SECONDS_PER_DAY
+        return _span_days(self.span_start, self.span_end)
 
     def __len__(self) -> int:
         return len(self.tweets)
@@ -277,6 +274,11 @@ def parse_record(obj: Mapping) -> tuple[Tweet, AccountSnapshot]:
     return tweet, AccountSnapshot._make(author)
 
 
+def _span_days(start: datetime, end: datetime) -> float:
+    """Days from *start* to *end*, floored at one hour."""
+    return max(end - start, _MIN_SPAN).total_seconds() / _SECONDS_PER_DAY
+
+
 def _lifetime_days(account_created: datetime, span_end: datetime) -> float:
     age = (span_end - account_created).total_seconds() / _SECONDS_PER_DAY
     return max(age, 1.0)  # brand-new accounts count as one day old
@@ -333,11 +335,8 @@ def build_corpus(records: Iterable[tuple], rate_basis: str = RATE_CORPUS_WINDOW,
     tweets = tuple(tweets)
     span_start = min(t.created_at for t in tweets)
     span_end = max(t.created_at for t in tweets)
-    span = span_end - span_start
-    if span < _MIN_SPAN:
-        span = _MIN_SPAN
-    span_days = span.total_seconds() / _SECONDS_PER_DAY
-    accounts = _aggregate_accounts(tweets, authors, span_days, span_end, rate_basis)
+    accounts = _aggregate_accounts(tweets, authors, _span_days(span_start, span_end),
+                                   span_end, rate_basis)
     return Corpus(
         tweets=tweets,
         accounts=accounts,

@@ -26,7 +26,6 @@ __all__ = [
     "GROUPS_OF",
     "fold_groups",
     "ActivityStrategy",
-    "RuleHit",
     "Classification",
     "Detection",
     "GroupShare",
@@ -84,26 +83,18 @@ class ActivityStrategy(str, Enum):
     IQR_FENCE = "IqrFence"
 
 
-@dataclass(frozen=True)
-class RuleHit:
-    """One rule firing, with a human-readable reason."""
-
-    rule: Rule
-    reason: str
-
-
 class Classification(NamedTuple):
     """Final verdict for one tweet."""
 
     tweet_id: str
     label: Label
-    hits: frozenset  # of RuleHit
+    hits: frozenset  # of Rule
     verified_override: bool = False
 
     @property
     def rules(self) -> tuple:
-        """Distinct rules that fired, in stable order."""
-        return tuple(sorted({h.rule for h in self.hits}, key=lambda r: r.value))
+        """The rules that fired, in stable order."""
+        return tuple(sorted(self.hits, key=lambda r: r.value))
 
 
 def _code(code_of: dict, outcome: tuple) -> int:
@@ -208,8 +199,7 @@ class DetectorConfig:
             raise ConfigError(f"iqr_fence_base must be 'q3' or 'median', got {self.iqr_fence_base!r}")
         if self.duplicate_min_cluster < 2:
             raise ConfigError(f"duplicate_min_cluster must be >= 2, got {self.duplicate_min_cluster}")
-        if not isinstance(self.activity_strategy, ActivityStrategy):
-            object.__setattr__(self, "activity_strategy", ActivityStrategy(self.activity_strategy))
+        object.__setattr__(self, "activity_strategy", _exact_strategy(self.activity_strategy))
         # case-insensitive matching: normalize once
         object.__setattr__(self, "suspicious_sources",
                            frozenset(s.lower() for s in self.suspicious_sources))
@@ -224,15 +214,18 @@ _STRATEGY_ALIASES = {
 }
 
 
-def parse_activity_strategy(raw: str) -> ActivityStrategy:
-    """Accept either enum values or the short CLI spellings."""
+def _exact_strategy(raw) -> ActivityStrategy:
+    """The strategy whose enum value is *raw*, or a ConfigError."""
     try:
         return ActivityStrategy(raw)
     except ValueError:
-        try:
-            return _STRATEGY_ALIASES[raw.strip().lower()]
-        except KeyError:
-            raise ConfigError(f"unknown activity strategy {raw!r}") from None
+        raise ConfigError(f"unknown activity strategy {raw!r}") from None
+
+
+def parse_activity_strategy(raw: str) -> ActivityStrategy:
+    """Accept either enum values or the short CLI spellings."""
+    alias = _STRATEGY_ALIASES.get(raw.strip().lower())
+    return _exact_strategy(raw) if alias is None else alias
 
 
 def load_detector_config(path, sources_path=None) -> DetectorConfig:
@@ -282,25 +275,18 @@ def load_detector_config(path, sources_path=None) -> DetectorConfig:
 # individual rules
 # ---------------------------------------------------------------------------
 
-def source_rule(tweet: Tweet, config: DetectorConfig) -> RuleHit | None:
+def source_rule(tweet: Tweet, config: DetectorConfig) -> Rule | None:
     """Fire when the tweet's client app is on the suspicious list."""
-    if tweet.source_app.lower() in config.suspicious_sources:
-        return RuleHit(Rule.SOURCE, f"posted via suspicious app {tweet.source_app!r}")
-    return None
+    return Rule.SOURCE if tweet.source_app.lower() in config.suspicious_sources else None
 
 
-def ratio_rule(account: AccountStats, config: DetectorConfig) -> RuleHit | None:
+def ratio_rule(account: AccountStats, config: DetectorConfig) -> Rule | None:
     """Fire on near-equal follower/friend counts above the follower floor."""
     followers, friends = account.followers, account.friends
     larger = max(followers, friends)
-    if followers > config.min_followers and larger > 0:
-        gap = abs(followers - friends) / larger
-        if gap <= config.ratio_tolerance:
-            return RuleHit(
-                Rule.RATIO,
-                f"followers={followers} friends={friends} "
-                f"relative gap {gap:.4f} <= {config.ratio_tolerance}",
-            )
+    if (followers > config.min_followers and larger > 0
+            and abs(followers - friends) / larger <= config.ratio_tolerance):
+        return Rule.RATIO
     return None
 
 
@@ -317,31 +303,22 @@ def activity_threshold(rates: Iterable[float], config: DetectorConfig) -> float:
     return base + config.iqr_multiplier * (q3 - q1)
 
 
-def activity_rule(account: AccountStats, threshold: float) -> RuleHit | None:
+def activity_rule(account: AccountStats, threshold: float) -> Rule | None:
     """Fire when the account posts strictly faster than the population cutoff."""
-    if account.tweets_per_day > threshold:
-        return RuleHit(
-            Rule.ACTIVITY,
-            f"{account.tweets_per_day:.2f} tweets/day > threshold {threshold:.2f}",
-        )
-    return None
+    return Rule.ACTIVITY if account.tweets_per_day > threshold else None
 
 
-def duplicate_rule(corpus: Corpus, config: DetectorConfig) -> dict:
-    """Map tweet id -> RuleHit for identical non-retweet texts.
+def duplicate_rule(corpus: Corpus, config: DetectorConfig) -> set:
+    """The ids of tweets whose non-retweet text is shared by other tweets.
 
     Texts are compared after whitespace trimming; clusters smaller than
     ``duplicate_min_cluster`` do not fire.  Retweets are exempt because
-    duplication is their normal mode of existence.  Tweets of one cluster
-    size share one RuleHit.
+    duplication is their normal mode of existence.
     """
     originals = [t for t in corpus.tweets if not t.is_retweet]
     texts = [t.text.strip() for t in originals]  # each text stripped once
-    sizes = Counter(texts)
-    hit_of = {n: RuleHit(Rule.DUPLICATE, f"identical text shared by {n} non-retweet tweets")
-              for n in set(sizes.values()) if n >= config.duplicate_min_cluster}
-    return {t.id: hit for t, hit in zip(originals, map(hit_of.get, map(sizes.__getitem__, texts)))
-            if hit is not None}
+    shared = {text for text, n in Counter(texts).items() if n >= config.duplicate_min_cluster}
+    return {t.id for t, text in zip(originals, texts) if text in shared}
 
 
 # ---------------------------------------------------------------------------
@@ -361,44 +338,38 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
         config = DetectorConfig()
     threshold = activity_threshold(
         (a.tweets_per_day for a in corpus.accounts.values()), config)
-    duplicate_hits = duplicate_rule(corpus, config)
+    duplicates = duplicate_rule(corpus, config)
 
-    # Accounts with the same rule hits and verified flag classify alike: each
-    # distinct (hits, verified) pair is one kind, numbered in first-seen order.
+    # Accounts with the same account rules and verified flag classify alike:
+    # each distinct (ratio, activity, verified) is one kind, numbered in
+    # first-seen order.
     kinds: dict[tuple, int] = {}
-    kind_of: dict[str, int] = {}
-    for acct_id, account in corpus.accounts.items():
-        hits = tuple(hit for hit in (ratio_rule(account, config),
-                                     activity_rule(account, threshold)) if hit is not None)
-        kind_of[acct_id] = kinds.setdefault((hits, account.verified), len(kinds))
+    kind_of = {acct_id: kinds.setdefault((ratio_rule(account, config),
+                                          activity_rule(account, threshold),
+                                          account.verified), len(kinds))
+               for acct_id, account in corpus.accounts.items()}
     kind_list = list(kinds)
 
-    # A tweet's outcome follows from its account's kind, its app and its
-    # duplicate hit; each is combined and coded once.
+    # A tweet's outcome follows from its account's kind, its app and whether
+    # its text is a duplicate; each is combined and coded once.
     code_of: dict[tuple, int] = {}  # outcome -> code
-    key_codes: dict[tuple, int] = {}  # (kind, app, duplicate reason) -> code
+    key_codes: dict[tuple, int] = {}  # (kind, app, is duplicate) -> code
     tweet_ids, codes = [], []
     for tweet in corpus.tweets:
         kind = kind_of[tweet.author_id]
-        duplicate = duplicate_hits.get(tweet.id)
-        key = (kind, tweet.source_app, None if duplicate is None else duplicate.reason)
+        duplicate = tweet.id in duplicates
+        key = (kind, tweet.source_app, duplicate)
         c = key_codes.get(key)
         if c is None:
-            account_hits, verified = kind_list[kind]
-            hits = [hit for hit in (*account_hits, source_rule(tweet, config), duplicate)
-                    if hit is not None]
-            distinct = {h.rule for h in hits}
-            if len(distinct) >= 2:
-                label = Label.BOT
-            elif len(distinct) == 1:
-                label = Label.SUSPICIOUS
-            else:
-                label = Label.NO_BOT
-            override = False
-            if distinct and verified:
+            ratio, activity, verified = kind_list[kind]
+            hits = frozenset(rule for rule in (ratio, activity, source_rule(tweet, config),
+                                               Rule.DUPLICATE if duplicate else None)
+                             if rule is not None)
+            label = Label.BOT if len(hits) >= 2 else Label.SUSPICIOUS if hits else Label.NO_BOT
+            override = bool(hits) and verified
+            if override:
                 label = Label.NO_BOT  # verified authors are trusted outright
-                override = True
-            c = key_codes[key] = _code(code_of, (label, frozenset(hits), override))
+            c = key_codes[key] = _code(code_of, (label, hits, override))
         tweet_ids.append(tweet.id)
         codes.append(c)
     return Detection(tuple(tweet_ids), codes, tuple(code_of), threshold)

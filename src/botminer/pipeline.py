@@ -421,7 +421,7 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             for (_, hits, override), n in zip(detection.outcomes, detection.counts()):
                 if override:
                     overrides += n
-                for rule in {h.rule for h in hits}:
+                for rule in hits:
                     rule_hits[rule.value] += n
             total = len(corpus)
             disjoint = {label.value: {"count": n, "share": n / total}

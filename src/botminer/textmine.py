@@ -390,9 +390,10 @@ class SentimentLexicon:
 def load_lexicon(path=None) -> SentimentLexicon:
     """Load a two-column TSV lexicon (word <TAB> finite polarity, '#' comments).
 
-    Every word must be in cleaned token form once lowercased.
+    Every word must be in cleaned token form once lowercased, and may be
+    listed once, in any case.
     """
-    polarity = {}
+    polarity, line_of = {}, {}
     for lineno, line in read_entries(path, "lexicon.tsv"):
         parts = line.split("\t")
         if len(parts) != 2:
@@ -404,7 +405,11 @@ def load_lexicon(path=None) -> SentimentLexicon:
         except ValueError:
             raise ConfigError(f"lexicon line {lineno}: bad polarity {parts[1]!r}") from None
         word = parts[0].strip()
-        _check_cleaned(word.lower(), "lexicon", lineno)
+        key = word.lower()
+        _check_cleaned(key, "lexicon", lineno)
+        first = line_of.setdefault(key, lineno)
+        if first != lineno:
+            raise ConfigError(f"lexicon line {lineno}: {word!r} repeats line {first}")
         polarity[word] = value
     return SentimentLexicon(polarity)
 

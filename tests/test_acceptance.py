@@ -59,7 +59,7 @@ def test_criterion_1_detector_examples():
     cfg = DetectorConfig()
 
     # source rule
-    assert source_rule(tweet(source='<a href="x">twittbot</a>'), cfg).rule is Rule.SOURCE
+    assert source_rule(tweet(source='<a href="x">twittbot</a>'), cfg) is Rule.SOURCE
     assert source_rule(tweet(source='<a href="x">Twitter for iPhone</a>'), cfg) is None
     ifttt_only = DetectorConfig(suspicious_sources=frozenset({"ifttt"}))
     assert source_rule(tweet(source='<a href="x">IFTTT</a>'), ifttt_only) is not None
@@ -84,15 +84,15 @@ def test_criterion_1_detector_examples():
     # duplicate rule
     dup = duplicate_rule(corpus_of(record(i="1", text="same"),
                                    record(i="2", text="same", minutes=1)), cfg)
-    assert set(dup) == {"1", "2"}
+    assert dup == {"1", "2"}
     dup = duplicate_rule(corpus_of(record(i="1", text="same"),
                                    record(i="2", text="same", minutes=1,
                                           retweet_of="77")), cfg)
-    assert dup == {}
+    assert dup == set()
     dup = duplicate_rule(corpus_of(record(i="1", text="A"),
                                    record(i="2", text="A ", minutes=1),
                                    record(i="3", text="A", minutes=2)), cfg)
-    assert set(dup) == {"1", "2", "3"}
+    assert dup == {"1", "2", "3"}
 
     # combination: one rule -> Suspicious, two -> Bot, verified -> override
     quiet = [record(i=f"q{k}", account=f"quiet{k}", text=f"quiet {k}", minutes=k * 60)

@@ -18,7 +18,6 @@ from botminer.detector import (
     DetectorConfig,
     Label,
     Rule,
-    RuleHit,
     activity_rule,
     activity_threshold,
     classify,
@@ -56,8 +55,7 @@ def config_with(**kw):
 
 def test_source_rule_listed_app():
     t = tweet(source='<a href="http://twittbot.net">twittbot</a>')
-    hit = source_rule(t, config_with())
-    assert hit is not None and hit.rule is Rule.SOURCE
+    assert source_rule(t, config_with()) is Rule.SOURCE
 
 
 def test_source_rule_official_app_clean():
@@ -76,8 +74,8 @@ def test_source_rule_case_insensitive():
 # ---------------------------------------------------------------------------
 
 def test_ratio_rule_near_equal_counts():
-    hit = ratio_rule(stats_of(followers=7492, friends=7841), DetectorConfig())
-    assert hit is not None and hit.rule is Rule.RATIO  # gap ~0.0445
+    rule = ratio_rule(stats_of(followers=7492, friends=7841), DetectorConfig())
+    assert rule is Rule.RATIO  # gap ~0.0445
 
 
 def test_ratio_rule_skewed_counts():
@@ -132,7 +130,7 @@ def test_activity_threshold_empty():
 
 
 def test_activity_rule_strict_comparison():
-    assert activity_rule(stats_of(rate=1082), 165).rule is Rule.ACTIVITY
+    assert activity_rule(stats_of(rate=1082), 165) is Rule.ACTIVITY
     assert activity_rule(stats_of(rate=165), 165) is None
     assert activity_rule(stats_of(rate=97), 165) is None
 
@@ -145,50 +143,46 @@ def test_duplicate_rule_pair_of_identical_texts():
     corpus = corpus_of(record(i="1", text="same again"),
                        record(i="2", text="same again", minutes=1),
                        record(i="3", text="different", minutes=2))
-    hits = duplicate_rule(corpus, DetectorConfig())
-    assert set(hits) == {"1", "2"}
-    assert all(h.rule is Rule.DUPLICATE for h in hits.values())
+    assert duplicate_rule(corpus, DetectorConfig()) == {"1", "2"}
 
 
 def test_duplicate_rule_retweets_exempt():
     corpus = corpus_of(record(i="1", text="same again"),
                        record(i="2", text="same again", minutes=1, retweet_of="99"))
-    assert duplicate_rule(corpus, DetectorConfig()) == {}
+    assert duplicate_rule(corpus, DetectorConfig()) == set()
 
 
 def test_duplicate_rule_trims_whitespace():
     corpus = corpus_of(record(i="1", text="A"),
                        record(i="2", text="A ", minutes=1),
                        record(i="3", text="A", minutes=2))
-    assert set(duplicate_rule(corpus, DetectorConfig())) == {"1", "2", "3"}
+    assert duplicate_rule(corpus, DetectorConfig()) == {"1", "2", "3"}
 
 
 def test_duplicate_rule_cluster_floor():
     corpus = corpus_of(record(i="1", text="x"), record(i="2", text="x", minutes=1))
     cfg = config_with(duplicate_min_cluster=3)
-    assert duplicate_rule(corpus, cfg) == {}
+    assert duplicate_rule(corpus, cfg) == set()
 
 
 def test_duplicate_rule_retweets_never_anchor():
     # three identical retweets: cluster never forms
     corpus = corpus_of(*[record(i=str(k), text="RT @x: spam", minutes=k) for k in range(3)],
                        record(i="9", text="lonely", minutes=9))
-    assert duplicate_rule(corpus, DetectorConfig()) == {}
+    assert duplicate_rule(corpus, DetectorConfig()) == set()
 
 
 def _duplicate_rule_per_text(corpus, config):
-    """Reference for duplicate_rule: one id list per stripped text, one RuleHit per id."""
+    """Reference for duplicate_rule: one id list per stripped text, every id of a large one."""
     clusters = defaultdict(list)
     for t in corpus.tweets:
         if not t.is_retweet:
             clusters[t.text.strip()].append(t.id)
-    hits = {}
+    duplicates = set()
     for ids in clusters.values():
         if len(ids) >= config.duplicate_min_cluster:
-            for tweet_id in ids:
-                hits[tweet_id] = RuleHit(
-                    Rule.DUPLICATE, f"identical text shared by {len(ids)} non-retweet tweets")
-    return hits
+            duplicates.update(ids)
+    return duplicates
 
 
 padding = st.sampled_from(["", " ", "\t", "  \n", "\u3000"])
@@ -363,15 +357,26 @@ def _classify_per_tweet(corpus, config):
     out = []
     for tweet in corpus.tweets:
         account = corpus.accounts[tweet.author_id]
-        hits = [hit for hit in (ratio_rule(account, config), activity_rule(account, threshold),
-                                source_rule(tweet, config), duplicates.get(tweet.id))
-                if hit is not None]
-        n_rules = len({hit.rule for hit in hits})
+        fired = [ratio_rule(account, config), activity_rule(account, threshold),
+                 source_rule(tweet, config), Rule.DUPLICATE if tweet.id in duplicates else None]
+        rules = frozenset(rule for rule in fired if rule is not None)
+        n_rules = len(rules)
         label = Label.BOT if n_rules >= 2 else Label.SUSPICIOUS if n_rules else Label.NO_BOT
         override = bool(n_rules) and account.verified
-        out.append(Classification(tweet.id, Label.NO_BOT if override else label,
-                                  frozenset(hits), override))
+        out.append(Classification(tweet.id, Label.NO_BOT if override else label, rules, override))
     return out
+
+
+def _check_outcomes(detection):
+    """Distinct outcomes, at most 31, each labelled by its rule count and override."""
+    outcomes = detection.outcomes
+    assert len(set(outcomes)) == len(outcomes) <= 31
+    for label, rules, override in outcomes:
+        assert all(isinstance(rule, Rule) for rule in rules)
+        assert not override or rules  # an override only marks suppressed rules
+        expected = (Label.NO_BOT if override or not rules
+                    else Label.SUSPICIOUS if len(rules) == 1 else Label.BOT)
+        assert label is expected
 
 
 oracle_rows = st.lists(st.tuples(
@@ -398,10 +403,11 @@ def test_classify_equals_per_tweet_loop(rows, config):
                          in enumerate(rows)))
     detection = classify(corpus, config)
     reference = _classify_per_tweet(corpus, config)
-    assert list(detection) == reference  # ids, labels, hit sets and overrides
+    assert list(detection) == reference  # ids, labels, rule sets and overrides
     assert [c.rules for c in detection] == [c.rules for c in reference]
     assert (Counter(h for c in detection for h in c.hits)
             == Counter(h for c in reference for h in c.hits))
+    _check_outcomes(detection)
 
 
 def test_classify_keeps_no_tracked_object_per_tweet(default_synth):
@@ -413,6 +419,7 @@ def test_classify_keeps_no_tracked_object_per_tweet(default_synth):
     gc.collect()
     assert len(gc.get_objects()) - before < len(corpus) / 10
     assert len(detection) == len(corpus)
+    _check_outcomes(detection)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +505,19 @@ def test_config_validation():
             DetectorConfig(**kw)
 
 
+def test_config_rejects_unknown_strategy_like_the_parser():
+    cfg = DetectorConfig(activity_strategy="IqrFence")
+    assert cfg.activity_strategy is ActivityStrategy.IQR_FENCE
+    with pytest.raises(ConfigError) as parsed:
+        parse_activity_strategy("bogus")
+    with pytest.raises(ConfigError) as configured:
+        DetectorConfig(activity_strategy="bogus")
+    assert str(configured.value) == str(parsed.value)
+    for alias in ("iqr", "quantile"):  # the short spellings stay the parser's
+        with pytest.raises(ConfigError, match=repr(alias)):
+            DetectorConfig(activity_strategy=alias)
+
+
 def test_config_normalizes_source_case():
     cfg = config_with(suspicious_sources=frozenset({"TwittBot", "IFTTT"}))
     assert cfg.suspicious_sources == frozenset({"twittbot", "ifttt"})
@@ -572,9 +592,3 @@ def test_load_detector_config_rejects_bad_syntax(tmp_path):
     with pytest.raises(ConfigError, match="line|expected"):
         load_detector_config(cfg_path)
 
-
-def test_rule_hit_reasons_are_informative():
-    hit = ratio_rule(stats_of(followers=7492, friends=7841), DetectorConfig())
-    assert "7492" in hit.reason and "7841" in hit.reason
-    t = tweet(source='<a href="x">twittbot</a>')
-    assert "twittbot" in source_rule(t, DetectorConfig()).reason

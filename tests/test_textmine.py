@@ -685,6 +685,13 @@ def test_load_lexicon_rejects_word_no_token_can_equal(tmp_path):
             load_lexicon(path)
 
 
+def test_load_lexicon_rejects_repeated_word(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("good\t1\n# comment\nbad\t-1\nGOOD\t-1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"line 4: 'GOOD' repeats line 1"):
+        load_lexicon(path)
+
+
 def test_default_lexicon_loads():
     lex = load_lexicon()
     assert len(lex) > 20
