@@ -13,10 +13,13 @@ import json
 import re
 import unicodedata
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import partial
+from itertools import count
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .errors import EmptyCorpusError, MalformedRecordError
 
@@ -83,11 +86,60 @@ class AccountStats(NamedTuple):
     account_created_at: datetime
 
 
+_N_TWEET_FIELDS = len(Tweet._fields)
+_N_FIELDS = _N_TWEET_FIELDS + len(AccountSnapshot._fields)  # of one row
+# a Tweet or an AccountStats from a tuple of its fields, at C level
+_new_tweet = partial(tuple.__new__, Tweet)
+_new_account_stats = partial(tuple.__new__, AccountStats)
+
+
+class _TweetView(Sequence):
+    """A corpus's tweets in order, each Tweet built from the columns on demand.
+
+    Indexing gives one Tweet (negative indices too) and a slice a tuple of
+    them.  It equals another view, or a tuple, of equal Tweets in the same
+    order.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(_new_tweet, zip(*(column[i] for column in self._columns))))
+        return Tweet._make(column[i] for column in self._columns)
+
+    def __iter__(self):
+        return map(_new_tweet, zip(*self._columns))
+
+    def __eq__(self, other):
+        if isinstance(other, _TweetView):
+            return self._columns == other._columns
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+
 @dataclass(frozen=True, slots=True)
 class Corpus:
-    """An ingested corpus plus per-account aggregates."""
+    """An ingested corpus: per-tweet columns plus per-account aggregates.
 
-    tweets: tuple
+    Tweet i is ``ids[i]``, ``texts[i]``, ``created_at[i]``,
+    ``source_apps[i]``, ``is_retweet[i]`` and ``author_ids[i]``; each column
+    is a tuple in corpus order, and ``tweets`` builds Tweets from them.
+    """
+
+    ids: tuple
+    texts: tuple
+    created_at: tuple
+    source_apps: tuple
+    is_retweet: tuple
+    author_ids: tuple
     accounts: Mapping[str, AccountStats]
     span_start: datetime
     span_end: datetime
@@ -96,12 +148,18 @@ class Corpus:
     rate_basis: str
 
     @property
+    def tweets(self) -> _TweetView:
+        """The tweets in corpus order, as a read-only sequence of Tweets."""
+        return _TweetView((self.ids, self.texts, self.created_at, self.source_apps,
+                           self.is_retweet, self.author_ids))
+
+    @property
     def span_days(self) -> float:
         """Observation span in days, floored at one hour."""
         return _span_days(self.span_start, self.span_end)
 
     def __len__(self) -> int:
-        return len(self.tweets)
+        return len(self.ids)
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -188,10 +246,9 @@ class _Parser:
             dt = self._timestamps[raw] = parse_timestamp(raw)
         return dt
 
-    def parse(self, obj: Mapping) -> tuple[Tweet, tuple]:
-        """See parse_record; the author fields come as a plain tuple in
-        AccountSnapshot order, which the GC stops tracking (a NamedTuple it
-        never does)."""
+    def parse(self, obj: Mapping) -> tuple:
+        """See parse_record; the record comes as one plain tuple: the Tweet
+        fields, then the AccountSnapshot fields."""
         if type(obj) is not dict and not isinstance(obj, Mapping):
             raise MalformedRecordError("record is not a JSON object")
         get = obj.get
@@ -231,8 +288,8 @@ class _Parser:
         statuses = user_get("statuses_count")
         if type(statuses) is not int or not 0 <= statuses <= _MAX_COUNT:
             statuses = _count_field(user, "statuses_count")
-        author = (screen_name, followers, friends, verified, statuses,
-                  self._timestamp(raw_user_created) if raw_user_created else created_at)
+        account_created = (self._timestamp(raw_user_created) if raw_user_created
+                           else created_at)
 
         is_retweet = (
             get("retweeted_status") is not None
@@ -245,7 +302,8 @@ class _Parser:
         source_app = self._sources.get(raw_source)
         if source_app is None:
             source_app = self._sources[raw_source] = extract_source_app(raw_source)
-        return Tweet(tweet_id, text, created_at, source_app, is_retweet, account_id), author
+        return (tweet_id, text, created_at, source_app, is_retweet, account_id,
+                screen_name, followers, friends, verified, statuses, account_created)
 
 
 def _id(obj: Mapping) -> str:
@@ -270,8 +328,8 @@ def parse_record(obj: Mapping) -> tuple[Tweet, AccountSnapshot]:
     that cannot be written as UTF-8, unparseable or out-of-range timestamps,
     negative or oversized counts.
     """
-    tweet, author = _Parser().parse(obj)
-    return tweet, AccountSnapshot._make(author)
+    row = _Parser().parse(obj)
+    return Tweet._make(row[:_N_TWEET_FIELDS]), AccountSnapshot._make(row[_N_TWEET_FIELDS:])
 
 
 def _span_days(start: datetime, end: datetime) -> float:
@@ -289,63 +347,59 @@ def _check_rate_basis(rate_basis: str) -> None:
         raise ValueError(f"unknown rate basis {rate_basis!r}")
 
 
-def _aggregate_accounts(tweets: tuple, authors: Sequence[tuple], span_days: float,
-                        span_end: datetime, rate_basis: str) -> dict:
-    """AccountStats per account from its latest tweet's author fields.
+def _aggregate_accounts(fields: Sequence, created_at: tuple, author_ids: tuple,
+                        span_days: float, span_end: datetime, rate_basis: str) -> dict:
+    """AccountStats per account from its latest row's author fields.
 
-    *authors* holds each tweet's author fields in AccountSnapshot order,
-    parallel to *tweets*.  The latest tweet is the one with the largest
-    ``created_at``; of equal timestamps, the later one.
+    *fields* are build_corpus's rows, flattened; *created_at* and
+    *author_ids* are their columns.  The latest row is the one with the
+    largest ``created_at``; of equal timestamps, the later one.
     """
-    latest: dict[str, int] = {}  # account_id -> index of its latest tweet
-    for i, tweet in enumerate(tweets):
-        j = latest.get(tweet.author_id)
-        if j is None or tweet.created_at >= tweets[j].created_at:
-            latest[tweet.author_id] = i
-    n_tweets = Counter(tweet.author_id for tweet in tweets)
+    latest: dict[str, int] = {}  # account_id -> index of its latest row
+    latest_of = latest.get
+    for i, acct, created in zip(count(), author_ids, created_at):
+        j = latest_of(acct)
+        if j is None or created >= created_at[j]:
+            latest[acct] = i
+    n_tweets = Counter(author_ids)
 
     out = {}
     for acct, i in latest.items():
-        screen_name, followers, friends, verified, statuses, created = authors[i]
+        row = i * _N_FIELDS
+        screen_name, followers, friends, verified, statuses, created = \
+            fields[row + _N_TWEET_FIELDS:row + _N_FIELDS]
         n = n_tweets[acct]
         if rate_basis == RATE_CORPUS_WINDOW:
             rate = n / span_days
         else:
             rate = statuses / _lifetime_days(created, span_end)
-        out[acct] = AccountStats(acct, screen_name, followers, friends, verified,
-                                 statuses, n, rate, created)
+        out[acct] = _new_account_stats((acct, screen_name, followers, friends, verified,
+                                        statuses, n, rate, created))
     return out
 
 
-def build_corpus(records: Iterable[tuple], rate_basis: str = RATE_CORPUS_WINDOW,
+def build_corpus(fields: Sequence, rate_basis: str = RATE_CORPUS_WINDOW,
                  skipped_count: int = 0, duplicate_count: int = 0) -> Corpus:
-    """Assemble a Corpus from parse_record's (Tweet, AccountSnapshot) pairs.
+    """Assemble a Corpus from its rows, flattened into one sequence.
 
-    Tweet order is preserved.  A snapshot may also be a plain tuple of the
-    same fields, as ingest passes it.  The snapshots only feed the account
-    aggregates; the Corpus keeps none of them.
+    A row holds one tweet's Tweet fields, then its AccountSnapshot fields
+    (a parse_record pair ``tweet + snapshot``); *fields* holds the rows one
+    after another, in corpus order, as ingest collects them.  The Corpus
+    keeps the Tweet fields as columns; the author fields only feed the
+    account aggregates, and the Corpus keeps none of them.
     """
     _check_rate_basis(rate_basis)
-    tweets, authors = [], []
-    for tweet, author in records:
-        tweets.append(tweet)
-        authors.append(author)
-    if not tweets:
+    if not fields:
         raise EmptyCorpusError("no usable tweets")
-    tweets = tuple(tweets)
-    span_start = min(t.created_at for t in tweets)
-    span_end = max(t.created_at for t in tweets)
-    accounts = _aggregate_accounts(tweets, authors, _span_days(span_start, span_end),
-                                   span_end, rate_basis)
-    return Corpus(
-        tweets=tweets,
-        accounts=accounts,
-        span_start=span_start,
-        span_end=span_end,
-        skipped_count=skipped_count,
-        duplicate_count=duplicate_count,
-        rate_basis=rate_basis,
-    )
+    if len(fields) % _N_FIELDS:
+        raise ValueError(f"{len(fields)} fields are not whole rows of {_N_FIELDS}")
+    columns = [tuple(fields[k::_N_FIELDS]) for k in range(_N_TWEET_FIELDS)]
+    _, _, created_at, _, _, author_ids = columns
+    span_start, span_end = min(created_at), max(created_at)
+    accounts = _aggregate_accounts(fields, created_at, author_ids,
+                                   _span_days(span_start, span_end), span_end, rate_basis)
+    return Corpus(*columns, accounts, span_start, span_end, skipped_count, duplicate_count,
+                  rate_basis)
 
 
 def _decode_error(line: str, msg: str, pos: int) -> MalformedRecordError:
@@ -376,10 +430,9 @@ def ingest(path, strictness: str = LENIENT,
     _check_rate_basis(rate_basis)
     parse = _Parser().parse
     scan_once = json.JSONDecoder().scan_once
-    by_id: dict[str, Tweet] = {}
-    authors: dict[str, tuple] = {}  # tweet id -> its author fields, as parse gives them
+    fields: list = []  # each record's row, flattened: no object lives per record
+    add_row = fields.extend
     skipped = 0
-    duplicates = 0
     with open(Path(path), "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -396,23 +449,19 @@ def ingest(path, strictness: str = LENIENT,
                     raise MalformedRecordError(f"invalid JSON: {exc}") from None
                 if end != len(line):
                     raise _decode_error(line, "Extra data", end)
-                tweet, author = parse(obj)
+                add_row(parse(obj))
             except MalformedRecordError as exc:
                 if strictness == STRICT:
                     raise MalformedRecordError(f"line {lineno}: {exc}") from None
                 skipped += 1
-                continue
-            tweet_id = tweet.id
-            if tweet_id in by_id:
-                duplicates += 1
-            by_id[tweet_id] = tweet
-            authors[tweet_id] = author
-    if not by_id:
+    if not fields:
         raise EmptyCorpusError(f"no usable records in {path}")
-    # Both dicts got the same keys in the same order, so their values pair up.
-    # Copied out, the dicts go before the accounts are aggregated.
-    tweets, author_rows = tuple(by_id.values()), tuple(authors.values())
-    del by_id, authors
-    # build_corpus unpacks each pair at once, so zip reuses one pair tuple.
-    return build_corpus(zip(tweets, author_rows), rate_basis=rate_basis,
+    ids = fields[::_N_FIELDS]
+    duplicates = len(ids) - len(set(ids))
+    if duplicates:
+        # each id's last record, at its first record's position
+        last = dict(zip(ids, count())).values()
+        fields = [field for r in last for field in fields[r * _N_FIELDS:(r + 1) * _N_FIELDS]]
+    del ids
+    return build_corpus(fields, rate_basis=rate_basis,
                         skipped_count=skipped, duplicate_count=duplicates)

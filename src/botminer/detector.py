@@ -9,15 +9,17 @@ and a verified author trumps everything back to NoBot.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
+from operator import not_
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from . import stats
 from .corpus import AccountStats, Corpus, Tweet
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real
 from .listfile import read_entries
 
 __all__ = [
@@ -187,8 +189,9 @@ class DetectorConfig:
     suspicious_sources: frozenset = field(default_factory=load_suspicious_sources)
 
     def __post_init__(self):
-        if self.min_followers < 0:
-            raise ConfigError(f"min_followers must be >= 0, got {self.min_followers}")
+        check_int("min_followers", self.min_followers, 0)
+        for name in ("ratio_tolerance", "activity_quantile", "iqr_multiplier"):
+            check_real(name, getattr(self, name))
         if not 0.0 <= self.ratio_tolerance <= 1.0:
             raise ConfigError(f"ratio_tolerance must be in [0, 1], got {self.ratio_tolerance}")
         if not 0.0 < self.activity_quantile < 1.0:
@@ -197,12 +200,14 @@ class DetectorConfig:
             raise ConfigError(f"iqr_multiplier must be > 0, got {self.iqr_multiplier}")
         if self.iqr_fence_base not in ("q3", "median"):
             raise ConfigError(f"iqr_fence_base must be 'q3' or 'median', got {self.iqr_fence_base!r}")
-        if self.duplicate_min_cluster < 2:
-            raise ConfigError(f"duplicate_min_cluster must be >= 2, got {self.duplicate_min_cluster}")
+        check_int("duplicate_min_cluster", self.duplicate_min_cluster, 2)
         object.__setattr__(self, "activity_strategy", _exact_strategy(self.activity_strategy))
+        sources = self.suspicious_sources
+        if (isinstance(sources, str) or not isinstance(sources, Collection)
+                or not all(isinstance(s, str) for s in sources)):
+            raise ConfigError(f"suspicious_sources must be a collection of str, got {sources!r:.80}")
         # case-insensitive matching: normalize once
-        object.__setattr__(self, "suspicious_sources",
-                           frozenset(s.lower() for s in self.suspicious_sources))
+        object.__setattr__(self, "suspicious_sources", frozenset(s.lower() for s in sources))
         if not self.suspicious_sources:
             raise ConfigError("suspicious_sources must not be empty")
 
@@ -315,15 +320,49 @@ def duplicate_rule(corpus: Corpus, config: DetectorConfig) -> set:
     ``duplicate_min_cluster`` do not fire.  Retweets are exempt because
     duplication is their normal mode of existence.
     """
-    originals = [t for t in corpus.tweets if not t.is_retweet]
-    texts = [t.text.strip() for t in originals]  # each text stripped once
+    # each original's text, stripped once
+    texts = list(map(str.strip, compress(corpus.texts, map(not_, corpus.is_retweet))))
     shared = {text for text, n in Counter(texts).items() if n >= config.duplicate_min_cluster}
-    return {t.id for t, text in zip(originals, texts) if text in shared}
+    originals = compress(corpus.ids, map(not_, corpus.is_retweet))
+    return set(compress(originals, map(shared.__contains__, texts)))
 
 
 # ---------------------------------------------------------------------------
 # combination
 # ---------------------------------------------------------------------------
+
+# A Tweet that carries only a client app, for source_rule.
+_APP_ONLY = Tweet("", "", None, "", False, "")
+
+
+class _OutcomeCodes(dict):
+    """(kind, app, is duplicate) -> outcome code, each key combined once.
+
+    A kind indexes *kinds*, whose entries are an account's (ratio rule,
+    activity rule, verified flag).  ``code_of`` maps each outcome
+    ``(label, hits, verified_override)`` to its code, first seen first.
+    """
+
+    def __init__(self, kinds: list, config: DetectorConfig):
+        super().__init__()
+        self._kinds = kinds
+        self._config = config
+        self.code_of: dict[tuple, int] = {}
+
+    def __missing__(self, key: tuple) -> int:
+        kind, app, duplicate = key
+        ratio, activity, verified = self._kinds[kind]
+        source = source_rule(_APP_ONLY._replace(source_app=app), self._config)
+        hits = frozenset(rule for rule in (ratio, activity, source,
+                                           Rule.DUPLICATE if duplicate else None)
+                         if rule is not None)
+        label = Label.BOT if len(hits) >= 2 else Label.SUSPICIOUS if hits else Label.NO_BOT
+        override = bool(hits) and verified
+        if override:
+            label = Label.NO_BOT  # verified authors are trusted outright
+        code = self[key] = _code(self.code_of, (label, hits, override))
+        return code
+
 
 def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
     """Classify every tweet in the corpus.
@@ -332,7 +371,7 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
     tweets; tweet-level rules (source, duplicate) apply individually.  The
     activity threshold is computed over the whole corpus population first.
     Returns a Detection: the Classifications in corpus order, with that
-    threshold.
+    threshold.  Its tweet ids are the corpus's id column itself.
     """
     if config is None:
         config = DetectorConfig()
@@ -348,31 +387,14 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
                                           activity_rule(account, threshold),
                                           account.verified), len(kinds))
                for acct_id, account in corpus.accounts.items()}
-    kind_list = list(kinds)
 
     # A tweet's outcome follows from its account's kind, its app and whether
-    # its text is a duplicate; each is combined and coded once.
-    code_of: dict[tuple, int] = {}  # outcome -> code
-    key_codes: dict[tuple, int] = {}  # (kind, app, is duplicate) -> code
-    tweet_ids, codes = [], []
-    for tweet in corpus.tweets:
-        kind = kind_of[tweet.author_id]
-        duplicate = tweet.id in duplicates
-        key = (kind, tweet.source_app, duplicate)
-        c = key_codes.get(key)
-        if c is None:
-            ratio, activity, verified = kind_list[kind]
-            hits = frozenset(rule for rule in (ratio, activity, source_rule(tweet, config),
-                                               Rule.DUPLICATE if duplicate else None)
-                             if rule is not None)
-            label = Label.BOT if len(hits) >= 2 else Label.SUSPICIOUS if hits else Label.NO_BOT
-            override = bool(hits) and verified
-            if override:
-                label = Label.NO_BOT  # verified authors are trusted outright
-            c = key_codes[key] = _code(code_of, (label, hits, override))
-        tweet_ids.append(tweet.id)
-        codes.append(c)
-    return Detection(tuple(tweet_ids), codes, tuple(code_of), threshold)
+    # its text is a duplicate; each such key is combined and coded once.
+    outcome_codes = _OutcomeCodes(list(kinds), config)
+    keys = zip(map(kind_of.__getitem__, corpus.author_ids), corpus.source_apps,
+               map(duplicates.__contains__, corpus.ids))
+    codes = list(map(outcome_codes.__getitem__, keys))
+    return Detection(corpus.ids, codes, tuple(outcome_codes.code_of), threshold)
 
 
 def group_summary(detection: Detection) -> dict:

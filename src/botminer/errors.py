@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config value checks."""
+
+import math
 
 
 class BotminerError(Exception):
@@ -24,3 +26,18 @@ class PipelineStageError(BotminerError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """ConfigError unless *value* is an int (a bool is not) of at least *minimum*."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """ConfigError unless *value* is a finite int or float (a bool is not)."""
+    if (type(value) is bool or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")

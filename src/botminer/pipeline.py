@@ -29,7 +29,7 @@ from . import detector as detector_mod
 from . import stats as stats_mod
 from . import textmine as textmine_mod
 from .detector import Classification, Detection, DetectorConfig, Label
-from .errors import ConfigError, PipelineStageError
+from .errors import ConfigError, PipelineStageError, check_int, check_real
 from .stats import KsResult
 
 __all__ = [
@@ -84,8 +84,29 @@ class PipelineSettings:
     lexicon_path: str | None = None
 
     def __post_init__(self):
-        if self.output_format not in CLASSIFICATION_FILES:
-            raise ValueError(f"output_format must be csv or jsonl, got {self.output_format!r}")
+        """ConfigError for any bad field, so a bad setting fails before any corpus byte is read."""
+        if not isinstance(self.detector, DetectorConfig):
+            raise ConfigError(f"detector must be a DetectorConfig, got {self.detector!r}")
+        for name, allowed in (
+                ("rate_basis", (corpus_mod.RATE_CORPUS_WINDOW, corpus_mod.RATE_LIFETIME)),
+                ("strictness", (corpus_mod.LENIENT, corpus_mod.STRICT)),
+                ("output_format", tuple(CLASSIFICATION_FILES))):
+            value = getattr(self, name)
+            if type(value) is not str or value not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+        if type(self.query_term) is not str:
+            raise ConfigError(f"query_term must be a str, got {self.query_term!r}")
+        check_real("min_df", self.min_df)
+        check_real("max_df", self.max_df)
+        if not 0.0 <= self.min_df < self.max_df <= 1.0:
+            raise ConfigError("the document-frequency band needs 0 <= min_df < max_df <= 1, "
+                              f"got min_df={self.min_df}, max_df={self.max_df}")
+        for name in ("window", "k_terms", "k_neighbors"):
+            check_int(name, getattr(self, name), 1)
+        for name in ("stopwords_path", "lexicon_path"):
+            path = getattr(self, name)
+            if path is not None and not isinstance(path, (str, os.PathLike)):
+                raise ConfigError(f"{name} must be a path or None, got {path!r}")
 
     def load_lists(self) -> tuple:
         """The (stop-word set, SentimentLexicon) pair read from the configured files.

@@ -52,7 +52,12 @@ def tweet(**kw):
 
 
 def corpus_of(*recs, rate_basis="corpus-window"):
-    return build_corpus([parse_record(r) for r in recs], rate_basis=rate_basis)
+    return build_corpus(fields_of(map(parse_record, recs)), rate_basis=rate_basis)
+
+
+def fields_of(pairs):
+    """parse_record pairs as build_corpus takes them: every pair's fields in turn."""
+    return [field for tweet, author in pairs for field in tweet + author]
 
 
 def doc(*tokens, tweet_id="d1"):

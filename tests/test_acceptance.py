@@ -334,9 +334,9 @@ print(json.dumps({"elapsed": elapsed, "hwm_kib": hwm_kib, "tweets": summary.tota
 @pytest.mark.scale
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_criterion_9_pipeline_scale(scale_corpus, tmp_path):
-    """Paper-scale corpus: the whole execute_pipeline < 120 s, peak RSS < 1.5 GiB.
+    """Paper-scale corpus: the whole execute_pipeline < 60 s, peak RSS < 1.5 GiB.
 
-    The budget may only be tightened, down to the 60 s / 1.5 GiB target.
+    That is the 60 s / 1.5 GiB target; the budget may only be tightened.
     """
     src_root = Path(botminer.__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -350,7 +350,7 @@ def test_criterion_9_pipeline_scale(scale_corpus, tmp_path):
 
     assert 850_000 <= result["tweets"] <= 950_000
     assert (out / "run_summary.json").is_file()
-    assert result["elapsed"] < 120.0
+    assert result["elapsed"] < 60.0
     assert peak_gib < 1.5
     print(f"\n[PASS] criterion 9: {result['tweets']} tweets through execute_pipeline in "
-          f"{result['elapsed']:.1f}s (< 120s), peak {peak_gib:.2f} GiB (< 1.5 GiB)")
+          f"{result['elapsed']:.1f}s (< 60s), peak {peak_gib:.2f} GiB (< 1.5 GiB)")

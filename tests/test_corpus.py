@@ -1,5 +1,6 @@
 """Ingestion, record parsing, and per-account aggregation."""
 
+import gc
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from botminer.corpus import (
     LENIENT,
     RATE_LIFETIME,
     STRICT,
+    Tweet,
     build_corpus,
     extract_source_app,
     ingest,
@@ -18,7 +20,7 @@ from botminer.corpus import (
 )
 from botminer.errors import EmptyCorpusError, MalformedRecordError
 
-from conftest import WEB_CLIENT, corpus_of, record, tweet, write_ndjson
+from conftest import WEB_CLIENT, corpus_of, fields_of, record, tweet, write_ndjson
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +447,57 @@ def test_span_floor_one_hour():
 def test_build_corpus_empty():
     with pytest.raises(EmptyCorpusError):
         build_corpus(())
+
+
+def test_build_corpus_rejects_partial_rows():
+    fields = fields_of([parse_record(record())])
+    with pytest.raises(ValueError, match="whole rows"):
+        build_corpus(fields[:-1])
+
+
+# ---------------------------------------------------------------------------
+# corpus.tweets: Tweets built from the columns on demand
+# ---------------------------------------------------------------------------
+
+view_rows = st.lists(st.tuples(
+    st.sampled_from(["hello", "RT @x hello", " café ", "bye"]),
+    st.integers(0, 90),                             # minutes
+    st.sampled_from(["u1", "u2", "u3"]),
+    st.sampled_from([WEB_CLIENT, "Twitter for iPhone", ""]),
+), min_size=1, max_size=12)
+
+
+@given(view_rows, st.data())
+def test_tweet_view_equals_tuple_of_parse_record_tweets(rows, data):
+    pairs = [parse_record(record(i=f"t{k}", text=text, minutes=minutes, account=account,
+                                 source=source))
+             for k, (text, minutes, account, source) in enumerate(rows)]
+    corpus = build_corpus(fields_of(pairs))
+    expected = tuple(tweet for tweet, _ in pairs)
+    view = corpus.tweets
+
+    assert len(view) == len(corpus) == len(expected)
+    assert view == expected and expected == view and not view != expected
+    assert view == build_corpus(fields_of(pairs)).tweets
+    assert view != expected[:-1]
+    assert tuple(view) == expected and all(type(t) is Tweet for t in view)
+    i = data.draw(st.integers(-len(expected), len(expected) - 1), label="index")
+    assert view[i] == expected[i] and type(view[i]) is Tweet
+    cut = data.draw(st.slices(len(expected)), label="slice")
+    assert view[cut] == expected[cut]
+    for out_of_range in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            view[out_of_range]
+    assert (corpus.ids, corpus.texts, corpus.created_at, corpus.source_apps,
+            corpus.is_retweet, corpus.author_ids) == tuple(zip(*expected))
+
+
+def test_ingest_keeps_no_tracked_object_per_tweet(default_synth):
+    gc.collect()
+    before = len(gc.get_objects())
+    corpus = ingest(default_synth[0])
+    gc.collect()
+    assert len(gc.get_objects()) - before < len(corpus) / 10
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,11 @@ def test_classify_equals_per_tweet_loop(rows, config):
     _check_outcomes(detection)
 
 
+def test_classify_shares_the_corpus_id_column(default_synth):
+    corpus = ingest(default_synth[0])
+    assert classify(corpus).tweet_ids is corpus.ids
+
+
 def test_classify_keeps_no_tracked_object_per_tweet(default_synth):
     corpus = ingest(default_synth[0])
     config = DetectorConfig()
@@ -503,6 +508,25 @@ def test_config_validation():
                {"iqr_fence_base": "q2"}, {"suspicious_sources": frozenset()}):
         with pytest.raises(ConfigError):
             DetectorConfig(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"suspicious_sources": "twittbot"}, {"suspicious_sources": b"twittbot"},
+    {"suspicious_sources": [1]}, {"suspicious_sources": None},
+    {"min_followers": "5"}, {"min_followers": True}, {"min_followers": 5.0},
+    {"ratio_tolerance": None}, {"ratio_tolerance": "0.1"}, {"activity_quantile": True},
+    {"iqr_multiplier": float("nan")}, {"iqr_multiplier": float("inf")},
+    {"duplicate_min_cluster": 2.5}, {"duplicate_min_cluster": True},
+], ids=repr)
+def test_config_checks_field_types(kw):
+    with pytest.raises(ConfigError, match=next(iter(kw))):
+        DetectorConfig(**kw)
+
+
+def test_config_accepts_ints_for_reals_and_any_str_collection():
+    cfg = DetectorConfig(ratio_tolerance=0, iqr_multiplier=2, suspicious_sources=["TwittBot"])
+    assert (cfg.ratio_tolerance, cfg.iqr_multiplier) == (0, 2)
+    assert cfg.suspicious_sources == frozenset({"twittbot"})
 
 
 def test_config_rejects_unknown_strategy_like_the_parser():

@@ -339,8 +339,42 @@ def test_settings_defaults():
 
 
 def test_settings_rejects_bad_format():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PipelineSettings(output_format="xml")
+
+
+@pytest.mark.parametrize("kw", [
+    {"window": 0}, {"window": "5"}, {"window": 5.0}, {"window": True},
+    {"min_df": 0.5, "max_df": 0.2}, {"min_df": 0.3, "max_df": 0.3}, {"min_df": -0.1},
+    {"max_df": 1.5}, {"min_df": None}, {"max_df": float("nan")}, {"min_df": "0.01"},
+    {"strictness": "strcit"}, {"rate_basis": "x"}, {"rate_basis": "window"},
+    {"output_format": "CSV"}, {"k_terms": 0}, {"k_neighbors": 0}, {"k_terms": 2.0},
+    {"query_term": None}, {"detector": None}, {"stopwords_path": 3}, {"lexicon_path": b"x"},
+], ids=repr)
+def test_settings_reject_bad_fields(kw):
+    with pytest.raises(ConfigError, match=next(iter(kw))):
+        PipelineSettings(**kw)
+
+
+def test_settings_accept_ints_for_reals():
+    s = PipelineSettings(min_df=0, max_df=1)
+    assert (s.min_df, s.max_df) == (0, 1)
+
+
+def test_bad_setting_runs_no_stage(tmp_path, monkeypatch):
+    corpus = write_ndjson(tmp_path / "c.ndjson", [record()])
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(pipeline.corpus_mod, "ingest", no_stage)
+    monkeypatch.setattr(PipelineSettings, "load_lists", no_stage)
+    for flags in ({"window": 0}, {"min_df": 0.5, "max_df": 0.2}, {"k_terms": 0}):
+        with pytest.raises(PipelineStageError) as err:
+            run_pipeline(corpus, flags=flags, out_dir=tmp_path / "out")
+        assert err.value.stage == "config"
+        assert isinstance(err.value.cause, ConfigError)
+    assert not (tmp_path / "out").exists()
 
 
 def test_settings_from_flags_precedence(tmp_path):
