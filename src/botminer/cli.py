@@ -17,7 +17,6 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import detector as detector_mod
 from . import pipeline as pipeline_mod
-from . import syngen as syngen_mod
 from .errors import BotminerError, PipelineStageError
 
 
@@ -136,6 +135,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import syngen as syngen_mod  # only synth needs it: other commands start without
+
     config = syngen_mod.SynthConfig(
         seed=args.seed, n_humans=args.humans, n_bots=args.bots,
         span_hours=args.span_hours, human_rate_mean=args.human_rate,

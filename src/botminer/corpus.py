@@ -14,7 +14,6 @@ import re
 import unicodedata
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import count
@@ -125,27 +124,35 @@ class _TweetView(Sequence):
         return NotImplemented
 
 
-@dataclass(frozen=True, slots=True)
 class Corpus:
     """An ingested corpus: per-tweet columns plus per-account aggregates.
 
     Tweet i is ``ids[i]``, ``texts[i]``, ``created_at[i]``,
     ``source_apps[i]``, ``is_retweet[i]`` and ``author_ids[i]``; each column
     is a tuple in corpus order, and ``tweets`` builds Tweets from them.
+    ``accounts`` maps each account id to its AccountStats.
     """
 
-    ids: tuple
-    texts: tuple
-    created_at: tuple
-    source_apps: tuple
-    is_retweet: tuple
-    author_ids: tuple
-    accounts: Mapping[str, AccountStats]
-    span_start: datetime
-    span_end: datetime
-    skipped_count: int
-    duplicate_count: int
-    rate_basis: str
+    __slots__ = ("ids", "texts", "created_at", "source_apps", "is_retweet", "author_ids",
+                 "accounts", "span_start", "span_end", "skipped_count", "duplicate_count",
+                 "rate_basis")
+
+    def __init__(self, ids: tuple, texts: tuple, created_at: tuple, source_apps: tuple,
+                 is_retweet: tuple, author_ids: tuple, accounts: Mapping[str, AccountStats],
+                 span_start: datetime, span_end: datetime, skipped_count: int,
+                 duplicate_count: int, rate_basis: str):
+        self.ids = ids
+        self.texts = texts
+        self.created_at = created_at
+        self.source_apps = source_apps
+        self.is_retweet = is_retweet
+        self.author_ids = author_ids
+        self.accounts = accounts
+        self.span_start = span_start
+        self.span_end = span_end
+        self.skipped_count = skipped_count
+        self.duplicate_count = duplicate_count
+        self.rate_basis = rate_basis
 
     @property
     def tweets(self) -> _TweetView:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
 from operator import not_
@@ -157,8 +156,7 @@ class Detection(Sequence):
         return disjoint
 
 
-@dataclass(frozen=True)
-class GroupShare:
+class GroupShare(NamedTuple):
     count: int
     share: float
 
@@ -175,10 +173,10 @@ def load_suspicious_sources(path=None) -> frozenset:
     return frozenset(names)
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Tunable knobs for the four rules and their combination."""
+_BUNDLED = object()  # suspicious_sources default: the bundled list, read per config
 
+
+class _DetectorFields(NamedTuple):
     min_followers: int = 100
     ratio_tolerance: float = 0.10
     activity_strategy: ActivityStrategy = ActivityStrategy.QUANTILE
@@ -186,9 +184,21 @@ class DetectorConfig:
     iqr_multiplier: float = 1.5
     iqr_fence_base: str = "q3"  # "q3" (upper fence) or "median"
     duplicate_min_cluster: int = 2
-    suspicious_sources: frozenset = field(default_factory=load_suspicious_sources)
+    suspicious_sources: frozenset = _BUNDLED
 
-    def __post_init__(self):
+
+class DetectorConfig(_DetectorFields):
+    """Tunable knobs for the four rules and their combination.
+
+    A named tuple whose fields are checked and normalized at construction
+    (ConfigError); ``_replace`` and ``_make`` skip that, so build a changed
+    config anew: ``DetectorConfig(**{**cfg._asdict(), "activity_quantile": 0.9})``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_int("min_followers", self.min_followers, 0)
         for name in ("ratio_tolerance", "activity_quantile", "iqr_multiplier"):
             check_real(name, getattr(self, name))
@@ -201,15 +211,17 @@ class DetectorConfig:
         if self.iqr_fence_base not in ("q3", "median"):
             raise ConfigError(f"iqr_fence_base must be 'q3' or 'median', got {self.iqr_fence_base!r}")
         check_int("duplicate_min_cluster", self.duplicate_min_cluster, 2)
-        object.__setattr__(self, "activity_strategy", _exact_strategy(self.activity_strategy))
+        strategy = _exact_strategy(self.activity_strategy)
         sources = self.suspicious_sources
+        if sources is _BUNDLED:
+            sources = load_suspicious_sources()
         if (isinstance(sources, str) or not isinstance(sources, Collection)
                 or not all(isinstance(s, str) for s in sources)):
             raise ConfigError(f"suspicious_sources must be a collection of str, got {sources!r:.80}")
-        # case-insensitive matching: normalize once
-        object.__setattr__(self, "suspicious_sources", frozenset(s.lower() for s in sources))
-        if not self.suspicious_sources:
+        sources = frozenset(s.lower() for s in sources)  # case-insensitive matching
+        if not sources:
             raise ConfigError("suspicious_sources must not be empty")
+        return self._replace(activity_strategy=strategy, suspicious_sources=sources)
 
 
 _STRATEGY_ALIASES = {
@@ -236,7 +248,7 @@ def parse_activity_strategy(raw: str) -> ActivityStrategy:
 def load_detector_config(path, sources_path=None) -> DetectorConfig:
     """Build a DetectorConfig from a ``key = value`` text file.
 
-    Recognized keys mirror the dataclass fields; ``sources_file`` points to a
+    Recognized keys mirror the DetectorConfig fields; ``sources_file`` points to a
     suspicious-app list resolved relative to the config file.  An explicit
     *sources_path* argument wins over the file's ``sources_file`` key.
     """

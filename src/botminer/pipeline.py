@@ -20,9 +20,8 @@ import shutil
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import corpus as corpus_mod
 from . import detector as detector_mod
@@ -66,11 +65,11 @@ _STAGING_PREFIX = ".partial-"
 _STAGING_NAME = re.compile(r"\.partial-(\d+)-[a-z0-9_]{8}")
 
 
-@dataclass(frozen=True)
-class PipelineSettings:
-    """Everything that influences pipeline output, in one fingerprintable bag."""
+_DEFAULT_DETECTOR = object()  # detector default: a DetectorConfig() per settings
 
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
+
+class _SettingsFields(NamedTuple):
+    detector: DetectorConfig = _DEFAULT_DETECTOR
     rate_basis: str = corpus_mod.RATE_CORPUS_WINDOW
     strictness: str = corpus_mod.LENIENT
     output_format: str = "csv"  # classification file format: csv | jsonl
@@ -83,9 +82,22 @@ class PipelineSettings:
     stopwords_path: str | None = None
     lexicon_path: str | None = None
 
-    def __post_init__(self):
-        """ConfigError for any bad field, so a bad setting fails before any corpus byte is read."""
-        if not isinstance(self.detector, DetectorConfig):
+
+class PipelineSettings(_SettingsFields):
+    """Everything that influences pipeline output, in one fingerprintable bag.
+
+    A named tuple whose fields are checked at construction, so a bad setting
+    fails (ConfigError) before any corpus byte is read; ``_replace`` and
+    ``_make`` skip the checks, so build changed settings anew.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.detector is _DEFAULT_DETECTOR:
+            self = self._replace(detector=DetectorConfig())
+        elif not isinstance(self.detector, DetectorConfig):
             raise ConfigError(f"detector must be a DetectorConfig, got {self.detector!r}")
         for name, allowed in (
                 ("rate_basis", (corpus_mod.RATE_CORPUS_WINDOW, corpus_mod.RATE_LIFETIME)),
@@ -96,6 +108,8 @@ class PipelineSettings:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         if type(self.query_term) is not str:
             raise ConfigError(f"query_term must be a str, got {self.query_term!r}")
+        # tokens are compared with it lowercased; any other form filters nothing
+        textmine_mod.check_cleaned(self.query_term.lower(), "query_term")
         check_real("min_df", self.min_df)
         check_real("max_df", self.max_df)
         if not 0.0 <= self.min_df < self.max_df <= 1.0:
@@ -107,6 +121,7 @@ class PipelineSettings:
             path = getattr(self, name)
             if path is not None and not isinstance(path, (str, os.PathLike)):
                 raise ConfigError(f"{name} must be a path or None, got {path!r}")
+        return self
 
     def load_lists(self) -> tuple:
         """The (stop-word set, SentimentLexicon) pair read from the configured files.
@@ -158,8 +173,7 @@ class PipelineSettings:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
-class RunSummary:
+class RunSummary(NamedTuple):
     """Outcome of one pipeline run.
 
     ``timings`` lives only on this object; the JSON written to disk excludes
@@ -468,7 +482,7 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
                     "d_statistic": res.d_statistic, "p_value": res.p_value,
                     "n1": res.n1, "n2": res.n2}) for key, res in ks_results.items()},
                 artifacts=sorted(os.listdir(work_dir)) + ["run_summary.json"],
-                timings=timings,
+                timings=timings,  # this stage's own time is added below
             )
             with open(work_dir / "run_summary.json", "w", encoding="utf-8", newline="\n") as fh:
                 json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
@@ -478,7 +492,6 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
                 if name != class_name:
                     (out_dir / name).unlink(missing_ok=True)
             timings[stage] = time.perf_counter() - t0
-            summary.timings = dict(timings)
             return summary
         except Exception as exc:
             raise PipelineStageError(stage, exc) from exc
@@ -494,7 +507,7 @@ _RATE_BASIS_ALIASES = {
 def settings_from_flags(config_path=None, flags: Mapping | None = None) -> PipelineSettings:
     """Resolve a detector config file plus flag overrides into PipelineSettings.
 
-    Precedence: dataclass defaults < config file < flags.  Flag keys mirror
+    Precedence: field defaults < config file < flags.  Flag keys mirror
     the CLI: activity_strategy, quantile, ratio_tolerance, sources, lexicon,
     stopwords, rate_basis, strict, format, and the text-mining knobs
     (query_term, min_df, max_df, window, k_terms, k_neighbors).
@@ -522,8 +535,8 @@ def settings_from_flags(config_path=None, flags: Mapping | None = None) -> Pipel
             det_overrides[field_name] = flags.pop(flag)
         else:
             flags.pop(flag, None)
-    if det_overrides:
-        det = replace(det, **det_overrides)
+    if det_overrides:  # through the constructor, so the overrides are checked too
+        det = DetectorConfig(**{**det._asdict(), **det_overrides})
 
     kwargs = {"detector": det}
     rate_basis = flags.pop("rate_basis", None)

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "NEAREST_RANK",
@@ -59,8 +58,7 @@ def quantile(values: Iterable[float], q: float, method: str = NEAREST_RANK) -> f
     raise ValueError(f"unknown quantile method {method!r}")
 
 
-@dataclass(frozen=True)
-class Ecdf:
+class Ecdf(NamedTuple):
     """Right-continuous empirical CDF of a fixed sample.
 
     ``values`` are the sample's distinct values in increasing order and
@@ -90,8 +88,7 @@ def ecdf(counts: Mapping[float, int]) -> Ecdf:
     return Ecdf(tuple(x for x, _ in items), cumulative, cumulative[-1])
 
 
-@dataclass(frozen=True)
-class KsResult:
+class KsResult(NamedTuple):
     """Two-sample KS statistic with its asymptotic p-value."""
 
     d_statistic: float

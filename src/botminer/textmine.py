@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -22,6 +21,7 @@ from .listfile import read_entries
 __all__ = [
     "DEFAULT_QUERY_TERM",
     "TokenizedDoc",
+    "check_cleaned",
     "load_stopwords",
     "tokenize_text",
     "dropped_words",
@@ -61,11 +61,18 @@ def _clean(raw: str) -> str:
     return prefix + body
 
 
-def _check_cleaned(entry: str, what: str, lineno: int) -> None:
-    """Reject a list entry that no cleaned token can equal."""
-    if _clean(entry) != entry:
-        raise ConfigError(f"{what} line {lineno}: {entry!r} is not a cleaned token "
-                          f"(expected {_clean(entry)!r}), so it would never match")
+def check_cleaned(entry: str, what: str, lineno: int | None = None) -> None:
+    """ConfigError for an entry that no cleaned token can equal.
+
+    *what* names the entry, or the list file it is on line *lineno* of.
+    """
+    if entry and _clean(entry) == entry:
+        return
+    where = what if lineno is None else f"{what} line {lineno}"
+    if not entry:
+        raise ConfigError(f"{where} is empty, so it would never match")
+    raise ConfigError(f"{where}: {entry!r} is not a cleaned token "
+                      f"(expected {_clean(entry)!r}), so it would never match")
 
 
 def load_stopwords(path=None) -> frozenset:
@@ -76,7 +83,7 @@ def load_stopwords(path=None) -> frozenset:
     words = set()
     for lineno, line in read_entries(path, "stopwords.txt"):
         word = line.lower()
-        _check_cleaned(word, "stop-word list", lineno)
+        check_cleaned(word, "stop-word list", lineno)
         words.add(word)
     if not words:
         raise ConfigError("stop-word list is empty")
@@ -202,8 +209,7 @@ def group_docs(detection: Detection, docs: Iterable[TokenizedDoc]) -> dict:
 # TF-IDF with document-frequency pruning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VocabModel:
+class VocabModel(NamedTuple):
     """Pruned vocabulary with corpus-wide per-term totals.
 
     ``counts[term]`` is the term's occurrence count over all docs and
@@ -247,11 +253,11 @@ def build_vocab(model: CooccurrenceModel, min_df: float = 0.01,
 # skip-window co-occurrence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CooccurrenceModel:
+class CooccurrenceModel(NamedTuple):
     """Symmetric co-occurrence counts within a token window, plus term counts.
 
-    Models of disjoint doc sets add up (``+``) to the model of their union.
+    Models of disjoint doc sets add up (``+``) to the model of their union;
+    ``+`` adds the counts, it does not concatenate the tuples.
     """
 
     window: int
@@ -368,17 +374,15 @@ def top_cooccurrents(model: CooccurrenceModel, k_terms: int = 20,
 # dictionary sentiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SentimentLexicon:
     """Word -> polarity map with case-insensitive lookup."""
 
-    polarity: Mapping[str, float]
+    __slots__ = ("polarity",)
 
-    def __post_init__(self):
-        if not self.polarity:
+    def __init__(self, polarity: Mapping[str, float]):
+        if not polarity:
             raise ConfigError("sentiment lexicon is empty")
-        object.__setattr__(
-            self, "polarity", {w.lower(): float(v) for w, v in self.polarity.items()})
+        self.polarity = {w.lower(): float(v) for w, v in polarity.items()}
 
     def value(self, token: str) -> float | None:
         return self.polarity.get(token.lower())
@@ -406,7 +410,7 @@ def load_lexicon(path=None) -> SentimentLexicon:
             raise ConfigError(f"lexicon line {lineno}: bad polarity {parts[1]!r}") from None
         word = parts[0].strip()
         key = word.lower()
-        _check_cleaned(key, "lexicon", lineno)
+        check_cleaned(key, "lexicon", lineno)
         first = line_of.setdefault(key, lineno)
         if first != lineno:
             raise ConfigError(f"lexicon line {lineno}: {word!r} repeats line {first}")

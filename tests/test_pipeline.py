@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -350,6 +351,7 @@ def test_settings_rejects_bad_format():
     {"strictness": "strcit"}, {"rate_basis": "x"}, {"rate_basis": "window"},
     {"output_format": "CSV"}, {"k_terms": 0}, {"k_neighbors": 0}, {"k_terms": 2.0},
     {"query_term": None}, {"detector": None}, {"stopwords_path": 3}, {"lexicon_path": b"x"},
+    {"query_term": "Iran!"}, {"query_term": "iran protests"}, {"query_term": ""},
 ], ids=repr)
 def test_settings_reject_bad_fields(kw):
     with pytest.raises(ConfigError, match=next(iter(kw))):
@@ -369,7 +371,9 @@ def test_bad_setting_runs_no_stage(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline.corpus_mod, "ingest", no_stage)
     monkeypatch.setattr(PipelineSettings, "load_lists", no_stage)
-    for flags in ({"window": 0}, {"min_df": 0.5, "max_df": 0.2}, {"k_terms": 0}):
+    # quantile and ratio_tolerance override fields of an already built DetectorConfig
+    for flags in ({"window": 0}, {"min_df": 0.5, "max_df": 0.2}, {"k_terms": 0},
+                  {"quantile": 1.5}, {"ratio_tolerance": -0.5}):
         with pytest.raises(PipelineStageError) as err:
             run_pipeline(corpus, flags=flags, out_dir=tmp_path / "out")
         assert err.value.stage == "config"
@@ -436,6 +440,10 @@ def test_fingerprint_stable_and_sensitive():
     tweaked = PipelineSettings(detector=DetectorConfig(ratio_tolerance=0.2))
     assert tweaked.fingerprint() != base.fingerprint()
     assert PipelineSettings(window=4).fingerprint() != base.fingerprint()
+    # query terms in cleaned form, in any case, stay valid with the same fingerprints
+    assert PipelineSettings(query_term="iran").fingerprint() == "8ce6488eb20f63f1"
+    assert PipelineSettings(query_term="Iran").fingerprint() == "0bac5cfb8d6f28dd"
+    assert PipelineSettings(query_term="#iran").fingerprint() == "3a8f7901146e8de8"
 
 
 def test_fingerprint_hashes_source_content(tmp_path):
@@ -554,6 +562,64 @@ def test_cli_empty_corpus_names_stage(tmp_path, capsys):
 def test_cli_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# what the package exported when it imported syngen and rng eagerly
+PACKAGE_NAMES = [
+    "AccountSnapshot", "AccountStats", "ActivityStrategy", "BotminerError", "Classification",
+    "ConfigError", "CooccurrenceModel", "Corpus", "Detection", "DetectionReport",
+    "DetectorConfig", "Ecdf", "EmptyCorpusError", "KsResult", "Label", "MalformedRecordError",
+    "PipelineSettings", "PipelineStageError", "Rule", "RunSummary", "SentimentLexicon",
+    "SplitMix64", "SynthConfig", "TokenizedDoc", "Tweet", "VocabModel", "activity_rule",
+    "activity_threshold", "build_corpus", "build_vocab", "classify", "cooccurrence",
+    "duplicate_rule", "ecdf", "evaluate_detection", "execute_pipeline", "extract_source_app",
+    "fold_groups", "generate", "group_docs", "group_mean_sentiment", "group_summary",
+    "group_word_sentiment_samples", "ingest", "ks_two_sample", "load_detector_config",
+    "load_ground_truth", "load_lexicon", "load_stopwords", "load_suspicious_sources",
+    "quantile", "ratio_rule", "run_pipeline", "settings_from_flags", "source_rule",
+    "tfidf_weight", "tokenize_corpus", "top_cooccurrents",
+]
+PACKAGE_MODULES = ["corpus", "detector", "errors", "listfile", "pipeline", "rng", "stats",
+                   "syngen", "textmine"]
+SYNGEN_NAMES = ["DetectionReport", "SplitMix64", "SynthConfig", "evaluate_detection",
+                "generate", "load_ground_truth"]  # from syngen and rng, loaded on first use
+
+_IMPORT_CHILD = """
+import json, sys
+before = set(sys.modules)
+import botminer.cli, botminer.pipeline
+out = {"loaded": sorted(set(sys.modules) - before)}
+import botminer
+names, lazy, modules = json.loads(sys.argv[1])
+out["eager_missing"] = [n for n in names if n not in lazy and not hasattr(botminer, n)]
+out["syngen_after_eager"] = "botminer.syngen" in sys.modules
+botminer.SynthConfig
+out["syngen_after_lazy"] = "botminer.syngen" in sys.modules
+out["missing"] = [n for n in names + modules if not hasattr(botminer, n)]
+star = {}
+exec("from botminer import *", star)
+out["star_missing"] = [n for n in names if n not in star]
+print(json.dumps(out))
+"""
+
+
+def test_cli_import_loads_no_module_a_run_does_not_use():
+    """dataclasses and inspect (its import) and syngen and rng (synth's) stay unloaded."""
+    src_root = Path(pipeline.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src_root), env.get("PYTHONPATH"))))
+    names = json.dumps([PACKAGE_NAMES, SYNGEN_NAMES, PACKAGE_MODULES])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, names],
+                          env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    unused = {"dataclasses", "inspect", "botminer.syngen", "botminer.rng"}
+    assert "botminer.pipeline" in out["loaded"]
+    assert unused.isdisjoint(out["loaded"])
+    assert out["eager_missing"] == [] and not out["syngen_after_eager"]
+    assert out["syngen_after_lazy"]  # on first access to one of its names
+    assert out["missing"] == [] and out["star_missing"] == []
+
 
 # ---------------------------------------------------------------------------
 # leftovers of killed runs; classification records formatted once per outcome
