@@ -13,12 +13,13 @@ import json
 import re
 import unicodedata
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import ItemsView, Mapping, Sequence
 from datetime import datetime, timedelta, timezone
 from functools import partial
-from itertools import count
+from itertools import count, repeat
+from operator import sub, truediv
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import EmptyCorpusError, MalformedRecordError
 
@@ -124,13 +125,54 @@ class _TweetView(Sequence):
         return NotImplemented
 
 
+class _AccountView(Mapping):
+    """A corpus's accounts by id, each AccountStats built from the columns on demand.
+
+    ``columns`` is an AccountStats whose fields are the per-account columns,
+    tuples in the order of each account's first tweet; iteration gives the
+    account ids in that order.  Each access builds a new AccountStats.
+    """
+
+    __slots__ = ("columns", "_positions")
+
+    def __init__(self, columns: AccountStats):
+        self.columns = columns
+        self._positions = None  # account id -> column index, built on first lookup
+
+    def __len__(self) -> int:
+        return len(self.columns.account_id)
+
+    def __iter__(self):
+        return iter(self.columns.account_id)
+
+    def __getitem__(self, account_id) -> AccountStats:
+        if self._positions is None:
+            self._positions = dict(zip(self.columns.account_id, count()))
+        i = self._positions[account_id]
+        return AccountStats._make(column[i] for column in self.columns)
+
+    def items(self) -> ItemsView:
+        return _AccountItems(self)
+
+
+class _AccountItems(ItemsView):
+    """Items built from the columns at C level, with no lookup by id."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        columns = self._mapping.columns
+        return zip(columns.account_id, map(_new_account_stats, zip(*columns)))
+
+
 class Corpus:
     """An ingested corpus: per-tweet columns plus per-account aggregates.
 
     Tweet i is ``ids[i]``, ``texts[i]``, ``created_at[i]``,
     ``source_apps[i]``, ``is_retweet[i]`` and ``author_ids[i]``; each column
     is a tuple in corpus order, and ``tweets`` builds Tweets from them.
-    ``accounts`` maps each account id to its AccountStats.
+    ``accounts`` maps each account id to its AccountStats, built from
+    per-account columns on demand.
     """
 
     __slots__ = ("ids", "texts", "created_at", "source_apps", "is_retweet", "author_ids",
@@ -344,23 +386,19 @@ def _span_days(start: datetime, end: datetime) -> float:
     return max(end - start, _MIN_SPAN).total_seconds() / _SECONDS_PER_DAY
 
 
-def _lifetime_days(account_created: datetime, span_end: datetime) -> float:
-    age = (span_end - account_created).total_seconds() / _SECONDS_PER_DAY
-    return max(age, 1.0)  # brand-new accounts count as one day old
-
-
 def _check_rate_basis(rate_basis: str) -> None:
     if rate_basis not in (RATE_CORPUS_WINDOW, RATE_LIFETIME):
         raise ValueError(f"unknown rate basis {rate_basis!r}")
 
 
-def _aggregate_accounts(fields: Sequence, created_at: tuple, author_ids: tuple,
-                        span_days: float, span_end: datetime, rate_basis: str) -> dict:
-    """AccountStats per account from its latest row's author fields.
+def _account_columns(fields: Sequence, created_at: tuple, author_ids: tuple,
+                     span_days: float, span_end: datetime, rate_basis: str) -> AccountStats:
+    """The per-account columns, from each account's latest row's author fields.
 
     *fields* are build_corpus's rows, flattened; *created_at* and
     *author_ids* are their columns.  The latest row is the one with the
-    largest ``created_at``; of equal timestamps, the later one.
+    largest ``created_at``; of equal timestamps, the later one.  Accounts
+    are in the order of their first row.
     """
     latest: dict[str, int] = {}  # account_id -> index of its latest row
     latest_of = latest.get
@@ -368,21 +406,22 @@ def _aggregate_accounts(fields: Sequence, created_at: tuple, author_ids: tuple,
         j = latest_of(acct)
         if j is None or created >= created_at[j]:
             latest[acct] = i
-    n_tweets = Counter(author_ids)
-
-    out = {}
-    for acct, i in latest.items():
-        row = i * _N_FIELDS
-        screen_name, followers, friends, verified, statuses, created = \
-            fields[row + _N_TWEET_FIELDS:row + _N_FIELDS]
-        n = n_tweets[acct]
-        if rate_basis == RATE_CORPUS_WINDOW:
-            rate = n / span_days
-        else:
-            rate = statuses / _lifetime_days(created, span_end)
-        out[acct] = _new_account_stats((acct, screen_name, followers, friends, verified,
-                                        statuses, n, rate, created))
-    return out
+    n_tweets = Counter(author_ids)  # in first-row order, as latest is
+    # each author field's column: that field of every row, at the latest rows
+    screen_names, followers, friends, verified, statuses, account_created = (
+        tuple(map(fields[k::_N_FIELDS].__getitem__, latest.values()))
+        for k in range(_N_TWEET_FIELDS, _N_FIELDS))
+    counts = tuple(n_tweets.values())
+    if rate_basis == RATE_CORPUS_WINDOW:
+        rates = map(truediv, counts, repeat(span_days))
+    else:
+        # statuses over the account's age in days; brand-new accounts count as one day old
+        ages = map(truediv, map(timedelta.total_seconds,
+                                map(sub, repeat(span_end), account_created)),
+                   repeat(_SECONDS_PER_DAY))
+        rates = map(truediv, statuses, map(max, ages, repeat(1.0)))
+    return AccountStats(tuple(n_tweets), screen_names, followers, friends, verified,
+                        statuses, counts, tuple(rates), account_created)
 
 
 def build_corpus(fields: Sequence, rate_basis: str = RATE_CORPUS_WINDOW,
@@ -393,7 +432,7 @@ def build_corpus(fields: Sequence, rate_basis: str = RATE_CORPUS_WINDOW,
     (a parse_record pair ``tweet + snapshot``); *fields* holds the rows one
     after another, in corpus order, as ingest collects them.  The Corpus
     keeps the Tweet fields as columns; the author fields only feed the
-    account aggregates, and the Corpus keeps none of them.
+    per-account columns, and the Corpus keeps no other of them.
     """
     _check_rate_basis(rate_basis)
     if not fields:
@@ -403,8 +442,9 @@ def build_corpus(fields: Sequence, rate_basis: str = RATE_CORPUS_WINDOW,
     columns = [tuple(fields[k::_N_FIELDS]) for k in range(_N_TWEET_FIELDS)]
     _, _, created_at, _, _, author_ids = columns
     span_start, span_end = min(created_at), max(created_at)
-    accounts = _aggregate_accounts(fields, created_at, author_ids,
-                                   _span_days(span_start, span_end), span_end, rate_basis)
+    accounts = _AccountView(_account_columns(fields, created_at, author_ids,
+                                             _span_days(span_start, span_end), span_end,
+                                             rate_basis))
     return Corpus(*columns, accounts, span_start, span_end, skipped_count, duplicate_count,
                   rate_basis)
 
@@ -461,6 +501,7 @@ def ingest(path, strictness: str = LENIENT,
                 if strictness == STRICT:
                     raise MalformedRecordError(f"line {lineno}: {exc}") from None
                 skipped += 1
+    del parse, scan_once  # free the parse caches before build_corpus, where memory peaks
     if not fields:
         raise EmptyCorpusError(f"no usable records in {path}")
     ids = fields[::_N_FIELDS]

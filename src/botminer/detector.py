@@ -191,11 +191,15 @@ class DetectorConfig(_DetectorFields):
     """Tunable knobs for the four rules and their combination.
 
     A named tuple whose fields are checked and normalized at construction
-    (ConfigError); ``_replace`` and ``_make`` skip that, so build a changed
-    config anew: ``DetectorConfig(**{**cfg._asdict(), "activity_quantile": 0.9})``.
+    (ConfigError), by ``_make`` and ``_replace`` too.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _replace builds through _make, so this checks both
+        return cls(*super()._make(iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -221,7 +225,8 @@ class DetectorConfig(_DetectorFields):
         sources = frozenset(s.lower() for s in sources)  # case-insensitive matching
         if not sources:
             raise ConfigError("suspicious_sources must not be empty")
-        return self._replace(activity_strategy=strategy, suspicious_sources=sources)
+        return super().__new__(cls, **{**self._asdict(), "activity_strategy": strategy,
+                                       "suspicious_sources": sources})
 
 
 _STRATEGY_ALIASES = {
@@ -387,8 +392,7 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
     """
     if config is None:
         config = DetectorConfig()
-    threshold = activity_threshold(
-        (a.tweets_per_day for a in corpus.accounts.values()), config)
+    threshold = activity_threshold(corpus.accounts.columns.tweets_per_day, config)
     duplicates = duplicate_rule(corpus, config)
 
     # Accounts with the same account rules and verified flag classify alike:

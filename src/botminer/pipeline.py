@@ -87,16 +87,21 @@ class PipelineSettings(_SettingsFields):
     """Everything that influences pipeline output, in one fingerprintable bag.
 
     A named tuple whose fields are checked at construction, so a bad setting
-    fails (ConfigError) before any corpus byte is read; ``_replace`` and
-    ``_make`` skip the checks, so build changed settings anew.
+    fails (ConfigError) before any corpus byte is read; ``_make`` and
+    ``_replace`` check them too.
     """
 
     __slots__ = ()
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _replace builds through _make, so this checks both
+        return cls(*super()._make(iterable))
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.detector is _DEFAULT_DETECTOR:
-            self = self._replace(detector=DetectorConfig())
+            self = super().__new__(cls, **{**self._asdict(), "detector": DetectorConfig()})
         elif not isinstance(self.detector, DetectorConfig):
             raise ConfigError(f"detector must be a DetectorConfig, got {self.detector!r}")
         for name, allowed in (

@@ -11,6 +11,7 @@ from botminer.corpus import (
     LENIENT,
     RATE_LIFETIME,
     STRICT,
+    AccountStats,
     Tweet,
     build_corpus,
     extract_source_app,
@@ -425,6 +426,14 @@ def test_latest_snapshot_wins():
     assert corpus.accounts["u1"].followers == 110
 
 
+def test_latest_snapshot_wins_out_of_time_order():
+    corpus = corpus_of(record(i="1", minutes=5, followers=110),
+                       record(i="2", minutes=0, followers=100),
+                       record(i="3", minutes=1, account="u2"))
+    assert corpus.accounts["u1"].followers == 110
+    assert list(corpus.accounts) == ["u1", "u2"]
+
+
 def test_latest_snapshot_position_breaks_timestamp_tie():
     corpus = corpus_of(record(i="1", minutes=0, followers=100),
                        record(i="2", minutes=0, followers=110))
@@ -497,7 +506,37 @@ def test_ingest_keeps_no_tracked_object_per_tweet(default_synth):
     before = len(gc.get_objects())
     corpus = ingest(default_synth[0])
     gc.collect()
-    assert len(gc.get_objects()) - before < len(corpus) / 10
+    growth = len(gc.get_objects()) - before
+    assert growth < len(corpus) / 10
+    assert growth < len(corpus.accounts) / 10  # none per account either
+
+
+# ---------------------------------------------------------------------------
+# corpus.accounts: AccountStats built from the per-account columns on demand
+# ---------------------------------------------------------------------------
+
+@given(view_rows)
+def test_account_view_is_a_mapping_of_account_stats(rows):
+    corpus = build_corpus(fields_of(
+        parse_record(record(i=f"t{k}", text=text, minutes=minutes, account=account,
+                            followers=minutes))
+        for k, (text, minutes, account, _) in enumerate(rows)))
+    view = corpus.accounts
+    as_dict = dict(view.items())
+
+    assert view == as_dict and as_dict == view and not view != as_dict
+    assert list(view) == list(dict.fromkeys(corpus.author_ids)) == list(view.keys())
+    assert list(view.values()) == list(as_dict.values()) == [view[a] for a in view]
+    assert len(view) == len(view.values()) == len(as_dict)
+    assert all(type(s) is AccountStats and s.account_id == a for a, s in as_dict.items())
+    assert tuple(zip(*as_dict.values())) == view.columns
+    assert (corpus.author_ids[0] in view and "nobody" not in view
+            and as_dict[corpus.author_ids[0]] in view.values())
+    with pytest.raises(KeyError):
+        view["nobody"]
+    assert view.get("nobody") is None
+    if len(view) > 1:
+        assert view != dict(list(as_dict.items())[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,23 @@ def test_settings_reject_bad_fields(kw):
         PipelineSettings(**kw)
 
 
+def test_replace_and_make_check_fields():
+    detector = DetectorConfig()
+    settings = PipelineSettings()
+    for bad in (lambda: detector._replace(activity_quantile=1.5),
+                lambda: settings._replace(window=0),
+                lambda: DetectorConfig._make({**detector._asdict(), "min_followers": -1}.values()),
+                lambda: PipelineSettings._make((*settings[:-1], 3))):
+        with pytest.raises(ConfigError):
+            bad()
+    tighter = detector._replace(activity_strategy="IqrFence", suspicious_sources={"Bot"})
+    assert type(tighter) is DetectorConfig
+    assert tighter.activity_strategy is ActivityStrategy.IQR_FENCE
+    assert tighter.suspicious_sources == frozenset({"bot"})  # normalized as by the constructor
+    assert settings._replace(window=3) == PipelineSettings(window=3)
+    assert PipelineSettings._make(settings) == settings
+
+
 def test_settings_accept_ints_for_reals():
     s = PipelineSettings(min_df=0, max_df=1)
     assert (s.min_df, s.max_df) == (0, 1)
