@@ -96,30 +96,31 @@ _new_account_stats = partial(tuple.__new__, AccountStats)
 class _TweetView(Sequence):
     """A corpus's tweets in order, each Tweet built from the columns on demand.
 
-    Indexing gives one Tweet (negative indices too) and a slice a tuple of
-    them.  It equals another view, or a tuple, of equal Tweets in the same
-    order.
+    ``columns`` is a Tweet whose fields are the per-tweet columns, tuples in
+    corpus order.  Indexing gives one Tweet (negative indices too) and a
+    slice a tuple of them.  It equals another view, or a tuple, of equal
+    Tweets in the same order.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ("columns",)
 
-    def __init__(self, columns: tuple):
-        self._columns = columns
+    def __init__(self, columns: Tweet):
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns.id)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(_new_tweet, zip(*(column[i] for column in self._columns))))
-        return Tweet._make(column[i] for column in self._columns)
+            return tuple(map(_new_tweet, zip(*(column[i] for column in self.columns))))
+        return Tweet._make(column[i] for column in self.columns)
 
     def __iter__(self):
-        return map(_new_tweet, zip(*self._columns))
+        return map(_new_tweet, zip(*self.columns))
 
     def __eq__(self, other):
         if isinstance(other, _TweetView):
-            return self._columns == other._columns
+            return self.columns == other.columns
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
@@ -170,7 +171,8 @@ class Corpus:
 
     Tweet i is ``ids[i]``, ``texts[i]``, ``created_at[i]``,
     ``source_apps[i]``, ``is_retweet[i]`` and ``author_ids[i]``; each column
-    is a tuple in corpus order, and ``tweets`` builds Tweets from them.
+    is a tuple in corpus order, and ``tweets`` builds Tweets from them
+    (``tweets.columns`` holds them as one Tweet).
     ``accounts`` maps each account id to its AccountStats, built from
     per-account columns on demand.
     """
@@ -199,8 +201,8 @@ class Corpus:
     @property
     def tweets(self) -> _TweetView:
         """The tweets in corpus order, as a read-only sequence of Tweets."""
-        return _TweetView((self.ids, self.texts, self.created_at, self.source_apps,
-                           self.is_retweet, self.author_ids))
+        return _TweetView(Tweet(self.ids, self.texts, self.created_at, self.source_apps,
+                                self.is_retweet, self.author_ids))
 
     @property
     def span_days(self) -> float:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from itertools import chain
+from collections.abc import Sequence
+from itertools import chain, compress, zip_longest
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -21,6 +22,7 @@ from .listfile import read_entries
 __all__ = [
     "DEFAULT_QUERY_TERM",
     "TokenizedDoc",
+    "TokenizedDocs",
     "check_cleaned",
     "load_stopwords",
     "tokenize_text",
@@ -51,6 +53,42 @@ class TokenizedDoc(NamedTuple):
 
     tweet_id: str
     tokens: tuple
+
+
+class TokenizedDocs(Sequence):
+    """Token streams in corpus order, each TokenizedDoc built on demand.
+
+    Doc i is tweet ``tweet_ids[i]`` with tokens ``streams[i]``; both are
+    tuples.  A slice is a TokenizedDocs and ``+`` joins two.  It equals a
+    list or tuple of the same TokenizedDocs in the same order.
+    """
+
+    __slots__ = ("tweet_ids", "streams")
+
+    def __init__(self, tweet_ids: tuple, streams: tuple):
+        self.tweet_ids = tweet_ids
+        self.streams = streams
+
+    def __len__(self) -> int:
+        return len(self.streams)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TokenizedDocs(self.tweet_ids[i], self.streams[i])
+        return TokenizedDoc(self.tweet_ids[i], self.streams[i])
+
+    def __iter__(self):
+        return map(TokenizedDoc, self.tweet_ids, self.streams)
+
+    def __add__(self, other):
+        if not isinstance(other, TokenizedDocs):
+            return NotImplemented
+        return TokenizedDocs(self.tweet_ids + other.tweet_ids, self.streams + other.streams)
+
+    def __eq__(self, other):
+        if isinstance(other, (TokenizedDocs, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _clean(raw: str) -> str:
@@ -140,30 +178,17 @@ def dropped_words(words: Iterable[str], stopwords: frozenset,
 
 
 def tokenize_corpus(tweets, stopwords: frozenset,
-                    query_term: str = DEFAULT_QUERY_TERM) -> list:
-    """Tokenize a tweet sequence in order, one TokenizedDoc per tweet.
+                    query_term: str = DEFAULT_QUERY_TERM) -> TokenizedDocs:
+    """Tokenize a corpus's tweets (``corpus.tweets``) in order.
 
-    Each distinct text is tokenized once and each distinct raw token cleaned
-    once; tweets with the same text share one token tuple.
+    Reads the view's id and text columns.  Each distinct text is tokenized
+    once and each distinct raw token cleaned once; tweets with the same text
+    share one token tuple.
     """
-    tokenizer = _Tokenizer(stopwords, query_term)
-    tokens_of = {}
-    docs = []
-    for t in tweets:
-        tokens = tokens_of.get(t.text)
-        if tokens is None:
-            tokens = tokens_of[t.text] = tokenizer.tokens(t.text)
-        docs.append(TokenizedDoc(t.id, tokens))
-    return docs
-
-
-def _token_streams(docs: Iterable[TokenizedDoc]) -> Counter:
-    """Distinct token streams of *docs* -> number of docs carrying each.
-
-    Keys are in first-occurrence order, so walking them visits every token
-    and pair first where a per-doc walk would.
-    """
-    return Counter(doc.tokens for doc in docs)
+    texts = tweets.columns.text
+    tokens_of = dict.fromkeys(texts)  # each distinct text; its value is set in place
+    tokens_of.update(zip(tokens_of, map(_Tokenizer(stopwords, query_term).tokens, tokens_of)))
+    return TokenizedDocs(tweets.columns.id, tuple(map(tokens_of.__getitem__, texts)))
 
 
 def _repeats(streams: Counter) -> dict:
@@ -189,19 +214,24 @@ def _count_items(streams: Counter, repeats: dict, items) -> Counter:
     return counts
 
 
-def group_docs(detection: Detection, docs: Iterable[TokenizedDoc]) -> dict:
-    """Docs per disjoint label, in input order; every doc is listed once.
+def group_docs(detection: Detection, docs: TokenizedDocs) -> dict:
+    """TokenizedDocs per disjoint label, in input order; every doc is listed once.
 
-    *detection* and *docs* are parallel sequences; a length or tweet id
-    mismatch raises ValueError.  detector.fold_groups turns per-label results
-    into per-group ones.
+    *detection* and *docs* must have equal tweet ids, or ValueError.
+    detector.fold_groups turns per-label results into per-group ones.
     """
-    groups = {label: [] for label in Label}
-    add_to = [groups[label].append for label, _, _ in detection.outcomes]  # per code
-    for tweet_id, code, doc in zip(detection.tweet_ids, detection.codes, docs, strict=True):
-        if tweet_id != doc.tweet_id:
-            raise ValueError(f"tweet id mismatch: {tweet_id!r} vs doc {doc.tweet_id!r}")
-        add_to[code](doc)
+    if detection.tweet_ids != docs.tweet_ids:
+        tweet_id, doc_id = next(pair for pair in zip_longest(detection.tweet_ids, docs.tweet_ids)
+                                if pair[0] != pair[1])
+        raise ValueError(f"tweet id mismatch: {tweet_id!r} vs doc {doc_id!r}")
+    codes = bytes(detection.codes)  # an outcome code fits a byte
+    groups = {}
+    for label in Label:
+        # per code, then per tweet: 1 where the outcome has this label, else 0
+        is_label = bytes(code_label is label for code_label, _, _ in detection.outcomes)
+        selected = codes.translate(is_label.ljust(256, b"\0"))
+        groups[label] = TokenizedDocs(tuple(compress(docs.tweet_ids, selected)),
+                                      tuple(compress(docs.streams, selected)))
     return groups
 
 
@@ -326,7 +356,7 @@ def _ordered_pair_items(window: int):
     return pairs
 
 
-def cooccurrence(docs: Iterable[TokenizedDoc], window: int = 5) -> CooccurrenceModel:
+def cooccurrence(docs: TokenizedDocs, window: int = 5) -> CooccurrenceModel:
     """Count token pairs at positional distance <= window inside each doc.
 
     Pairs never cross document boundaries and a term does not co-occur with
@@ -336,7 +366,9 @@ def cooccurrence(docs: Iterable[TokenizedDoc], window: int = 5) -> CooccurrenceM
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    streams = _token_streams(docs)
+    # distinct streams -> docs carrying each, in first-occurrence order, so
+    # walking them visits every token and pair first where a per-doc walk would
+    streams = Counter(docs.streams)
     repeats = _repeats(streams)
     pair_counts = Counter()
     for pair, c in _count_items(streams, repeats, _ordered_pair_items(window)).items():
@@ -344,7 +376,7 @@ def cooccurrence(docs: Iterable[TokenizedDoc], window: int = 5) -> CooccurrenceM
         if left != right:  # canonical (min, max), once per distinct ordered pair
             pair_counts[pair if left < right else (right, left)] += c
     return CooccurrenceModel(window, pair_counts, _count_items(streams, repeats, iter),
-                             _count_items(streams, repeats, set), sum(streams.values()))
+                             _count_items(streams, repeats, set), len(docs))
 
 
 def top_cooccurrents(model: CooccurrenceModel, k_terms: int = 20,

@@ -7,8 +7,8 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import settings
 
-from botminer.corpus import build_corpus, parse_record
-from botminer.textmine import TokenizedDoc, cooccurrence
+from botminer.corpus import Corpus, build_corpus, parse_record
+from botminer.textmine import TokenizedDocs, cooccurrence
 
 BASE = datetime(2017, 12, 30, 12, 0, 0, tzinfo=timezone.utc)
 WEB_CLIENT = '<a href="http://twitter.com" rel="nofollow">Twitter Web Client</a>'
@@ -60,12 +60,27 @@ def fields_of(pairs):
     return [field for tweet, author in pairs for field in tweet + author]
 
 
+def tweets_of(texts):
+    """corpus.tweets of one tweet per text, with ids "0", "1", ...
+
+    The Corpus is built from its columns, so *texts* may be empty, which
+    build_corpus does not allow.
+    """
+    n = len(texts)
+    columns = (tuple(map(str, range(n))), tuple(texts), (BASE,) * n, ("web",) * n,
+               (False,) * n, ("u1",) * n)
+    return Corpus(*columns, {}, BASE, BASE, 0, 0, "corpus-window").tweets
+
+
 def doc(*tokens, tweet_id="d1"):
-    return TokenizedDoc(tweet_id, tuple(tokens))
+    """TokenizedDocs of one doc; ``+`` joins several."""
+    return TokenizedDocs((tweet_id,), (tuple(tokens),))
 
 
 def docs_of(token_lists):
-    return [TokenizedDoc(f"d{i}", tuple(toks)) for i, toks in enumerate(token_lists)]
+    """TokenizedDocs of one doc per token list, with ids "d0", "d1", ..."""
+    streams = tuple(map(tuple, token_lists))
+    return TokenizedDocs(tuple(f"d{i}" for i in range(len(streams))), streams)
 
 
 def term_counts(groups):

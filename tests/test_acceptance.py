@@ -37,9 +37,9 @@ from botminer.detector import (
 from botminer.pipeline import execute_pipeline
 from botminer.stats import LINEAR, ks_two_sample, quantile
 from botminer.syngen import SynthConfig, evaluate_detection, generate, load_ground_truth
-from botminer.textmine import TokenizedDoc, build_vocab, cooccurrence, tfidf_weight
+from botminer.textmine import build_vocab, cooccurrence, tfidf_weight
 
-from conftest import corpus_of, record, tweet
+from conftest import corpus_of, docs_of, record, tweet
 
 
 def stats_of(followers=10, friends=10, rate=1.0):
@@ -184,9 +184,8 @@ def test_criterion_4_tfidf_oracle():
     rng = random.Random(103)
     for _ in range(50):
         terms = [f"w{i}" for i in range(rng.randint(2, 20))]
-        docs = [TokenizedDoc(f"d{k}", tuple(rng.choice(terms)
-                                            for _ in range(rng.randint(1, 15))))
-                for k in range(rng.randint(1, 10))]
+        docs = docs_of([[rng.choice(terms) for _ in range(rng.randint(1, 15))]
+                        for k in range(rng.randint(1, 10))])
         vocab = build_vocab(cooccurrence(docs), min_df=0.0, max_df=1.0)
         n = len(docs)
         df = Counter()
@@ -220,7 +219,7 @@ def test_criterion_5_cooccurrence_brute_force():
     for _ in range(300):
         tokens = [rng.choice(words) for _ in range(rng.randint(0, 12))]
         window = rng.randint(1, 5)
-        model = cooccurrence([TokenizedDoc("d", tuple(tokens))], window)
+        model = cooccurrence(docs_of([tokens]), window)
         expected = Counter()
         for i in range(len(tokens)):
             for j in range(i + 1, min(i + window, len(tokens) - 1) + 1):

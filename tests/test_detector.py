@@ -561,6 +561,15 @@ def test_load_suspicious_sources_file(tmp_path):
     assert load_suspicious_sources(path) == frozenset({"mybot", "dlvr.it"})
 
 
+def test_load_suspicious_sources_file_with_bom(tmp_path):
+    path = tmp_path / "sources.txt"
+    path.write_text("BotApp\nother\n", encoding="utf-8-sig")  # starts with a byte order mark
+    sources = load_suspicious_sources(path)
+    assert sources == frozenset({"botapp", "other"})
+    config = DetectorConfig(suspicious_sources=sources)
+    assert source_rule(tweet(source="BotApp"), config) is Rule.SOURCE
+
+
 def test_load_suspicious_sources_empty_file(tmp_path):
     path = tmp_path / "sources.txt"
     path.write_text("# nothing here\n", encoding="utf-8")
@@ -585,6 +594,12 @@ def test_load_detector_config_file(tmp_path):
     assert cfg.activity_strategy is ActivityStrategy.IQR_FENCE
     assert cfg.iqr_multiplier == 2.0
     assert cfg.suspicious_sources == frozenset({"mybot"})
+
+
+def test_load_detector_config_file_with_bom(tmp_path):
+    cfg_path = tmp_path / "detector.cfg"
+    cfg_path.write_text("min_followers = 50\n", encoding="utf-8-sig")
+    assert load_detector_config(cfg_path).min_followers == 50
 
 
 def test_load_detector_config_explicit_sources_win(tmp_path):

@@ -38,7 +38,7 @@ from botminer.pipeline import (
 from botminer.syngen import SynthConfig, generate
 from botminer.textmine import (
     SentimentLexicon,
-    TokenizedDoc,
+    TokenizedDocs,
     group_docs,
     group_word_sentiment_samples,
 )
@@ -770,7 +770,8 @@ def test_detection_readers_equal_per_classification_reference(tmp_path_factory, 
         with pytest.raises(ValueError):
             group_summary(detection)
 
-    docs = [TokenizedDoc(c.tweet_id, (f"w{i}",)) for i, c in enumerate(cls)]
+    docs = TokenizedDocs(tuple(c.tweet_id for c in cls),
+                         tuple((f"w{i}",) for i in range(len(cls))))
     assert group_docs(detection, docs) == {
         label: [d for d, c in zip(docs, cls) if c.label is label] for label in Label}
 

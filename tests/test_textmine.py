@@ -1,5 +1,6 @@
 """Tokenization, TF-IDF, co-occurrence, and lexicon sentiment."""
 
+import gc
 import math
 import random
 import re
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from botminer.detector import Classification, Detection, Label, fold_groups, group_summary
+from botminer.corpus import ingest
+from botminer.detector import (
+    Classification,
+    Detection,
+    Label,
+    classify,
+    fold_groups,
+    group_summary,
+)
 from botminer.errors import ConfigError
 from botminer.textmine import (
     SentimentLexicon,
@@ -27,7 +36,7 @@ from botminer.textmine import (
     top_cooccurrents,
 )
 
-from conftest import doc, docs_of, term_counts, tweet
+from conftest import corpus_of, doc, docs_of, record, term_counts, tweets_of
 
 STOPWORDS = load_stopwords()
 
@@ -72,8 +81,8 @@ def test_tokenize_drops_pure_punctuation():
 
 
 def test_tokenize_wraps_tweet():
-    t = tweet(i="55", text="Protests continue tonight")
-    (d,) = tokenize_corpus([t], STOPWORDS)
+    tweets = corpus_of(record(i="55", text="Protests continue tonight")).tweets
+    (d,) = tokenize_corpus(tweets, STOPWORDS)
     assert d.tweet_id == "55"
     assert d.tokens == ("protests", "continue", "tonight")
 
@@ -104,7 +113,7 @@ def reference_docs(tweets, stopwords, query_term="iran"):
 @given(st.lists(st.text("ab #@:/.htpIRAN", max_size=24), min_size=1, max_size=4)
        .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=20)))
 def test_tokenize_corpus_equals_per_tweet_tokenize(texts):
-    tweets = [tweet(i=str(k), text=text) for k, text in enumerate(texts)]
+    tweets = tweets_of(texts)
     docs = tokenize_corpus(tweets, STOPWORDS)
     assert docs == reference_docs(tweets, STOPWORDS)
     first = {}
@@ -128,7 +137,7 @@ texts_of_shared_tokens = st.lists(raw_tokens, min_size=1, max_size=6).flatmap(
 @given(texts_of_shared_tokens, st.sampled_from(["iran", "IRAN", "İstanbul", "ß", "σ"]))
 @example(["word up", "Word! #tag", "WORD... up"], "iran")  # one token from three raw forms
 def test_tokenize_corpus_equals_reference_on_shared_raw_tokens(texts, query):
-    tweets = [tweet(i=str(k), text=text) for k, text in enumerate(texts)]
+    tweets = tweets_of(texts)
     docs = tokenize_corpus(tweets, STOPWORDS, query)
     assert docs == reference_docs(tweets, STOPWORDS, query)
     seen = {}
@@ -165,7 +174,7 @@ def test_term_frequencies_counts():
 
 
 def test_term_frequencies_empty():
-    assert cooccurrence([]).term_freq == {}
+    assert cooccurrence(docs_of([])).term_freq == {}
 
 
 def test_term_frequencies_multi_occurrence():
@@ -221,7 +230,7 @@ def test_vocab_zero_law():
 def test_vocab_rejects_bad_band_or_empty():
     docs = docs_of([["a"]])
     with pytest.raises(ValueError):
-        build_vocab(cooccurrence([]), 0.01, 0.45)
+        build_vocab(cooccurrence(docs_of([])), 0.01, 0.45)
     for lo, hi in ((0.5, 0.5), (0.6, 0.4), (-0.1, 0.45), (0.01, 1.1)):
         with pytest.raises(ValueError):
             build_vocab(cooccurrence(docs), lo, hi)
@@ -356,7 +365,7 @@ def test_cooccurrence_equals_per_doc_loop(docs, window):
 
 def test_cooccurrence_models_of_different_windows_do_not_add():
     with pytest.raises(ValueError, match="window"):
-        cooccurrence([doc("a", "b")], 2) + cooccurrence([doc("a", "b")], 3)
+        cooccurrence(doc("a", "b"), 2) + cooccurrence(doc("a", "b"), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -364,37 +373,37 @@ def test_cooccurrence_models_of_different_windows_do_not_add():
 # ---------------------------------------------------------------------------
 
 def test_cooccurrence_triangle():
-    model = cooccurrence([doc("a", "b", "c")], window=5)
+    model = cooccurrence(doc("a", "b", "c"), window=5)
     assert model.count("a", "b") == 1
     assert model.count("a", "c") == 1
     assert model.count("b", "c") == 1
 
 
 def test_cooccurrence_window_cutoff():
-    assert cooccurrence([doc("a", "b")], window=1).count("a", "b") == 1
-    model = cooccurrence([doc("a", "x", "x", "x", "x", "x", "b")], window=5)
+    assert cooccurrence(doc("a", "b"), window=1).count("a", "b") == 1
+    model = cooccurrence(doc("a", "x", "x", "x", "x", "x", "b"), window=5)
     assert model.count("a", "b") == 0  # distance 6 exceeds the window
     assert model.count("a", "x") == 5
     assert model.count("x", "b") == 5
 
 
 def test_cooccurrence_single_token_doc():
-    assert cooccurrence([doc("solo")], window=5).pair_counts == {}
+    assert cooccurrence(doc("solo"), window=5).pair_counts == {}
 
 
 def test_cooccurrence_self_pairs_excluded():
-    model = cooccurrence([doc("a", "a", "a")], window=5)
+    model = cooccurrence(doc("a", "a", "a"), window=5)
     assert model.pair_counts == {}
     assert model.count("a", "a") == 0
 
 
 def test_cooccurrence_rejects_bad_window():
     with pytest.raises(ValueError):
-        cooccurrence([doc("a")], window=0)
+        cooccurrence(doc("a"), window=0)
 
 
 def test_cooccurrence_does_not_cross_documents():
-    model = cooccurrence([doc("a", tweet_id="d1"), doc("b", tweet_id="d2")], window=5)
+    model = cooccurrence(doc("a", tweet_id="d1") + doc("b", tweet_id="d2"), window=5)
     assert model.count("a", "b") == 0
 
 
@@ -405,7 +414,7 @@ def test_cooccurrence_symmetry_and_total():
         length = rng.randint(1, 12)
         window = rng.randint(1, 5)
         tokens = rng.sample(words, length)  # all distinct
-        model = cooccurrence([doc(*tokens)], window=window)
+        model = cooccurrence(doc(*tokens), window=window)
         for (w1, w2), c in model.pair_counts.items():
             assert model.count(w1, w2) == model.count(w2, w1) == c
         if length > window:
@@ -416,7 +425,7 @@ def test_cooccurrence_symmetry_and_total():
 
 
 def test_association_is_conditional_frequency():
-    model = cooccurrence([doc("a", "b"), doc("a", "c"), doc("a", "b")], window=5)
+    model = cooccurrence(doc("a", "b") + doc("a", "c") + doc("a", "b"), window=5)
     assert model.association("a", "b") == pytest.approx(2 / 3)
     assert model.association("b", "a") == pytest.approx(1.0)
     assert model.association("zzz", "a") == 0.0
@@ -427,8 +436,8 @@ def test_association_bounded_by_window():
     words = [f"w{i}" for i in range(6)]
     for _ in range(40):
         window = rng.randint(1, 5)
-        docs = [doc(*[rng.choice(words) for _ in range(rng.randint(1, 12))],
-                    tweet_id=f"d{k}") for k in range(rng.randint(1, 5))]
+        docs = docs_of([[rng.choice(words) for _ in range(rng.randint(1, 12))]
+                        for k in range(rng.randint(1, 5))])
         model = cooccurrence(docs, window=window)
         for w1 in words:
             for w2 in words:
@@ -439,8 +448,7 @@ def test_association_bounded_by_window():
 def test_top_cooccurrents_shape():
     rng = random.Random(36)
     words = [f"w{i}" for i in range(30)]
-    docs = [doc(*[rng.choice(words) for _ in range(8)], tweet_id=f"d{k}")
-            for k in range(40)]
+    docs = docs_of([[rng.choice(words) for _ in range(8)] for k in range(40)])
     edges = top_cooccurrents(cooccurrence(docs), k_terms=20, k_neighbors=5)
     assert len(edges) <= 100
     hubs = {hub for hub, _, _ in edges}
@@ -450,19 +458,19 @@ def test_top_cooccurrents_shape():
 
 
 def test_top_cooccurrents_single_term():
-    model = cooccurrence([doc("solo")], window=5)
+    model = cooccurrence(doc("solo"), window=5)
     assert top_cooccurrents(model) == []
 
 
 def test_top_cooccurrents_tie_breaks_lexicographic():
-    model = cooccurrence([doc("hub", "aa", tweet_id="d1"),
-                          doc("hub", "bb", tweet_id="d2")], window=5)
+    model = cooccurrence(doc("hub", "aa", tweet_id="d1") + doc("hub", "bb", tweet_id="d2"),
+                         window=5)
     edges = top_cooccurrents(model, k_terms=1, k_neighbors=2)
     assert edges == [("hub", "aa", 0.5), ("hub", "bb", 0.5)]
 
 
 def test_top_cooccurrents_rejects_bad_k():
-    model = cooccurrence([doc("a", "b")], window=1)
+    model = cooccurrence(doc("a", "b"), window=1)
     with pytest.raises(ValueError):
         top_cooccurrents(model, k_terms=0)
     with pytest.raises(ValueError):
@@ -478,7 +486,7 @@ LEX = SentimentLexicon({"bad": -1, "terrible": -1, "good": 1})
 
 def tweet_sentiment(d):
     """A tweet's sentiment: the mean sentiment of a group holding only it."""
-    samples = group_word_sentiment_samples(term_counts({Label.NO_BOT: [d]}), LEX)
+    samples = group_word_sentiment_samples(term_counts({Label.NO_BOT: d}), LEX)
     return group_mean_sentiment(samples, {Label.NO_BOT: 1})[Label.NO_BOT]
 
 
@@ -542,7 +550,7 @@ def test_word_sentiment_values_multiset():
 
 
 def test_word_sentiment_values_empty():
-    assert _word_values([]) == Counter()
+    assert _word_values(docs_of([])) == Counter()
     assert _word_values(docs_of([["quiet"], []])) == Counter()
 
 
@@ -552,9 +560,9 @@ def test_word_sentiment_values_repeats():
 
 
 def _grouped_docs():
-    docs = [doc("bad", "terrible", tweet_id="t1"),   # Bot, sentiment -2
-            doc("good", tweet_id="t2"),              # NoBot, +1
-            doc("bad", tweet_id="t3")]               # Suspicious, -1
+    docs = (doc("bad", "terrible", tweet_id="t1")    # Bot, sentiment -2
+            + doc("good", tweet_id="t2")             # NoBot, +1
+            + doc("bad", tweet_id="t3"))             # Suspicious, -1
     cls = [Classification("t1", Label.BOT, frozenset()),
            Classification("t2", Label.NO_BOT, frozenset()),
            Classification("t3", Label.SUSPICIOUS, frozenset())]
@@ -578,7 +586,7 @@ def test_group_mean_sentiment_inclusive():
 
 
 def test_group_mean_sentiment_simple_mean():
-    docs = [doc("bad", tweet_id="t1"), doc("plain", tweet_id="t2")]
+    docs = doc("bad", tweet_id="t1") + doc("plain", tweet_id="t2")
     cls = [Classification("t1", Label.NO_BOT, frozenset()),
            Classification("t2", Label.NO_BOT, frozenset())]
     means = _group_means(cls, docs)
@@ -586,7 +594,7 @@ def test_group_mean_sentiment_simple_mean():
 
 
 def test_group_mean_sentiment_empty_group_is_none():
-    docs = [doc("good", tweet_id="t1")]
+    docs = doc("good", tweet_id="t1")
     cls = [Classification("t1", Label.NO_BOT, frozenset())]
     means = _group_means(cls, docs)
     assert means[Label.BOT] is None
@@ -601,7 +609,7 @@ def test_group_samples_inclusive_and_checked():
     assert samples[Label.BOT] == Counter({-1: 2})
     assert samples[Label.NO_BOT] == Counter({1: 1})
     with pytest.raises(ValueError):
-        group_docs(Detection.of(cls), [doc("x", tweet_id="unseen")])
+        group_docs(Detection.of(cls), doc("x", tweet_id="unseen"))
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +647,45 @@ def test_group_docs_keeps_order_and_suspicious_includes_bot(label_list):
     assert (folded[Label.NO_BOT], folded[Label.BOT]) == (groups[Label.NO_BOT], groups[Label.BOT])
 
 
+@given(texts_of_shared_tokens, st.integers(1, 6), st.data())
+def test_column_path_equals_per_tweet_reference(texts, window, data):
+    corpus = corpus_of(*(record(i=str(k), text=text) for k, text in enumerate(texts)))
+    label_list = data.draw(st.lists(st.sampled_from(list(Label)), min_size=len(texts),
+                                    max_size=len(texts)), label="labels")
+    cls = [Classification(tweet_id, label, frozenset())
+           for tweet_id, label in zip(corpus.ids, label_list)]
+    want = reference_docs(corpus.tweets, STOPWORDS)
+
+    docs = tokenize_corpus(corpus.tweets, STOPWORDS)
+    assert docs == want and docs.tweet_ids is corpus.ids
+    first = {}
+    for text, tokens in zip(corpus.texts, docs.streams):  # one token tuple per distinct text
+        assert tokens is first.setdefault(text, tokens)
+    groups = group_docs(Detection.of(cls), docs)
+    for label in Label:
+        label_docs = [d for d, c in zip(want, cls) if c.label is label]
+        assert groups[label] == label_docs
+        model = cooccurrence(groups[label], window)
+        pair_counts, term_freq, doc_freq, n_docs = per_doc_cooccurrence(label_docs, window)
+        assert model.n_docs == n_docs
+        for got, expected in ((model.pair_counts, pair_counts), (model.term_freq, term_freq),
+                              (model.doc_freq, doc_freq)):
+            assert got == expected
+            assert list(got) == list(expected)  # same first-occurrence key order
+
+
+def test_analyze_keeps_no_tracked_object_per_tweet(default_synth):
+    corpus = ingest(default_synth[0])
+    detection = classify(corpus)
+    gc.collect()
+    before = len(gc.get_objects())
+    docs = tokenize_corpus(corpus.tweets, STOPWORDS)
+    groups = group_docs(detection, docs)
+    gc.collect()
+    assert len(gc.get_objects()) - before < len(corpus) / 10
+    assert sum(map(len, groups.values())) == len(docs) == len(corpus)
+
+
 @given(labels)
 def test_group_summary_counts_equal_group_sizes(label_list):
     cls, docs = _labelled(label_list)
@@ -665,6 +712,12 @@ def test_load_stopwords_custom_and_empty(tmp_path):
         load_stopwords(tmp_path / "empty.txt")
 
 
+def test_load_stopwords_file_with_bom(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("foo\nbar\n", encoding="utf-8-sig")  # starts with a byte order mark
+    assert load_stopwords(path) == frozenset({"foo", "bar"})
+
+
 def test_load_stopwords_rejects_entry_no_token_can_equal(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("@User\nDont\n", encoding="utf-8")
@@ -683,6 +736,12 @@ def test_load_lexicon_rejects_word_no_token_can_equal(tmp_path):
         path.write_text(f"fine\t1\n{word}\t-1\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="line 2"):
             load_lexicon(path)
+
+
+def test_load_lexicon_file_with_bom(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("good\t1\nbad\t-1\n", encoding="utf-8-sig")
+    assert load_lexicon(path).polarity == {"good": 1.0, "bad": -1.0}
 
 
 def test_load_lexicon_rejects_repeated_word(tmp_path):
