@@ -13,7 +13,7 @@ import json
 import re
 import unicodedata
 from collections import Counter
-from collections.abc import ItemsView, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import count, repeat
@@ -88,9 +88,8 @@ class AccountStats(NamedTuple):
 
 _N_TWEET_FIELDS = len(Tweet._fields)
 _N_FIELDS = _N_TWEET_FIELDS + len(AccountSnapshot._fields)  # of one row
-# a Tweet or an AccountStats from a tuple of its fields, at C level
+# a Tweet from a tuple of its fields, at C level
 _new_tweet = partial(tuple.__new__, Tweet)
-_new_account_stats = partial(tuple.__new__, AccountStats)
 
 
 class _TweetView(Sequence):
@@ -151,19 +150,6 @@ class _AccountView(Mapping):
             self._positions = dict(zip(self.columns.account_id, count()))
         i = self._positions[account_id]
         return AccountStats._make(column[i] for column in self.columns)
-
-    def items(self) -> ItemsView:
-        return _AccountItems(self)
-
-
-class _AccountItems(ItemsView):
-    """Items built from the columns at C level, with no lookup by id."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        columns = self._mapping.columns
-        return zip(columns.account_id, map(_new_account_stats, zip(*columns)))
 
 
 class Corpus:

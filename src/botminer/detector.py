@@ -8,16 +8,18 @@ and a verified author trumps everything back to NoBot.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Collection, Sequence
 from enum import Enum
-from itertools import compress
+from functools import partial
+from itertools import compress, repeat
 from operator import not_
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from . import stats
-from .corpus import AccountStats, Corpus, Tweet
+from .corpus import Corpus
 from .errors import ConfigError, check_int, check_real
 from .listfile import read_entries
 
@@ -98,9 +100,9 @@ class Classification(NamedTuple):
         return tuple(sorted(self.hits, key=lambda r: r.value))
 
 
-def _code(code_of: dict, outcome: tuple) -> int:
-    """The code of an outcome ``(label, hits, verified_override)``: first seen, first coded."""
-    return code_of.setdefault(outcome, len(code_of))
+def _code(code_of: dict, key: tuple) -> int:
+    """The code of *key* (an outcome, or an account kind): first seen, first coded."""
+    return code_of.setdefault(key, len(code_of))
 
 
 class Detection(Sequence):
@@ -255,11 +257,13 @@ def load_detector_config(path, sources_path=None) -> DetectorConfig:
 
     Recognized keys mirror the DetectorConfig fields; ``sources_file`` points to a
     suspicious-app list resolved relative to the config file.  An explicit
-    *sources_path* argument wins over the file's ``sources_file`` key.
+    *sources_path* argument wins over the file's ``sources_file`` key.  A ``#``
+    at the start of a line or after whitespace starts a comment.
     """
     path = Path(path)
     raw: dict[str, str] = {}
     for lineno, line in read_entries(path):
+        line = re.split(r"\s#", line, maxsplit=1)[0]
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
@@ -297,14 +301,13 @@ def load_detector_config(path, sources_path=None) -> DetectorConfig:
 # individual rules
 # ---------------------------------------------------------------------------
 
-def source_rule(tweet: Tweet, config: DetectorConfig) -> Rule | None:
-    """Fire when the tweet's client app is on the suspicious list."""
-    return Rule.SOURCE if tweet.source_app.lower() in config.suspicious_sources else None
+def source_rule(app: str, config: DetectorConfig) -> Rule | None:
+    """Fire when a tweet's client app is on the suspicious list."""
+    return Rule.SOURCE if app.lower() in config.suspicious_sources else None
 
 
-def ratio_rule(account: AccountStats, config: DetectorConfig) -> Rule | None:
-    """Fire on near-equal follower/friend counts above the follower floor."""
-    followers, friends = account.followers, account.friends
+def ratio_rule(followers: int, friends: int, config: DetectorConfig) -> Rule | None:
+    """Fire on an account's near-equal follower/friend counts above the follower floor."""
     larger = max(followers, friends)
     if (followers > config.min_followers and larger > 0
             and abs(followers - friends) / larger <= config.ratio_tolerance):
@@ -325,9 +328,9 @@ def activity_threshold(rates: Iterable[float], config: DetectorConfig) -> float:
     return base + config.iqr_multiplier * (q3 - q1)
 
 
-def activity_rule(account: AccountStats, threshold: float) -> Rule | None:
-    """Fire when the account posts strictly faster than the population cutoff."""
-    return Rule.ACTIVITY if account.tweets_per_day > threshold else None
+def activity_rule(tweets_per_day: float, threshold: float) -> Rule | None:
+    """Fire when an account posts strictly faster than the population cutoff."""
+    return Rule.ACTIVITY if tweets_per_day > threshold else None
 
 
 def duplicate_rule(corpus: Corpus, config: DetectorConfig) -> set:
@@ -348,10 +351,6 @@ def duplicate_rule(corpus: Corpus, config: DetectorConfig) -> set:
 # combination
 # ---------------------------------------------------------------------------
 
-# A Tweet that carries only a client app, for source_rule.
-_APP_ONLY = Tweet("", "", None, "", False, "")
-
-
 class _OutcomeCodes(dict):
     """(kind, app, is duplicate) -> outcome code, each key combined once.
 
@@ -369,7 +368,7 @@ class _OutcomeCodes(dict):
     def __missing__(self, key: tuple) -> int:
         kind, app, duplicate = key
         ratio, activity, verified = self._kinds[kind]
-        source = source_rule(_APP_ONLY._replace(source_app=app), self._config)
+        source = source_rule(app, self._config)
         hits = frozenset(rule for rule in (ratio, activity, source,
                                            Rule.DUPLICATE if duplicate else None)
                          if rule is not None)
@@ -392,17 +391,18 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
     """
     if config is None:
         config = DetectorConfig()
-    threshold = activity_threshold(corpus.accounts.columns.tweets_per_day, config)
+    accounts = corpus.accounts.columns
+    threshold = activity_threshold(accounts.tweets_per_day, config)
     duplicates = duplicate_rule(corpus, config)
 
     # Accounts with the same account rules and verified flag classify alike:
     # each distinct (ratio, activity, verified) is one kind, numbered in
     # first-seen order.
     kinds: dict[tuple, int] = {}
-    kind_of = {acct_id: kinds.setdefault((ratio_rule(account, config),
-                                          activity_rule(account, threshold),
-                                          account.verified), len(kinds))
-               for acct_id, account in corpus.accounts.items()}
+    account_kinds = zip(map(ratio_rule, accounts.followers, accounts.friends, repeat(config)),
+                        map(activity_rule, accounts.tweets_per_day, repeat(threshold)),
+                        accounts.verified)
+    kind_of = dict(zip(accounts.account_id, map(partial(_code, kinds), account_kinds)))
 
     # A tweet's outcome follows from its account's kind, its app and whether
     # its text is a duplicate; each such key is combined and coded once.

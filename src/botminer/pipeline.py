@@ -151,29 +151,12 @@ class PipelineSettings(_SettingsFields):
         exactly those objects; it is loaded here when omitted.
         """
         stopwords, lexicon = self.load_lists() if lists is None else lists
-        payload = {
-            "detector": {
-                "min_followers": self.detector.min_followers,
-                "ratio_tolerance": self.detector.ratio_tolerance,
-                "activity_strategy": self.detector.activity_strategy.value,
-                "activity_quantile": self.detector.activity_quantile,
-                "iqr_multiplier": self.detector.iqr_multiplier,
-                "iqr_fence_base": self.detector.iqr_fence_base,
-                "duplicate_min_cluster": self.detector.duplicate_min_cluster,
-                "suspicious_sources": sorted(self.detector.suspicious_sources),
-            },
-            "rate_basis": self.rate_basis,
-            "strictness": self.strictness,
-            "output_format": self.output_format,
-            "query_term": self.query_term,
-            "min_df": self.min_df,
-            "max_df": self.max_df,
-            "window": self.window,
-            "k_terms": self.k_terms,
-            "k_neighbors": self.k_neighbors,
-            "stopwords": sorted(stopwords),
-            "lexicon": sorted(lexicon.polarity.items()),
-        }
+        detector = {**self.detector._asdict(),
+                    "activity_strategy": self.detector.activity_strategy.value,
+                    "suspicious_sources": sorted(self.detector.suspicious_sources)}
+        payload = {**self._asdict(), "detector": detector,
+                   "stopwords": sorted(stopwords), "lexicon": sorted(lexicon.polarity.items())}
+        del payload["stopwords_path"], payload["lexicon_path"]  # their content is hashed
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -411,9 +394,9 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             stage = "analyze"
             t0 = time.perf_counter()
             docs = textmine_mod.tokenize_corpus(corpus.tweets, stopwords, settings.query_term)
-            label_docs = textmine_mod.group_docs(detection, docs)
-            label_models = {label: textmine_mod.cooccurrence(ldocs, settings.window)
-                            for label, ldocs in label_docs.items()}
+            label_streams = textmine_mod.group_docs(detection, docs.streams)
+            label_models = {label: textmine_mod.cooccurrence(streams, settings.window)
+                            for label, streams in label_streams.items()}
             samples = detector_mod.fold_groups(textmine_mod.group_word_sentiment_samples(
                 {label: model.term_freq for label, model in label_models.items()}, lexicon))
             models = detector_mod.fold_groups(label_models)

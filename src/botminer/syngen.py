@@ -28,6 +28,7 @@ from typing import Iterable, Mapping
 from .corpus import Corpus
 from .detector import Classification, Label
 from .errors import ConfigError
+from .listfile import read_entries
 from .rng import SplitMix64
 
 __all__ = [
@@ -276,9 +277,8 @@ def generate(config: SynthConfig, corpus_path, truth_path) -> dict:
 def load_ground_truth(path) -> dict:
     """Read an account_id,label file back into a dict."""
     truth = {}
-    for line in Path(path).read_text("utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line == "account_id,label":
+    for _, line in read_entries(path):
+        if line == "account_id,label":
             continue
         acct, _, label = line.partition(",")
         label = label.strip().lower()

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from collections.abc import Sequence
-from itertools import chain, compress, zip_longest
+from itertools import chain, compress
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -55,12 +54,11 @@ class TokenizedDoc(NamedTuple):
     tokens: tuple
 
 
-class TokenizedDocs(Sequence):
-    """Token streams in corpus order, each TokenizedDoc built on demand.
+class TokenizedDocs:
+    """Token streams in corpus order, as two tuples.
 
-    Doc i is tweet ``tweet_ids[i]`` with tokens ``streams[i]``; both are
-    tuples.  A slice is a TokenizedDocs and ``+`` joins two.  It equals a
-    list or tuple of the same TokenizedDocs in the same order.
+    Tweet ``tweet_ids[i]`` has tokens ``streams[i]``.  Iterating builds a
+    TokenizedDoc per tweet.
     """
 
     __slots__ = ("tweet_ids", "streams")
@@ -72,23 +70,8 @@ class TokenizedDocs(Sequence):
     def __len__(self) -> int:
         return len(self.streams)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return TokenizedDocs(self.tweet_ids[i], self.streams[i])
-        return TokenizedDoc(self.tweet_ids[i], self.streams[i])
-
     def __iter__(self):
         return map(TokenizedDoc, self.tweet_ids, self.streams)
-
-    def __add__(self, other):
-        if not isinstance(other, TokenizedDocs):
-            return NotImplemented
-        return TokenizedDocs(self.tweet_ids + other.tweet_ids, self.streams + other.streams)
-
-    def __eq__(self, other):
-        if isinstance(other, (TokenizedDocs, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 def _clean(raw: str) -> str:
@@ -214,24 +197,21 @@ def _count_items(streams: Counter, repeats: dict, items) -> Counter:
     return counts
 
 
-def group_docs(detection: Detection, docs: TokenizedDocs) -> dict:
-    """TokenizedDocs per disjoint label, in input order; every doc is listed once.
+def group_docs(detection: Detection, streams: tuple) -> dict:
+    """Token streams per disjoint label, in input order; every stream is listed once.
 
-    *detection* and *docs* must have equal tweet ids, or ValueError.
+    *streams* holds one token stream per tweet of *detection*, in its order
+    (a TokenizedDocs' ``streams``); ValueError when their lengths differ.
     detector.fold_groups turns per-label results into per-group ones.
     """
-    if detection.tweet_ids != docs.tweet_ids:
-        tweet_id, doc_id = next(pair for pair in zip_longest(detection.tweet_ids, docs.tweet_ids)
-                                if pair[0] != pair[1])
-        raise ValueError(f"tweet id mismatch: {tweet_id!r} vs doc {doc_id!r}")
+    if len(streams) != len(detection):
+        raise ValueError(f"{len(detection)} classifications but {len(streams)} token streams")
     codes = bytes(detection.codes)  # an outcome code fits a byte
     groups = {}
     for label in Label:
         # per code, then per tweet: 1 where the outcome has this label, else 0
         is_label = bytes(code_label is label for code_label, _, _ in detection.outcomes)
-        selected = codes.translate(is_label.ljust(256, b"\0"))
-        groups[label] = TokenizedDocs(tuple(compress(docs.tweet_ids, selected)),
-                                      tuple(compress(docs.streams, selected)))
+        groups[label] = tuple(compress(streams, codes.translate(is_label.ljust(256, b"\0"))))
     return groups
 
 
@@ -356,9 +336,10 @@ def _ordered_pair_items(window: int):
     return pairs
 
 
-def cooccurrence(docs: TokenizedDocs, window: int = 5) -> CooccurrenceModel:
+def cooccurrence(streams: tuple, window: int = 5) -> CooccurrenceModel:
     """Count token pairs at positional distance <= window inside each doc.
 
+    *streams* holds one token tuple per doc, such as a group_docs group.
     Pairs never cross document boundaries and a term does not co-occur with
     itself (repeats at close range are ignored).  Term and document
     frequencies are counted too.  Docs with the same token stream are walked
@@ -368,15 +349,15 @@ def cooccurrence(docs: TokenizedDocs, window: int = 5) -> CooccurrenceModel:
         raise ValueError(f"window must be >= 1, got {window}")
     # distinct streams -> docs carrying each, in first-occurrence order, so
     # walking them visits every token and pair first where a per-doc walk would
-    streams = Counter(docs.streams)
-    repeats = _repeats(streams)
+    distinct = Counter(streams)
+    repeats = _repeats(distinct)
     pair_counts = Counter()
-    for pair, c in _count_items(streams, repeats, _ordered_pair_items(window)).items():
+    for pair, c in _count_items(distinct, repeats, _ordered_pair_items(window)).items():
         left, right = pair
         if left != right:  # canonical (min, max), once per distinct ordered pair
             pair_counts[pair if left < right else (right, left)] += c
-    return CooccurrenceModel(window, pair_counts, _count_items(streams, repeats, iter),
-                             _count_items(streams, repeats, set), len(docs))
+    return CooccurrenceModel(window, pair_counts, _count_items(distinct, repeats, iter),
+                             _count_items(distinct, repeats, set), len(streams))
 
 
 def top_cooccurrents(model: CooccurrenceModel, k_terms: int = 20,

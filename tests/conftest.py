@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from botminer.corpus import Corpus, build_corpus, parse_record
-from botminer.textmine import TokenizedDocs, cooccurrence
+from botminer.textmine import cooccurrence
 
 BASE = datetime(2017, 12, 30, 12, 0, 0, tzinfo=timezone.utc)
 WEB_CLIENT = '<a href="http://twitter.com" rel="nofollow">Twitter Web Client</a>'
@@ -72,20 +72,19 @@ def tweets_of(texts):
     return Corpus(*columns, {}, BASE, BASE, 0, 0, "corpus-window").tweets
 
 
-def doc(*tokens, tweet_id="d1"):
-    """TokenizedDocs of one doc; ``+`` joins several."""
-    return TokenizedDocs((tweet_id,), (tuple(tokens),))
+def doc(*tokens):
+    """The token streams of one doc, as cooccurrence takes them; ``+`` joins several."""
+    return (tokens,)
 
 
 def docs_of(token_lists):
-    """TokenizedDocs of one doc per token list, with ids "d0", "d1", ..."""
-    streams = tuple(map(tuple, token_lists))
-    return TokenizedDocs(tuple(f"d{i}" for i in range(len(streams))), streams)
+    """The token streams of one doc per token list."""
+    return tuple(map(tuple, token_lists))
 
 
 def term_counts(groups):
     """Each group's token counts, the input group_word_sentiment_samples takes."""
-    return {key: cooccurrence(docs).term_freq for key, docs in groups.items()}
+    return {key: cooccurrence(streams).term_freq for key, streams in groups.items()}
 
 
 def write_ndjson(path, records):

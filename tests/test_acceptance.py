@@ -42,32 +42,23 @@ from botminer.textmine import build_vocab, cooccurrence, tfidf_weight
 from conftest import corpus_of, docs_of, record, tweet
 
 
-def stats_of(followers=10, friends=10, rate=1.0):
-    from datetime import datetime, timezone
-
-    from botminer.corpus import AccountStats
-
-    return AccountStats(
-        account_id="a", screen_name="a", followers=followers, friends=friends,
-        verified=False, statuses_total=0, tweets_in_corpus=1, tweets_per_day=rate,
-        account_created_at=datetime(2017, 1, 1, tzinfo=timezone.utc))
-
-
 def test_criterion_1_detector_examples():
     """Every detector example behaves exactly as documented, in under 1 s."""
     t0 = time.perf_counter()
     cfg = DetectorConfig()
 
     # source rule
-    assert source_rule(tweet(source='<a href="x">twittbot</a>'), cfg) is Rule.SOURCE
-    assert source_rule(tweet(source='<a href="x">Twitter for iPhone</a>'), cfg) is None
+    assert source_rule(tweet(source='<a href="x">twittbot</a>').source_app, cfg) is Rule.SOURCE
+    assert source_rule(tweet(source='<a href="x">Twitter for iPhone</a>').source_app,
+                       cfg) is None
     ifttt_only = DetectorConfig(suspicious_sources=frozenset({"ifttt"}))
-    assert source_rule(tweet(source='<a href="x">IFTTT</a>'), ifttt_only) is not None
+    assert source_rule(tweet(source='<a href="x">IFTTT</a>').source_app,
+                       ifttt_only) is not None
 
     # ratio rule (follower/friend pairs from high- and low-skew accounts)
-    assert ratio_rule(stats_of(followers=7492, friends=7841), cfg) is not None
-    assert ratio_rule(stats_of(followers=27374, friends=15854), cfg) is None
-    assert ratio_rule(stats_of(followers=50, friends=50), cfg) is None
+    assert ratio_rule(7492, 7841, cfg) is not None
+    assert ratio_rule(27374, 15854, cfg) is None
+    assert ratio_rule(50, 50, cfg) is None
 
     # activity threshold, both strategies
     assert activity_threshold(range(1, 101), cfg) == 95
@@ -77,9 +68,9 @@ def test_criterion_1_detector_examples():
     assert activity_threshold([5, 5, 5, 5], iqr_cfg) == pytest.approx(5.0)
 
     # activity rule is strictly greater-than
-    assert activity_rule(stats_of(rate=1082), 165) is not None
-    assert activity_rule(stats_of(rate=165), 165) is None
-    assert activity_rule(stats_of(rate=97), 165) is None
+    assert activity_rule(1082, 165) is not None
+    assert activity_rule(165, 165) is None
+    assert activity_rule(97, 165) is None
 
     # duplicate rule
     dup = duplicate_rule(corpus_of(record(i="1", text="same"),
@@ -189,11 +180,11 @@ def test_criterion_4_tfidf_oracle():
         vocab = build_vocab(cooccurrence(docs), min_df=0.0, max_df=1.0)
         n = len(docs)
         df = Counter()
-        for d in docs:
-            df.update(set(d.tokens))
+        for tokens in docs:
+            df.update(set(tokens))
         oracle_sums = Counter()
-        for d in docs:
-            counts = Counter(d.tokens)
+        for tokens in docs:
+            counts = Counter(tokens)
             for term, count in counts.items():
                 expected = count * math.log(n / df[term])
                 weight = tfidf_weight(count, vocab.n_docs, vocab.doc_freq[term])

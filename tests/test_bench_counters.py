@@ -1,9 +1,10 @@
-"""perfbench's per-layer counters still read what the pipeline returns.
+"""perfbench's per-layer counters and quality check still read what the pipeline returns.
 
 perfbench/spans.py computes counts from the arguments and results of the
-calls it wraps; if a return type changes shape under it, its counters break
-or read wrong.  This loads the module from its file and applies its counters
-to real outputs.
+calls it wraps, and perfbench/checks.py scores a run's labels through
+syngen.evaluate_detection; if a type changes shape under them, they break or
+read wrong.  This loads both modules from their files and applies them to
+real outputs.
 """
 
 import importlib.util
@@ -11,20 +12,22 @@ from pathlib import Path
 
 from botminer.corpus import ingest
 from botminer.detector import classify
+from botminer.syngen import evaluate_detection
 from botminer.textmine import load_stopwords, tokenize_corpus
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _counters():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    """perfbench/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.COUNTERS
+    return module
 
 
 def test_counters_read_tokenize_and_classify_outputs(default_synth):
-    counters = _counters()
+    counters = _load("spans").COUNTERS
     corpus = ingest(default_synth[0])
     args = (corpus.tweets, load_stopwords())
     docs = tokenize_corpus(*args)
@@ -37,3 +40,14 @@ def test_counters_read_tokenize_and_classify_outputs(default_synth):
     hits = counters["detector.classify"]((corpus,), detection)["rule_hits"]
     assert hits == sum(len(rules) * n for (_, rules, _), n
                        in zip(detection.outcomes, detection.counts())) > 0
+
+
+def test_detection_quality_equals_evaluate_detection(default_synth):
+    corpus_path, _, truth = default_synth
+    corpus = ingest(corpus_path)
+    detection = classify(corpus)
+    labels = [(c.tweet_id, c.label.value) for c in detection]  # as read from the label file
+    report = _load("checks").detection_quality(labels, dict(zip(corpus.ids, corpus.author_ids)),
+                                               truth)
+    assert report == evaluate_detection(detection, corpus, truth)
+    assert report.recall > 0

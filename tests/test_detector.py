@@ -4,13 +4,12 @@ import gc
 import itertools
 import random
 from collections import Counter, defaultdict
-from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from botminer.corpus import AccountStats, ingest
+from botminer.corpus import ingest
 from botminer.detector import (
     ActivityStrategy,
     Classification,
@@ -34,15 +33,6 @@ from botminer.errors import ConfigError
 
 from conftest import corpus_of, record, tweet
 
-EPOCH = datetime(2017, 1, 1, tzinfo=timezone.utc)
-
-
-def stats_of(followers=10, friends=10, rate=1.0, verified=False, account="a1"):
-    return AccountStats(
-        account_id=account, screen_name=account, followers=followers,
-        friends=friends, verified=verified, statuses_total=100,
-        tweets_in_corpus=1, tweets_per_day=rate, account_created_at=EPOCH)
-
 
 def config_with(**kw):
     kw.setdefault("suspicious_sources", frozenset({"twittbot"}))
@@ -55,18 +45,19 @@ def config_with(**kw):
 
 def test_source_rule_listed_app():
     t = tweet(source='<a href="http://twittbot.net">twittbot</a>')
-    assert source_rule(t, config_with()) is Rule.SOURCE
+    assert source_rule(t.source_app, config_with()) is Rule.SOURCE
 
 
 def test_source_rule_official_app_clean():
     t = tweet(source='<a href="x">Twitter for iPhone</a>')
-    assert source_rule(t, DetectorConfig()) is None
+    assert source_rule(t.source_app, DetectorConfig()) is None
 
 
 def test_source_rule_case_insensitive():
     t = tweet(source='<a href="http://ifttt.com">IFTTT</a>')
-    assert source_rule(t, config_with(suspicious_sources=frozenset({"ifttt"}))) is not None
-    assert source_rule(t, DetectorConfig()) is not None  # bundled list carries it too
+    ifttt_only = config_with(suspicious_sources=frozenset({"ifttt"}))
+    assert source_rule(t.source_app, ifttt_only) is not None
+    assert source_rule(t.source_app, DetectorConfig()) is not None  # bundled list carries it too
 
 
 # ---------------------------------------------------------------------------
@@ -74,29 +65,29 @@ def test_source_rule_case_insensitive():
 # ---------------------------------------------------------------------------
 
 def test_ratio_rule_near_equal_counts():
-    rule = ratio_rule(stats_of(followers=7492, friends=7841), DetectorConfig())
+    rule = ratio_rule(7492, 7841, DetectorConfig())
     assert rule is Rule.RATIO  # gap ~0.0445
 
 
 def test_ratio_rule_skewed_counts():
-    assert ratio_rule(stats_of(followers=27374, friends=15854), DetectorConfig()) is None
+    assert ratio_rule(27374, 15854, DetectorConfig()) is None
 
 
 def test_ratio_rule_follower_floor():
-    assert ratio_rule(stats_of(followers=50, friends=50), DetectorConfig()) is None
+    assert ratio_rule(50, 50, DetectorConfig()) is None
     # floor is strict: exactly 100 followers still fails
-    assert ratio_rule(stats_of(followers=100, friends=100), DetectorConfig()) is None
-    assert ratio_rule(stats_of(followers=101, friends=101), DetectorConfig()) is not None
+    assert ratio_rule(100, 100, DetectorConfig()) is None
+    assert ratio_rule(101, 101, DetectorConfig()) is not None
 
 
 def test_ratio_rule_tolerance_boundary_inclusive():
     # gap 100/1000 = 0.10 exactly
-    assert ratio_rule(stats_of(followers=1000, friends=900), DetectorConfig()) is not None
-    assert ratio_rule(stats_of(followers=1000, friends=899), DetectorConfig()) is None
+    assert ratio_rule(1000, 900, DetectorConfig()) is not None
+    assert ratio_rule(1000, 899, DetectorConfig()) is None
 
 
 def test_ratio_rule_zero_counts_safe():
-    assert ratio_rule(stats_of(followers=0, friends=0), DetectorConfig()) is None
+    assert ratio_rule(0, 0, DetectorConfig()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +121,9 @@ def test_activity_threshold_empty():
 
 
 def test_activity_rule_strict_comparison():
-    assert activity_rule(stats_of(rate=1082), 165) is Rule.ACTIVITY
-    assert activity_rule(stats_of(rate=165), 165) is None
-    assert activity_rule(stats_of(rate=97), 165) is None
+    assert activity_rule(1082, 165) is Rule.ACTIVITY
+    assert activity_rule(165, 165) is None
+    assert activity_rule(97, 165) is None
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +348,10 @@ def _classify_per_tweet(corpus, config):
     out = []
     for tweet in corpus.tweets:
         account = corpus.accounts[tweet.author_id]
-        fired = [ratio_rule(account, config), activity_rule(account, threshold),
-                 source_rule(tweet, config), Rule.DUPLICATE if tweet.id in duplicates else None]
+        fired = [ratio_rule(account.followers, account.friends, config),
+                 activity_rule(account.tweets_per_day, threshold),
+                 source_rule(tweet.source_app, config),
+                 Rule.DUPLICATE if tweet.id in duplicates else None]
         rules = frozenset(rule for rule in fired if rule is not None)
         n_rules = len(rules)
         label = Label.BOT if n_rules >= 2 else Label.SUSPICIOUS if n_rules else Label.NO_BOT
@@ -567,7 +560,7 @@ def test_load_suspicious_sources_file_with_bom(tmp_path):
     sources = load_suspicious_sources(path)
     assert sources == frozenset({"botapp", "other"})
     config = DetectorConfig(suspicious_sources=sources)
-    assert source_rule(tweet(source="BotApp"), config) is Rule.SOURCE
+    assert source_rule(tweet(source="BotApp").source_app, config) is Rule.SOURCE
 
 
 def test_load_suspicious_sources_empty_file(tmp_path):

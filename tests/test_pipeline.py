@@ -38,7 +38,6 @@ from botminer.pipeline import (
 from botminer.syngen import SynthConfig, generate
 from botminer.textmine import (
     SentimentLexicon,
-    TokenizedDocs,
     group_docs,
     group_word_sentiment_samples,
 )
@@ -472,6 +471,54 @@ def test_fingerprint_hashes_source_content(tmp_path):
     assert only_twittbot.fingerprint() != default.fingerprint()
 
 
+# one changed value per settings field; a path field's file holds other content
+DETECTOR_CHANGES = {
+    "min_followers": 101,
+    "ratio_tolerance": 0.2,
+    "activity_strategy": ActivityStrategy.IQR_FENCE,
+    "activity_quantile": 0.9,
+    "iqr_multiplier": 2.0,
+    "iqr_fence_base": "median",
+    "duplicate_min_cluster": 3,
+    "suspicious_sources": frozenset({"twittbot"}),
+}
+SETTINGS_CHANGES = {
+    "detector": DetectorConfig(min_followers=5),
+    "rate_basis": "lifetime",
+    "strictness": "strict",
+    "output_format": "jsonl",
+    "query_term": "trump",
+    "min_df": 0.02,
+    "max_df": 0.5,
+    "window": 4,
+    "k_terms": 10,
+    "k_neighbors": 3,
+    "stopwords_path": "the\nand\n",
+    "lexicon_path": "good\t1\nbad\t-1\n",
+}
+
+
+@pytest.mark.parametrize("owner, field", [("detector", f) for f in DETECTOR_CHANGES]
+                         + [("settings", f) for f in SETTINGS_CHANGES])
+def test_fingerprint_changes_with_every_field(tmp_path, owner, field):
+    assert list(DETECTOR_CHANGES) == list(DetectorConfig._fields)
+    assert list(SETTINGS_CHANGES) == list(PipelineSettings._fields)
+    base = PipelineSettings()
+    if owner == "detector":
+        changed = base._replace(detector=base.detector._replace(
+            **{field: DETECTOR_CHANGES[field]}))
+        assert getattr(changed.detector, field) != getattr(base.detector, field)
+    else:
+        value = SETTINGS_CHANGES[field]
+        if field.endswith("_path"):
+            path = tmp_path / field
+            path.write_text(value, encoding="utf-8")
+            value = str(path)
+        changed = base._replace(**{field: value})
+        assert getattr(changed, field) != getattr(base, field)
+    assert changed.fingerprint() != base.fingerprint()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -770,9 +817,8 @@ def test_detection_readers_equal_per_classification_reference(tmp_path_factory, 
         with pytest.raises(ValueError):
             group_summary(detection)
 
-    docs = TokenizedDocs(tuple(c.tweet_id for c in cls),
-                         tuple((f"w{i}",) for i in range(len(cls))))
-    assert group_docs(detection, docs) == {
-        label: [d for d, c in zip(docs, cls) if c.label is label] for label in Label}
+    streams = tuple((f"w{i}",) for i in range(len(cls)))
+    assert group_docs(detection, streams) == {
+        label: tuple(s for s, c in zip(streams, cls) if c.label is label) for label in Label}
 
     _check_written_per_record(tmp_path_factory.mktemp("records"), cls, detection)

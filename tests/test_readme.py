@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from botminer.cli import main
+from botminer.detector import ActivityStrategy, DetectorConfig, load_detector_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
 
@@ -53,3 +54,16 @@ def test_readme_library_example_and_artifact_headers(tmp_path, monkeypatch, caps
         else:
             sections = [s.strip() for s in described.split("/")]
             assert set(sections) <= set(json.loads("\n".join(lines)))
+
+
+def test_readme_detector_config_loads_and_runs(tmp_path, capsys):
+    cfg_path = tmp_path / "detector.cfg"
+    cfg_path.write_text(_code_block("**Detector config**", "ini"), encoding="utf-8")
+    (tmp_path / "sources.txt").write_text("twittbot.net\nIFTTT\n", encoding="utf-8")
+    assert load_detector_config(cfg_path) == DetectorConfig(
+        min_followers=100, ratio_tolerance=0.10, activity_strategy=ActivityStrategy.QUANTILE,
+        activity_quantile=0.95, iqr_multiplier=1.5, iqr_fence_base="q3",
+        duplicate_min_cluster=2, suspicious_sources=frozenset({"twittbot.net", "ifttt"}))
+    assert main(["synth", "--out", str(tmp_path), "--humans", "30", "--bots", "3"]) == 0
+    assert main(["detect", str(tmp_path / "corpus.ndjson"), "--config", str(cfg_path)]) == 0
+    assert "Bot" in capsys.readouterr().out

@@ -186,6 +186,12 @@ def test_ground_truth_round_trip(tmp_path):
     assert load_ground_truth(tmp_path / "t.csv") == truth
 
 
+def test_ground_truth_file_with_bom(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("account_id,label\nu1,bot\nu2,human\n", encoding="utf-8-sig")
+    assert load_ground_truth(path) == {"u1": "bot", "u2": "human"}
+
+
 def test_ground_truth_rejects_unknown_label(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("account_id,label\nx,cyborg\n", encoding="utf-8")

@@ -115,7 +115,7 @@ def reference_docs(tweets, stopwords, query_term="iran"):
 def test_tokenize_corpus_equals_per_tweet_tokenize(texts):
     tweets = tweets_of(texts)
     docs = tokenize_corpus(tweets, STOPWORDS)
-    assert docs == reference_docs(tweets, STOPWORDS)
+    assert list(docs) == reference_docs(tweets, STOPWORDS)
     first = {}
     for t, d in zip(tweets, docs):  # one token tuple per distinct text
         assert d.tokens is first.setdefault(t.text, d.tokens)
@@ -139,7 +139,7 @@ texts_of_shared_tokens = st.lists(raw_tokens, min_size=1, max_size=6).flatmap(
 def test_tokenize_corpus_equals_reference_on_shared_raw_tokens(texts, query):
     tweets = tweets_of(texts)
     docs = tokenize_corpus(tweets, STOPWORDS, query)
-    assert docs == reference_docs(tweets, STOPWORDS, query)
+    assert list(docs) == reference_docs(tweets, STOPWORDS, query)
     seen = {}
     for d in docs:  # equal tokens are one str object
         for token in d.tokens:
@@ -148,7 +148,7 @@ def test_tokenize_corpus_equals_reference_on_shared_raw_tokens(texts, query):
     stopwords = frozenset(list(seen)[::2])
     for other_stop, other_query in ((stopwords, query), (STOPWORDS, "tag")):
         got = tokenize_corpus(tweets, other_stop, other_query)
-        assert got == reference_docs(tweets, other_stop, other_query)
+        assert list(got) == reference_docs(tweets, other_stop, other_query)
 
 
 def test_tokenize_idempotent():
@@ -256,13 +256,13 @@ def test_vocab_matches_direct_formula():
         vocab = build_vocab(cooccurrence(docs), min_df=0.0, max_df=1.0)
         n = len(docs)
         df = Counter()
-        for d in docs:
-            df.update(set(d.tokens))
+        for tokens in docs:
+            df.update(set(tokens))
         assert vocab.doc_freq == df
-        for d in docs:
-            for term in set(d.tokens):
-                expected = d.tokens.count(term) * math.log(n / df[term])
-                got = tfidf_weight(d.tokens.count(term), vocab.n_docs, vocab.doc_freq[term])
+        for tokens in docs:
+            for term in set(tokens):
+                expected = tokens.count(term) * math.log(n / df[term])
+                got = tfidf_weight(tokens.count(term), vocab.n_docs, vocab.doc_freq[term])
                 assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -283,15 +283,15 @@ def test_vocab_totals_equal_per_doc_sums(lists, band):
     docs = docs_of(lists)
     vocab = build_vocab(cooccurrence(docs), *band)
     n = len(docs)
-    df = Counter(t for d in docs for t in set(d.tokens))
+    df = Counter(t for tokens in docs for t in set(tokens))
     kept = sorted(t for t, c in df.items() if band[0] <= c / n <= band[1])
     counts = {}
     sums = {}
     for term in kept:
         counts[term] = 0
         sums[term] = 0.0
-        for d in docs:
-            c = d.tokens.count(term)
+        for tokens in docs:
+            c = tokens.count(term)
             if c:
                 counts[term] += c
                 sums[term] += c * math.log(n / df[term])
@@ -320,8 +320,7 @@ def per_doc_cooccurrence(docs, window):
     term_freq = Counter()
     doc_freq = Counter()
     n_docs = 0
-    for d in docs:
-        tokens = d.tokens
+    for tokens in docs:
         n_docs += 1
         term_freq.update(tokens)
         doc_freq.update(set(tokens))
@@ -403,7 +402,7 @@ def test_cooccurrence_rejects_bad_window():
 
 
 def test_cooccurrence_does_not_cross_documents():
-    model = cooccurrence(doc("a", tweet_id="d1") + doc("b", tweet_id="d2"), window=5)
+    model = cooccurrence(doc("a") + doc("b"), window=5)
     assert model.count("a", "b") == 0
 
 
@@ -463,8 +462,7 @@ def test_top_cooccurrents_single_term():
 
 
 def test_top_cooccurrents_tie_breaks_lexicographic():
-    model = cooccurrence(doc("hub", "aa", tweet_id="d1") + doc("hub", "bb", tweet_id="d2"),
-                         window=5)
+    model = cooccurrence(doc("hub", "aa") + doc("hub", "bb"), window=5)
     edges = top_cooccurrents(model, k_terms=1, k_neighbors=2)
     assert edges == [("hub", "aa", 0.5), ("hub", "bb", 0.5)]
 
@@ -495,8 +493,8 @@ def per_token_samples(groups, lexicon):
     samples = {}
     for label, docs in groups.items():
         values = samples[label] = Counter()
-        for d in docs:
-            for token in d.tokens:
+        for tokens in docs:
+            for token in tokens:
                 value = lexicon.value(token)
                 if value is not None:
                     values[value] += 1
@@ -539,7 +537,7 @@ def test_tweet_sentiment_linearity():
 
 def _word_values(docs):
     """Word-level sentiment sample of *docs*, all labelled NoBot."""
-    cls = [Classification(d.tweet_id, Label.NO_BOT, frozenset()) for d in docs]
+    cls = [Classification(str(i), Label.NO_BOT, frozenset()) for i in range(len(docs))]
     groups = group_docs(Detection.of(cls), docs)
     return group_word_sentiment_samples(term_counts(groups), LEX)[Label.NO_BOT]
 
@@ -560,9 +558,9 @@ def test_word_sentiment_values_repeats():
 
 
 def _grouped_docs():
-    docs = (doc("bad", "terrible", tweet_id="t1")    # Bot, sentiment -2
-            + doc("good", tweet_id="t2")             # NoBot, +1
-            + doc("bad", tweet_id="t3"))             # Suspicious, -1
+    docs = (doc("bad", "terrible")    # t1: Bot, sentiment -2
+            + doc("good")             # t2: NoBot, +1
+            + doc("bad"))             # t3: Suspicious, -1
     cls = [Classification("t1", Label.BOT, frozenset()),
            Classification("t2", Label.NO_BOT, frozenset()),
            Classification("t3", Label.SUSPICIOUS, frozenset())]
@@ -586,7 +584,7 @@ def test_group_mean_sentiment_inclusive():
 
 
 def test_group_mean_sentiment_simple_mean():
-    docs = doc("bad", tweet_id="t1") + doc("plain", tweet_id="t2")
+    docs = doc("bad") + doc("plain")
     cls = [Classification("t1", Label.NO_BOT, frozenset()),
            Classification("t2", Label.NO_BOT, frozenset())]
     means = _group_means(cls, docs)
@@ -594,7 +592,7 @@ def test_group_mean_sentiment_simple_mean():
 
 
 def test_group_mean_sentiment_empty_group_is_none():
-    docs = doc("good", tweet_id="t1")
+    docs = doc("good")
     cls = [Classification("t1", Label.NO_BOT, frozenset())]
     means = _group_means(cls, docs)
     assert means[Label.BOT] is None
@@ -609,7 +607,7 @@ def test_group_samples_inclusive_and_checked():
     assert samples[Label.BOT] == Counter({-1: 2})
     assert samples[Label.NO_BOT] == Counter({1: 1})
     with pytest.raises(ValueError):
-        group_docs(Detection.of(cls), doc("x", tweet_id="unseen"))
+        group_docs(Detection.of(cls), doc("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +616,10 @@ def test_group_samples_inclusive_and_checked():
 
 def test_group_docs_rejects_mismatched_inputs():
     cls, docs = _grouped_docs()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="3 classifications but 2 token streams"):
         group_docs(Detection.of(cls), docs[:2])  # one classification too many
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 classifications but 3 token streams"):
         group_docs(Detection.of(cls[:2]), docs)  # one doc too many
-    with pytest.raises(ValueError, match="mismatch"):
-        group_docs(Detection.of(cls), docs[::-1])  # same length, ids out of step
 
 
 labels = st.lists(st.sampled_from(list(Label)), min_size=1, max_size=40)
@@ -631,8 +627,7 @@ labels = st.lists(st.sampled_from(list(Label)), min_size=1, max_size=40)
 
 def _labelled(label_list):
     docs = docs_of([[f"w{i}"] for i in range(len(label_list))])
-    cls = [Classification(d.tweet_id, label, frozenset())
-           for d, label in zip(docs, label_list)]
+    cls = [Classification(f"d{i}", label, frozenset()) for i, label in enumerate(label_list)]
     return cls, docs
 
 
@@ -641,7 +636,7 @@ def test_group_docs_keeps_order_and_suspicious_includes_bot(label_list):
     cls, docs = _labelled(label_list)
     groups = group_docs(Detection.of(cls), docs)
     for label in Label:  # disjoint: every doc listed once, under its own label
-        assert groups[label] == [d for d, c in zip(docs, cls) if c.label is label]
+        assert groups[label] == tuple(d for d, c in zip(docs, cls) if c.label is label)
     folded = fold_groups(groups)
     assert folded[Label.SUSPICIOUS] == groups[Label.SUSPICIOUS] + groups[Label.BOT]
     assert (folded[Label.NO_BOT], folded[Label.BOT]) == (groups[Label.NO_BOT], groups[Label.BOT])
@@ -657,13 +652,13 @@ def test_column_path_equals_per_tweet_reference(texts, window, data):
     want = reference_docs(corpus.tweets, STOPWORDS)
 
     docs = tokenize_corpus(corpus.tweets, STOPWORDS)
-    assert docs == want and docs.tweet_ids is corpus.ids
+    assert list(docs) == want and docs.tweet_ids is corpus.ids
     first = {}
     for text, tokens in zip(corpus.texts, docs.streams):  # one token tuple per distinct text
         assert tokens is first.setdefault(text, tokens)
-    groups = group_docs(Detection.of(cls), docs)
+    groups = group_docs(Detection.of(cls), docs.streams)
     for label in Label:
-        label_docs = [d for d, c in zip(want, cls) if c.label is label]
+        label_docs = tuple(d.tokens for d, c in zip(want, cls) if c.label is label)
         assert groups[label] == label_docs
         model = cooccurrence(groups[label], window)
         pair_counts, term_freq, doc_freq, n_docs = per_doc_cooccurrence(label_docs, window)
@@ -680,7 +675,7 @@ def test_analyze_keeps_no_tracked_object_per_tweet(default_synth):
     gc.collect()
     before = len(gc.get_objects())
     docs = tokenize_corpus(corpus.tweets, STOPWORDS)
-    groups = group_docs(detection, docs)
+    groups = group_docs(detection, docs.streams)
     gc.collect()
     assert len(gc.get_objects()) - before < len(corpus) / 10
     assert sum(map(len, groups.values())) == len(docs) == len(corpus)
