@@ -52,18 +52,7 @@ def _textmine_parent() -> argparse.ArgumentParser:
 
 
 def _flags_from_args(args) -> dict:
-    flags = {}
-    for attr in ("activity_strategy", "quantile", "ratio_tolerance", "sources",
-                 "lexicon", "stopwords", "rate_basis"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            flags[attr] = value
-    if getattr(args, "strict", False):
-        flags["strict"] = True
-    fmt = getattr(args, "format", None)
-    if fmt is not None:
-        flags["format"] = fmt
-    return flags
+    return {flag: getattr(args, flag, None) for flag in pipeline_mod.FLAGS}
 
 
 def _print_shares(label_shares, threshold, strategy):

@@ -164,13 +164,12 @@ class Corpus:
     """
 
     __slots__ = ("ids", "texts", "created_at", "source_apps", "is_retweet", "author_ids",
-                 "accounts", "span_start", "span_end", "skipped_count", "duplicate_count",
-                 "rate_basis")
+                 "accounts", "span_start", "span_end", "skipped_count", "duplicate_count")
 
     def __init__(self, ids: tuple, texts: tuple, created_at: tuple, source_apps: tuple,
                  is_retweet: tuple, author_ids: tuple, accounts: Mapping[str, AccountStats],
                  span_start: datetime, span_end: datetime, skipped_count: int,
-                 duplicate_count: int, rate_basis: str):
+                 duplicate_count: int):
         self.ids = ids
         self.texts = texts
         self.created_at = created_at
@@ -182,7 +181,6 @@ class Corpus:
         self.span_end = span_end
         self.skipped_count = skipped_count
         self.duplicate_count = duplicate_count
-        self.rate_basis = rate_basis
 
     @property
     def tweets(self) -> _TweetView:
@@ -433,8 +431,7 @@ def build_corpus(fields: Sequence, rate_basis: str = RATE_CORPUS_WINDOW,
     accounts = _AccountView(_account_columns(fields, created_at, author_ids,
                                              _span_days(span_start, span_end), span_end,
                                              rate_basis))
-    return Corpus(*columns, accounts, span_start, span_end, skipped_count, duplicate_count,
-                  rate_basis)
+    return Corpus(*columns, accounts, span_start, span_end, skipped_count, duplicate_count)
 
 
 def _decode_error(line: str, msg: str, pos: int) -> MalformedRecordError:

@@ -258,16 +258,22 @@ def load_detector_config(path, sources_path=None) -> DetectorConfig:
     Recognized keys mirror the DetectorConfig fields; ``sources_file`` points to a
     suspicious-app list resolved relative to the config file.  An explicit
     *sources_path* argument wins over the file's ``sources_file`` key.  A ``#``
-    at the start of a line or after whitespace starts a comment.
+    at the start of a line or after whitespace starts a comment.  Each key may
+    appear once.
     """
     path = Path(path)
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in read_entries(path):
         line = re.split(r"\s#", line, maxsplit=1)[0]
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        first = line_of.setdefault(key, lineno)
+        if first != lineno:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first}")
+        raw[key] = value.strip()
 
     kwargs = {}
     converters = {

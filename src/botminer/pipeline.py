@@ -37,6 +37,7 @@ __all__ = [
     "CLASSIFICATION_FILES",
     "PipelineSettings",
     "RunSummary",
+    "FLAGS",
     "settings_from_flags",
     "compare_group_sentiment",
     "write_classifications",
@@ -485,69 +486,53 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             raise PipelineStageError(stage, exc) from exc
 
 
-_RATE_BASIS_ALIASES = {
-    "window": corpus_mod.RATE_CORPUS_WINDOW,
-    "corpus-window": corpus_mod.RATE_CORPUS_WINDOW,
-    "lifetime": corpus_mod.RATE_LIFETIME,
+_RATE_BASIS_ALIASES = {"window": corpus_mod.RATE_CORPUS_WINDOW,
+                       "lifetime": corpus_mod.RATE_LIFETIME}
+_STRICTNESS = {False: corpus_mod.LENIENT, True: corpus_mod.STRICT}
+
+# The CLI's flags, keyed by argparse dest -> (the settings type holding the
+# field the flag sets, that field, what turns the CLI's value into the field's)
+_FLAG_FIELDS = {
+    "sources": (DetectorConfig, "suspicious_sources", detector_mod.load_suspicious_sources),
+    "activity_strategy": (DetectorConfig, "activity_strategy",
+                          detector_mod.parse_activity_strategy),
+    "quantile": (DetectorConfig, "activity_quantile", None),
+    "ratio_tolerance": (DetectorConfig, "ratio_tolerance", None),
+    "rate_basis": (PipelineSettings, "rate_basis", _RATE_BASIS_ALIASES.__getitem__),
+    "strict": (PipelineSettings, "strictness", _STRICTNESS.__getitem__),
+    "format": (PipelineSettings, "output_format", None),
+    "lexicon": (PipelineSettings, "lexicon_path", None),
+    "stopwords": (PipelineSettings, "stopwords_path", None),
 }
+FLAGS = tuple(_FLAG_FIELDS)
 
 
 def settings_from_flags(config_path=None, flags: Mapping | None = None) -> PipelineSettings:
-    """Resolve a detector config file plus flag overrides into PipelineSettings.
+    """Resolve a detector config file plus the CLI's flags into PipelineSettings.
 
-    Precedence: field defaults < config file < flags.  Flag keys mirror
-    the CLI: activity_strategy, quantile, ratio_tolerance, sources, lexicon,
-    stopwords, rate_basis, strict, format, and the text-mining knobs
-    (query_term, min_df, max_df, window, k_terms, k_neighbors).
+    *flags* maps names in FLAGS, the CLI's argparse dests, to the values the
+    CLI gives them; None leaves a flag unset.  Precedence: field defaults <
+    config file < flags.  Every other field is set on PipelineSettings or
+    DetectorConfig, or in the config file.
     """
-    flags = dict(flags or {})
-    sources = flags.pop("sources", None)
+    flags = {} if flags is None else flags
+    unknown = flags.keys() - _FLAG_FIELDS.keys()
+    if unknown:
+        raise ValueError(f"unknown pipeline flags: {sorted(unknown)}")
+    flags = {flag: value for flag, value in flags.items() if value is not None}
+    fields = {DetectorConfig: {}, PipelineSettings: {}}
     if config_path is not None:
-        det = detector_mod.load_detector_config(config_path, sources_path=sources)
-    elif sources is not None:
-        det = DetectorConfig(suspicious_sources=detector_mod.load_suspicious_sources(sources))
-    else:
-        det = DetectorConfig()
-
-    det_overrides = {}
-    strategy = flags.pop("activity_strategy", None)
-    if strategy is not None:
-        det_overrides["activity_strategy"] = detector_mod.parse_activity_strategy(str(strategy))
-    for flag, field_name in (("quantile", "activity_quantile"),
-                             ("ratio_tolerance", "ratio_tolerance"),
-                             ("iqr_multiplier", "iqr_multiplier"),
-                             ("iqr_fence_base", "iqr_fence_base"),
-                             ("min_followers", "min_followers"),
-                             ("duplicate_min_cluster", "duplicate_min_cluster")):
-        if flags.get(flag) is not None:
-            det_overrides[field_name] = flags.pop(flag)
-        else:
-            flags.pop(flag, None)
-    if det_overrides:  # through the constructor, so the overrides are checked too
-        det = DetectorConfig(**{**det._asdict(), **det_overrides})
-
-    kwargs = {"detector": det}
-    rate_basis = flags.pop("rate_basis", None)
-    if rate_basis is not None:
+        # a sources flag replaces the file's sources_file, which is then not read
+        fields[DetectorConfig] = detector_mod.load_detector_config(
+            config_path, sources_path=flags.pop("sources", None))._asdict()
+    for flag, value in flags.items():
+        owner, field, convert = _FLAG_FIELDS[flag]
         try:
-            kwargs["rate_basis"] = _RATE_BASIS_ALIASES[str(rate_basis).lower()]
+            fields[owner][field] = value if convert is None else convert(value)
         except KeyError:
-            raise ValueError(f"unknown rate basis {rate_basis!r}") from None
-    if flags.pop("strict", False):
-        kwargs["strictness"] = corpus_mod.STRICT
-    fmt = flags.pop("format", None)
-    if fmt is not None:
-        kwargs["output_format"] = fmt
-    for flag, field_name in (("lexicon", "lexicon_path"), ("stopwords", "stopwords_path"),
-                             ("query_term", "query_term"), ("min_df", "min_df"),
-                             ("max_df", "max_df"), ("window", "window"),
-                             ("k_terms", "k_terms"), ("k_neighbors", "k_neighbors")):
-        value = flags.pop(flag, None)
-        if value is not None:
-            kwargs[field_name] = value
-    if flags:
-        raise ValueError(f"unknown pipeline flags: {sorted(flags)}")
-    return PipelineSettings(**kwargs)
+            raise ValueError(f"unknown {flag.replace('_', ' ')} {value!r}") from None
+    return PipelineSettings(detector=DetectorConfig(**fields[DetectorConfig]),
+                            **fields[PipelineSettings])
 
 
 def run_pipeline(corpus_path, config_path=None, out_dir="artifacts",

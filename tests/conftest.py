@@ -69,7 +69,7 @@ def tweets_of(texts):
     n = len(texts)
     columns = (tuple(map(str, range(n))), tuple(texts), (BASE,) * n, ("web",) * n,
                (False,) * n, ("u1",) * n)
-    return Corpus(*columns, {}, BASE, BASE, 0, 0, "corpus-window").tweets
+    return Corpus(*columns, {}, BASE, BASE, 0, 0).tweets
 
 
 def doc(*tokens):

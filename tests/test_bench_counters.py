@@ -4,18 +4,25 @@ perfbench/spans.py computes counts from the arguments and results of the
 calls it wraps, and perfbench/checks.py scores a run's labels through
 syngen.evaluate_detection; if a type changes shape under them, they break or
 read wrong.  This loads both modules from their files and applies them to
-real outputs.
+real outputs.  perfbench/worker.py times set-up by resolving each workload's
+flags; those must resolve to the settings its argv gives the CLI.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
+import pytest
+
+from botminer import pipeline
+from botminer.cli import main
 from botminer.corpus import ingest
 from botminer.detector import classify
 from botminer.syngen import evaluate_detection
 from botminer.textmine import load_stopwords, tokenize_corpus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text("utf-8"))["workloads"]
 
 
 def _load(name):
@@ -51,3 +58,25 @@ def test_detection_quality_equals_evaluate_detection(default_synth):
                                                truth)
     assert report == evaluate_detection(detection, corpus, truth)
     assert report.recall > 0
+
+
+class _Resolved(BaseException):
+    """Ends a CLI run once it has resolved its settings (no handler catches it)."""
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_flags_resolve_as_its_argv(name, tmp_path, monkeypatch):
+    workload = WORKLOADS[name]
+    resolve = pipeline.settings_from_flags
+    resolved = []
+
+    def resolve_and_stop(config_path, flags):
+        resolved.append(resolve(config_path, flags))
+        raise _Resolved
+
+    monkeypatch.setattr(pipeline, "settings_from_flags", resolve_and_stop)
+    argv = [arg.format(corpus=tmp_path / "corpus.ndjson", out=tmp_path / "out")
+            for arg in workload["argv"]]
+    with pytest.raises(_Resolved):
+        main(argv)
+    assert resolved == [resolve(None, workload["flags"])]

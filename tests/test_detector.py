@@ -611,6 +611,19 @@ def test_load_detector_config_rejects_unknown_key(tmp_path):
         load_detector_config(cfg_path)
 
 
+@pytest.mark.parametrize("lines, first, repeat", [
+    ("min_followers = 5\nmin_followers = 500\n", 1, 2),
+    ("min_followers = 5\n# comment\nratio_tolerance = 0.2\n  min_followers=5\n", 1, 4),
+    ("sources_file = a.txt\nsources_file = a.txt  # the same value\n", 1, 2),
+])
+def test_load_detector_config_rejects_repeated_key(tmp_path, lines, first, repeat):
+    (tmp_path / "a.txt").write_text("appa\n", encoding="utf-8")
+    cfg_path = tmp_path / "detector.cfg"
+    cfg_path.write_text(lines, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"detector.cfg:{repeat}: key .* repeats line {first}$"):
+        load_detector_config(cfg_path)
+
+
 def test_load_detector_config_rejects_bad_value(tmp_path):
     cfg_path = tmp_path / "detector.cfg"
     cfg_path.write_text("min_followers = soon\n", encoding="utf-8")

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from botminer import pipeline, textmine
-from botminer.cli import main
+from botminer.cli import build_parser, main
 from botminer.detector import (
     ActivityStrategy,
     Classification,
@@ -388,8 +388,7 @@ def test_bad_setting_runs_no_stage(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline.corpus_mod, "ingest", no_stage)
     monkeypatch.setattr(PipelineSettings, "load_lists", no_stage)
     # quantile and ratio_tolerance override fields of an already built DetectorConfig
-    for flags in ({"window": 0}, {"min_df": 0.5, "max_df": 0.2}, {"k_terms": 0},
-                  {"quantile": 1.5}, {"ratio_tolerance": -0.5}):
+    for flags in ({"quantile": 1.5}, {"ratio_tolerance": -0.5}):
         with pytest.raises(PipelineStageError) as err:
             run_pipeline(corpus, flags=flags, out_dir=tmp_path / "out")
         assert err.value.stage == "config"
@@ -408,36 +407,51 @@ def test_settings_from_flags_precedence(tmp_path):
 def test_settings_from_flags_full_set(tmp_path):
     src = tmp_path / "sources.txt"
     src.write_text("botapp\n", encoding="utf-8")
-    s = settings_from_flags(None, {
-        "sources": src, "activity_strategy": "iqr", "ratio_tolerance": 0.2,
-        "rate_basis": "lifetime", "strict": True, "format": "jsonl",
-        "query_term": "tehran", "min_df": 0.0, "max_df": 0.9, "window": 3,
-        "k_terms": 10, "k_neighbors": 2,
-    })
+    flags = {
+        "sources": str(src), "activity_strategy": "iqr", "quantile": 0.9,
+        "ratio_tolerance": 0.2, "rate_basis": "lifetime", "strict": True, "format": "jsonl",
+        "lexicon": "lex.tsv", "stopwords": "stop.txt",
+    }
+    assert tuple(flags) == pipeline.FLAGS
+    s = settings_from_flags(None, flags)
     assert s.detector.suspicious_sources == frozenset({"botapp"})
     assert s.detector.activity_strategy is ActivityStrategy.IQR_FENCE
+    assert s.detector.activity_quantile == 0.9
     assert s.detector.ratio_tolerance == 0.2
     assert s.rate_basis == "lifetime"
     assert s.strictness == "strict"
     assert s.output_format == "jsonl"
-    assert (s.query_term, s.min_df, s.max_df) == ("tehran", 0.0, 0.9)
-    assert (s.window, s.k_terms, s.k_neighbors) == (3, 10, 2)
+    assert (s.lexicon_path, s.stopwords_path) == ("lex.tsv", "stop.txt")
+    assert s._replace(detector=DetectorConfig()) == PipelineSettings(
+        rate_basis="lifetime", strictness="strict", output_format="jsonl",
+        lexicon_path="lex.tsv", stopwords_path="stop.txt")  # no other field moved
+    assert settings_from_flags(None, {"strict": False}) == PipelineSettings()
 
 
 def test_settings_from_flags_rejects_unknown():
     with pytest.raises(ValueError, match="unknown pipeline flags"):
         settings_from_flags(None, {"bogus": 1})
-    with pytest.raises(ValueError, match="rate basis"):
-        settings_from_flags(None, {"rate_basis": "fortnight"})
+    with pytest.raises(ValueError, match=r"unknown pipeline flags: \['window'\]"):
+        settings_from_flags(None, {"window": 3})  # a settings field, not a CLI flag
+    # only the CLI's spellings of a rate basis
+    for rate_basis in ("fortnight", "corpus-window", "Lifetime"):
+        with pytest.raises(ValueError, match="rate basis"):
+            settings_from_flags(None, {"rate_basis": rate_basis})
 
 
-@pytest.mark.parametrize("flag", [
-    "sources", "activity_strategy", "quantile", "ratio_tolerance", "iqr_multiplier",
-    "iqr_fence_base", "min_followers", "duplicate_min_cluster", "rate_basis", "strict",
-    "format", "lexicon", "stopwords", "query_term", "min_df", "max_df", "window",
-    "k_terms", "k_neighbors"])
+# settings fields that are no CLI flag, so settings_from_flags rejects them
+FORMER_FLAGS = ("iqr_multiplier", "iqr_fence_base", "min_followers", "duplicate_min_cluster",
+                "query_term", "min_df", "max_df", "window", "k_terms", "k_neighbors")
+
+
+@pytest.mark.parametrize("flag", pipeline.FLAGS + FORMER_FLAGS)
 def test_settings_from_flags_none_means_unset(flag):
-    assert settings_from_flags(None, {flag: None}) == settings_from_flags(None, {})
+    """None leaves a CLI flag unset; any other key is unknown, even when None."""
+    if flag in pipeline.FLAGS:
+        assert settings_from_flags(None, {flag: None}) == settings_from_flags(None, {})
+    else:
+        with pytest.raises(ValueError, match=f"unknown pipeline flags: \\['{flag}'\\]"):
+            settings_from_flags(None, {flag: None})
 
 
 def test_run_pipeline_wraps_config_errors(tmp_path):
@@ -621,6 +635,16 @@ def test_cli_empty_corpus_names_stage(tmp_path, capsys):
     empty.write_text("", encoding="utf-8")
     assert main(["run", str(empty), "--out", str(tmp_path / "out")]) == 1
     assert "stage 'ingest' failed" in capsys.readouterr().err
+
+
+def test_cli_dests_are_the_pipeline_flags():
+    parser = build_parser()
+    dests = set()
+    for argv in (["ingest-check", "c"], ["detect", "c"], ["analyze", "c", "--out", "o"],
+                 ["run", "c", "--out", "o"]):
+        dests |= vars(parser.parse_args(argv)).keys()
+    not_flags = {"corpus", "out", "config", "command", "func", "full_report"}
+    assert dests - not_flags == set(pipeline.FLAGS)
 
 
 def test_cli_rejects_unknown_subcommand(capsys):
