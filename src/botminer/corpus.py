@@ -207,8 +207,10 @@ def parse_timestamp(raw: str) -> datetime:
             dt = datetime.strptime(raw, "%a %b %d %H:%M:%S %z %Y")
         except ValueError:
             raise MalformedRecordError(f"unparseable timestamp {raw!r}") from None
+    if dt.tzinfo is timezone.utc:
+        return dt
     if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
+        return dt.replace(tzinfo=timezone.utc)
     try:
         return dt.astimezone(timezone.utc)
     except OverflowError:
@@ -263,23 +265,23 @@ def _count_field(user: Mapping, key: str) -> int:
 class _Parser:
     """parse_record for the records of one ingest.
 
-    Each field is checked inline by its exact type; ``_field`` and
-    ``_count_field`` run only for a value that fails that check, to give its
-    default or raise its message.  Each distinct timestamp string and
-    ``source`` string is parsed once and its result shared by every tweet
+    Each field is checked inline by its exact type; ``_field``,
+    ``_count_field`` and ``_id`` run only for a value that fails that check,
+    to give its default or raise its message.  A tweet's ``created_at`` that
+    equals the previous record's shares that record's parse, which catches
+    the repeats of a time-ordered dump; any other is parsed anew, as tweet
+    times are nearly all distinct.  Each distinct account ``created_at`` and
+    ``source`` string is parsed once and its result shared by every record
     that repeats it.  Only successful parses are kept, so a malformed
-    timestamp is checked (and reported) again wherever it occurs.
+    timestamp is checked (and reported) again wherever it occurs.  Ids and
+    texts that are ASCII skip the UTF-8 and NFC passes, which cannot change
+    them.
     """
 
     def __init__(self):
-        self._timestamps: dict[str, datetime] = {}
+        self._timestamps: dict[str, datetime] = {}  # account created_at -> parse
         self._sources: dict[str, str] = {}
-
-    def _timestamp(self, raw: str) -> datetime:
-        dt = self._timestamps.get(raw)
-        if dt is None:
-            dt = self._timestamps[raw] = parse_timestamp(raw)
-        return dt
+        self._last_created: tuple = (None, None)  # the last tweet created_at and its parse
 
     def parse(self, obj: Mapping) -> tuple:
         """See parse_record; the record comes as one plain tuple: the Tweet
@@ -291,20 +293,29 @@ class _Parser:
         if type(user) is not dict:
             user = _field(obj, "user", (dict,))
         user_get = user.get
-        tweet_id = _id(obj)
-        try:
-            tweet_id.encode("utf-8")  # an id with a lone surrogate could not be written out
-        except UnicodeEncodeError as exc:
-            raise MalformedRecordError(str(exc)) from None
-        account_id = _id(user)
+        tweet_id = get("id")
+        if type(tweet_id) is not str:
+            tweet_id = _id(obj)
+        if not tweet_id.isascii():
+            try:
+                tweet_id.encode("utf-8")  # an id with a lone surrogate could not be written out
+            except UnicodeEncodeError as exc:
+                raise MalformedRecordError(str(exc)) from None
+        account_id = user_get("id")
+        if type(account_id) is not str:
+            account_id = _id(user)
         text = get("text")
         if type(text) is not str:
             text = _field(obj, "text", (str,))
-        text = unicodedata.normalize("NFC", text)
+        if not text.isascii():
+            text = unicodedata.normalize("NFC", text)
         raw_created = get("created_at")
         if type(raw_created) is not str:
             raw_created = _field(obj, "created_at", (str,))
-        created_at = self._timestamp(raw_created)
+        last_raw, created_at = self._last_created
+        if raw_created != last_raw:
+            created_at = parse_timestamp(raw_created)
+            self._last_created = raw_created, created_at
         raw_user_created = user_get("created_at")
         if type(raw_user_created) is not str:
             raw_user_created = _field(user, "created_at", (str,), "")
@@ -323,8 +334,13 @@ class _Parser:
         statuses = user_get("statuses_count")
         if type(statuses) is not int or not 0 <= statuses <= _MAX_COUNT:
             statuses = _count_field(user, "statuses_count")
-        account_created = (self._timestamp(raw_user_created) if raw_user_created
-                           else created_at)
+        if raw_user_created:
+            account_created = self._timestamps.get(raw_user_created)
+            if account_created is None:
+                account_created = parse_timestamp(raw_user_created)
+                self._timestamps[raw_user_created] = account_created
+        else:
+            account_created = created_at
 
         is_retweet = (
             get("retweeted_status") is not None
@@ -343,9 +359,6 @@ class _Parser:
 
 def _id(obj: Mapping) -> str:
     """obj["id"] as a string: a JSON string, or an int written in decimal."""
-    value = obj.get("id")
-    if type(value) is str:
-        return value
     value = _field(obj, "id", (str, int))
     try:
         return str(value)
@@ -454,8 +467,9 @@ def ingest(path, strictness: str = LENIENT,
     ``json.loads`` accepts it.
     Repeated tweet ids keep the last record (dict semantics) and are tallied
     in ``duplicate_count``.  Blank lines (streaming keep-alives) are ignored.
-    Records are parsed as parse_record parses them, but each distinct
-    timestamp and source string once.
+    Records are parsed as parse_record parses them, but a tweet time equal
+    to the previous record's, and an account time or source string seen
+    before, reuse that parse.
     """
     if strictness not in (LENIENT, STRICT):
         raise ValueError(f"unknown strictness {strictness!r}")

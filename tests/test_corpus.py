@@ -1,7 +1,9 @@
 """Ingestion, record parsing, and per-account aggregation."""
 
+import csv
 import gc
 import json
+from datetime import timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,13 +15,16 @@ from botminer.corpus import (
     STRICT,
     AccountStats,
     Tweet,
+    _Parser,
     build_corpus,
     extract_source_app,
     ingest,
     parse_record,
     parse_timestamp,
 )
+from botminer.detector import classify
 from botminer.errors import EmptyCorpusError, MalformedRecordError
+from botminer.pipeline import write_classifications
 
 from conftest import WEB_CLIENT, corpus_of, fields_of, record, tweet, write_ndjson
 
@@ -68,6 +73,15 @@ def test_parse_timestamp_naive_is_utc():
     dt = parse_timestamp("2017-12-30T13:08:45")
     assert dt.tzinfo is not None
     assert dt == parse_timestamp("2017-12-30T13:08:45Z")
+
+
+def test_parse_timestamp_spellings_of_one_instant_agree():
+    spellings = ["2017-12-30T13:08:45Z", "2017-12-30T13:08:45+00:00",
+                 "2017-12-30T14:08:45+01:00", "2017-12-30T13:08:45",
+                 "Sat Dec 30 13:08:45 +0000 2017"]
+    parsed = [parse_timestamp(raw) for raw in spellings]
+    assert all(dt == parsed[0] and dt.tzinfo is timezone.utc for dt in parsed)
+    assert len({repr(dt) for dt in parsed}) == 1
 
 
 def test_parse_timestamp_garbage():
@@ -392,6 +406,24 @@ def test_ingest_high_follower_account_fixture(tmp_path):
     assert corpus.tweets[0].source_app == "IFTTT"
 
 
+def test_ingest_keeps_non_ascii_tweet_ids_and_composes_text(tmp_path):
+    # ids are kept as written, NFD ones too; only texts are NFC-normalized
+    ids = ["tw\u00e9", "\U0001f642", "twe\u0301", "1"]
+    texts = ["cafe\u0301", "\U0001f642 twe\u0301", "hello", "caf\u00e9"]
+    path = write_ndjson(tmp_path / "c.ndjson", map(record, ids, texts))
+    corpus = ingest(path, STRICT)
+    assert list(corpus.ids) == ids
+    assert list(corpus.texts) == ["caf\u00e9", "\U0001f642 tw\u00e9", "hello", "caf\u00e9"]
+    detection = classify(corpus)
+    write_classifications(tmp_path / "c.csv", "f", detection, "csv")
+    write_classifications(tmp_path / "c.jsonl", "f", detection, "jsonl")
+    with open(tmp_path / "c.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    assert [row[0] for row in rows] == ids
+    lines = (tmp_path / "c.jsonl").read_text("utf-8").splitlines()
+    assert [json.loads(line)["tweet_id"] for line in lines] == ids
+
+
 # ---------------------------------------------------------------------------
 # account aggregates / rates
 # ---------------------------------------------------------------------------
@@ -540,8 +572,40 @@ def test_account_view_is_a_mapping_of_account_stats(rows):
 
 
 # ---------------------------------------------------------------------------
-# ingest parses each distinct timestamp and source once
+# ingest reuses the parse of a tweet time equal to the previous record's, and
+# parses each distinct account time and source once
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("minutes", [[0, 0, 0], [0, 5, 0], [0, 0, 5, 5, 0]],
+                         ids=["equal", "A_B_A", "A_A_B_B_A"])
+def test_ingest_tweet_times_equal_parse_timestamp(tmp_path, minutes):
+    recs = [record(i=str(k), minutes=m) for k, m in enumerate(minutes)]
+    corpus = ingest(write_ndjson(tmp_path / "c.ndjson", recs), STRICT)
+    assert corpus.created_at == tuple(parse_timestamp(r["created_at"]) for r in recs)
+
+
+def test_ingest_reports_a_malformed_time_on_every_line(tmp_path):
+    bad = [record(i="1"), record(i="2")]
+    for rec in bad:
+        rec["created_at"] = "yesterday"
+    path = write_ndjson(tmp_path / "c.ndjson", bad + [record(i="3")])
+    corpus = ingest(path, LENIENT)
+    assert list(corpus.ids) == ["3"]
+    assert corpus.skipped_count == 2
+    with pytest.raises(MalformedRecordError) as alone:
+        parse_record(bad[0])
+    with pytest.raises(MalformedRecordError) as strict:
+        ingest(path, STRICT)
+    assert str(strict.value) == f"line 1: {alone.value}"
+
+
+def test_parser_keeps_no_tweet_time():
+    # tweet times are nearly all distinct, so only account times are kept
+    parser = _Parser()
+    for k in range(50):
+        parser.parse(record(i=str(k), minutes=k, account_created="2015-01-01T00:00:00Z"))
+    assert len(parser._timestamps) == 1
+
 
 @pytest.mark.parametrize("changes", [{"verified": 1}, {"followers_count": 5.0}],
                          ids=["verified_1", "followers_5.0"])
