@@ -17,7 +17,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import detector as detector_mod
 from . import pipeline as pipeline_mod
-from .errors import BotminerError, PipelineStageError
+from .errors import BotminerError
 
 
 def _corpus_parent() -> argparse.ArgumentParser:
@@ -25,14 +25,14 @@ def _corpus_parent() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="newline-delimited JSON tweet dump")
     p.add_argument("--strict", action="store_true",
                    help="abort on the first malformed record (default: skip and count)")
-    p.add_argument("--rate-basis", choices=["window", "lifetime"], default=None,
-                   help="tweets-per-day basis: corpus window (default) or account lifetime")
     return p
 
 
 def _detector_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="PATH", help="detector config file (key = value lines)")
+    p.add_argument("--rate-basis", choices=["window", "lifetime"], default=None,
+                   help="tweets-per-day basis: corpus window (default) or account lifetime")
     p.add_argument("--activity-strategy", choices=["quantile", "iqr"], default=None,
                    help="posting-rate outlier strategy")
     p.add_argument("--quantile", type=float, default=None, metavar="Q",
@@ -58,18 +58,18 @@ def _flags_from_args(args) -> dict:
 def _print_shares(label_shares, threshold, strategy):
     """The label table and threshold line; *label_shares* as in run_summary.json."""
     print(f"{'label':<12}{'count':>10}   share")
-    for label in ("NoBot", "Suspicious", "Bot"):
-        row = label_shares[label]
-        note = "  (includes Bot)" if label == "Suspicious" else ""
-        print(f"{label:<12}{row['count']:>10}   {row['share']:7.2%}{note}")
+    for label in detector_mod.Label:
+        row = label_shares[label.value]
+        note = "  (includes Bot)" if label is detector_mod.Label.SUSPICIOUS else ""
+        print(f"{label.value:<12}{row['count']:>10}   {row['share']:7.2%}{note}")
     print(f"activity threshold: {threshold:.4f} tweets/day ({strategy})")
 
 
 def _print_sentiment(summary: pipeline_mod.RunSummary):
     print("group mean sentiment (per tweet):")
-    for label in ("NoBot", "Suspicious", "Bot"):
-        mean = summary.mean_sentiment[label]
-        print(f"  {label:<12}{'undefined' if mean is None else format(mean, '+.4f')}")
+    for label in detector_mod.Label:
+        mean = summary.mean_sentiment[label.value]
+        print(f"  {label.value:<12}{'undefined' if mean is None else format(mean, '+.4f')}")
     print("KS comparisons (word-level sentiment):")
     for pair, res in summary.ks_comparisons.items():
         if res is None:
@@ -80,8 +80,7 @@ def _print_sentiment(summary: pipeline_mod.RunSummary):
 
 def cmd_ingest_check(args) -> int:
     settings = pipeline_mod.settings_from_flags(None, _flags_from_args(args))
-    corp = corpus_mod.ingest(args.corpus, strictness=settings.strictness,
-                             rate_basis=settings.rate_basis)
+    corp = corpus_mod.ingest(args.corpus, strictness=settings.strictness)
     print(f"tweets: {len(corp)}")
     print(f"accounts: {len(corp.accounts)}")
     print(f"span: {corp.span_start.isoformat()} .. {corp.span_end.isoformat()}"
@@ -151,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_parent = _corpus_parent()
     detector_parent = _detector_parent()
     textmine_parent = _textmine_parent()
+    formats = list(pipeline_mod.CLASSIFICATION_FILES)
 
     p = sub.add_parser("ingest-check", parents=[corpus_parent],
                        help="parse a corpus file and report what loaded")
@@ -159,20 +159,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", parents=[corpus_parent, detector_parent],
                        help="classify tweets and print label shares")
     p.add_argument("--out", metavar="DIR", help="also write per-tweet classification records")
-    p.add_argument("--format", choices=["csv", "jsonl"], default=None,
+    p.add_argument("--format", choices=formats, default=None,
                    help="classification record format (default csv)")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("analyze", parents=[corpus_parent, detector_parent, textmine_parent],
                        help="full pipeline, reporting sentiment and KS comparisons")
     p.add_argument("--out", metavar="DIR", required=True, help="artifact directory")
-    p.add_argument("--format", choices=["csv", "jsonl"], default=None)
+    p.add_argument("--format", choices=formats, default=None)
     p.set_defaults(func=cmd_pipeline, full_report=False)
 
     p = sub.add_parser("run", parents=[corpus_parent, detector_parent, textmine_parent],
                        help="full pipeline with the complete summary report")
     p.add_argument("--out", metavar="DIR", required=True, help="artifact directory")
-    p.add_argument("--format", choices=["csv", "jsonl"], default=None)
+    p.add_argument("--format", choices=formats, default=None)
     p.set_defaults(func=cmd_pipeline, full_report=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
@@ -193,9 +193,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PipelineStageError as exc:
-        print(f"botminer: {exc}", file=sys.stderr)
-        return 1
     except (BotminerError, OSError, ValueError) as exc:
         print(f"botminer: {exc}", file=sys.stderr)
         return 1

@@ -92,13 +92,11 @@ _N_FIELDS = _N_TWEET_FIELDS + len(AccountSnapshot._fields)  # of one row
 _new_tweet = partial(tuple.__new__, Tweet)
 
 
-class _TweetView(Sequence):
+class _TweetView:
     """A corpus's tweets in order, each Tweet built from the columns on demand.
 
     ``columns`` is a Tweet whose fields are the per-tweet columns, tuples in
-    corpus order.  Indexing gives one Tweet (negative indices too) and a
-    slice a tuple of them.  It equals another view, or a tuple, of equal
-    Tweets in the same order.
+    corpus order.  Iterating builds one Tweet per tweet.
     """
 
     __slots__ = ("columns",)
@@ -109,20 +107,8 @@ class _TweetView(Sequence):
     def __len__(self) -> int:
         return len(self.columns.id)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(_new_tweet, zip(*(column[i] for column in self.columns))))
-        return Tweet._make(column[i] for column in self.columns)
-
     def __iter__(self):
         return map(_new_tweet, zip(*self.columns))
-
-    def __eq__(self, other):
-        if isinstance(other, _TweetView):
-            return self.columns == other.columns
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
 
 
 class _AccountView(Mapping):
@@ -184,7 +170,7 @@ class Corpus:
 
     @property
     def tweets(self) -> _TweetView:
-        """The tweets in corpus order, as a read-only sequence of Tweets."""
+        """The tweets in corpus order: a length, and iteration that builds each Tweet."""
         return _TweetView(Tweet(self.ids, self.texts, self.created_at, self.source_apps,
                                 self.is_retweet, self.author_ids))
 

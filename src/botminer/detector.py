@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Collection, Sequence
+from collections.abc import Collection
 from enum import Enum
 from functools import partial
 from itertools import compress, repeat
@@ -105,13 +105,13 @@ def _code(code_of: dict, key: tuple) -> int:
     return code_of.setdefault(key, len(code_of))
 
 
-class Detection(Sequence):
+class Detection:
     """Classifications in corpus order, plus the activity threshold they used.
 
     Each tweet's verdict is one code: ``outcomes[codes[i]]`` is the
     ``(label, hits, verified_override)`` of tweet ``tweet_ids[i]``.  Equal
-    codes are one int object, so no object lives per tweet.  Indexing and
-    iterating build Classifications on demand.
+    codes are one int object, so no object lives per tweet.  Iterating
+    builds one Classification per tweet.
     """
 
     __slots__ = ("tweet_ids", "codes", "outcomes", "threshold")
@@ -122,28 +122,13 @@ class Detection(Sequence):
         self.outcomes = outcomes
         self.threshold = threshold
 
-    @classmethod
-    def of(cls, classifications: Iterable[Classification]) -> Detection:
-        """Code Classifications the way classify codes them; no threshold (NaN)."""
-        code_of, tweet_ids, codes = {}, [], []
-        for c in classifications:
-            tweet_ids.append(c.tweet_id)
-            codes.append(_code(code_of, (c.label, c.hits, c.verified_override)))
-        return cls(tuple(tweet_ids), codes, tuple(code_of), float("nan"))
-
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, i):
-        """One Classification, or a list of them for a slice."""
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return Classification(self.tweet_ids[i], *self.outcomes[self.codes[i]])
-
-    def __eq__(self, other):
-        if not isinstance(other, (Detection, list)):
-            return NotImplemented
-        return list(self) == list(other)
+    def __iter__(self):
+        outcomes = self.outcomes
+        return (Classification(tid, *outcomes[code])
+                for tid, code in zip(self.tweet_ids, self.codes))
 
     def counts(self) -> list:
         """The number of tweets with each outcome, indexed by code."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from botminer.corpus import Corpus, build_corpus, parse_record
+from botminer.detector import Detection
 from botminer.textmine import cooccurrence
 
 BASE = datetime(2017, 12, 30, 12, 0, 0, tzinfo=timezone.utc)
@@ -70,6 +71,16 @@ def tweets_of(texts):
     columns = (tuple(map(str, range(n))), tuple(texts), (BASE,) * n, ("web",) * n,
                (False,) * n, ("u1",) * n)
     return Corpus(*columns, {}, BASE, BASE, 0, 0).tweets
+
+
+def detection_of(classifications):
+    """A Detection of *classifications*, each outcome coded first seen first
+    as classify codes them; no activity threshold (NaN)."""
+    code_of, tweet_ids, codes = {}, [], []
+    for c in classifications:
+        tweet_ids.append(c.tweet_id)
+        codes.append(code_of.setdefault((c.label, c.hits, c.verified_override), len(code_of)))
+    return Detection(tuple(tweet_ids), codes, tuple(code_of), float("nan"))
 
 
 def doc(*tokens):

@@ -22,7 +22,6 @@ from botminer.corpus import ingest
 from botminer.detector import (
     ActivityStrategy,
     Classification,
-    Detection,
     DetectorConfig,
     Label,
     Rule,
@@ -39,7 +38,7 @@ from botminer.stats import LINEAR, ks_two_sample, quantile
 from botminer.syngen import SynthConfig, evaluate_detection, generate, load_ground_truth
 from botminer.textmine import build_vocab, cooccurrence, tfidf_weight
 
-from conftest import corpus_of, docs_of, record, tweet
+from conftest import corpus_of, detection_of, docs_of, record, tweet
 
 
 def test_criterion_1_detector_examples():
@@ -109,11 +108,11 @@ def test_criterion_1_detector_examples():
     cls = ([Classification(f"n{k}", Label.NO_BOT, frozenset()) for k in range(8)]
            + [Classification("s", Label.SUSPICIOUS, frozenset())]
            + [Classification("b", Label.BOT, frozenset())])
-    summary = group_summary(Detection.of(cls))
+    summary = group_summary(detection_of(cls))
     assert summary[Label.SUSPICIOUS].count == 2
     assert (summary[Label.NO_BOT].share, summary[Label.SUSPICIOUS].share,
             summary[Label.BOT].share) == (0.8, 0.2, 0.1)
-    all_clean = group_summary(Detection.of(Classification(str(k), Label.NO_BOT, frozenset())
+    all_clean = group_summary(detection_of(Classification(str(k), Label.NO_BOT, frozenset())
                                            for k in range(10)))
     assert all_clean[Label.NO_BOT].share == 1.0
     assert all_clean[Label.BOT].count == 0

@@ -4,7 +4,8 @@ perfbench/spans.py computes counts from the arguments and results of the
 calls it wraps, and perfbench/checks.py scores a run's labels through
 syngen.evaluate_detection; if a type changes shape under them, they break or
 read wrong.  This loads both modules from their files and applies them to
-real outputs.  perfbench/worker.py times set-up by resolving each workload's
+real outputs, and traces one whole CLI run as a traced benchmark run
+does.  perfbench/worker.py times set-up by resolving each workload's
 flags; those must resolve to the settings its argv gives the CLI.
 """
 
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from botminer import pipeline
+from botminer import cli, pipeline
 from botminer.cli import main
 from botminer.corpus import ingest
 from botminer.detector import classify
@@ -58,6 +59,28 @@ def test_detection_quality_equals_evaluate_detection(default_synth):
                                                truth)
     assert report == evaluate_detection(detection, corpus, truth)
     assert report.recall > 0
+
+
+def test_traced_run_reaches_every_layer_and_counts(default_synth, tmp_path, monkeypatch):
+    spans = _load("spans")
+    # Tracer.install replaces these attributes; monkeypatch puts them back
+    for module_name, functions in spans.WRAPPED.items():
+        module = importlib.import_module(f"botminer.{module_name}")
+        for name in functions:
+            monkeypatch.setattr(module, name, getattr(module, name))
+    monkeypatch.setattr(pipeline.PipelineSettings, "fingerprint",
+                        pipeline.PipelineSettings.fingerprint)
+    tracer = spans.Tracer()
+    tracer.install()
+
+    out = tmp_path / "out"
+    assert cli.main(["run", str(default_synth[0]), "--out", str(out)]) == 0
+    artifact_bytes = sum(p.stat().st_size for p in out.iterdir())
+    metrics, absent = spans.layer_metrics(tracer.spans, artifact_bytes)
+    assert absent == []
+    counted = {s[spans.NAME] for s in tracer.spans if s[spans.COUNTS]}
+    assert counted == set(spans.COUNTERS)
+    assert metrics["detector.rule_hits"] > 0 and metrics["textmine.tokens"] > 0
 
 
 class _Resolved(BaseException):

@@ -13,7 +13,6 @@ from botminer.corpus import ingest
 from botminer.detector import (
     ActivityStrategy,
     Classification,
-    Detection,
     DetectorConfig,
     Label,
     Rule,
@@ -31,7 +30,7 @@ from botminer.detector import (
 )
 from botminer.errors import ConfigError
 
-from conftest import corpus_of, record, tweet
+from conftest import corpus_of, detection_of, record, tweet
 
 
 def config_with(**kw):
@@ -267,7 +266,8 @@ def test_classify_duplicate_plus_ratio_is_bot():
 def test_classify_is_pure():
     corpus = _mixed_corpus('<a href="x">twittbot</a>')
     cfg = DetectorConfig()
-    assert classify(corpus, cfg) == classify(corpus, cfg)
+    first, second = classify(corpus, cfg), classify(corpus, cfg)
+    assert list(first) == list(second) and first.threshold == second.threshold
 
 
 def test_classify_label_lattice_and_hit_counts():
@@ -429,7 +429,7 @@ def _cls(label, n):
 
 
 def test_group_summary_inclusive_suspicious():
-    summary = group_summary(Detection.of(
+    summary = group_summary(detection_of(
         _cls(Label.NO_BOT, 8) + _cls(Label.SUSPICIOUS, 1) + _cls(Label.BOT, 1)))
     assert summary[Label.NO_BOT].count == 8
     assert summary[Label.SUSPICIOUS].count == 2  # includes the Bot tweet
@@ -440,7 +440,7 @@ def test_group_summary_inclusive_suspicious():
 
 
 def test_group_summary_all_nobot():
-    summary = group_summary(Detection.of(_cls(Label.NO_BOT, 5)))
+    summary = group_summary(detection_of(_cls(Label.NO_BOT, 5)))
     assert summary[Label.NO_BOT].share == 1.0
     assert summary[Label.SUSPICIOUS].count == 0
     assert summary[Label.BOT].count == 0
@@ -455,7 +455,7 @@ def test_group_summary_large_scale_shares():
         itertools.repeat(nobot, 899_745 - 118_071),
         itertools.repeat(susp, 118_071 - 10_126),
         itertools.repeat(bot, 10_126))
-    summary = group_summary(Detection.of(stream))
+    summary = group_summary(detection_of(stream))
     assert summary[Label.SUSPICIOUS].count == 118_071
     assert summary[Label.SUSPICIOUS].share == pytest.approx(0.1312, abs=1e-4)
     assert summary[Label.BOT].share == pytest.approx(0.0113, abs=1e-4)
@@ -463,7 +463,7 @@ def test_group_summary_large_scale_shares():
 
 def test_group_summary_empty():
     with pytest.raises(ValueError):
-        group_summary(Detection.of([]))
+        group_summary(detection_of([]))
 
 
 counts = st.dictionaries(st.sampled_from("abc"), st.integers(1, 9))

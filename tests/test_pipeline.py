@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -28,6 +29,7 @@ from botminer.detector import (
 )
 from botminer.errors import ConfigError, PipelineStageError
 from botminer.pipeline import (
+    CLASSIFICATION_FILES,
     PipelineSettings,
     compare_group_sentiment,
     execute_pipeline,
@@ -42,7 +44,7 @@ from botminer.textmine import (
     group_word_sentiment_samples,
 )
 
-from conftest import docs_of, record, term_counts, write_ndjson
+from conftest import detection_of, docs_of, record, term_counts, write_ndjson
 
 EXPECTED_ARTIFACTS = {
     "classifications.csv", "run_summary.json",
@@ -282,7 +284,7 @@ def test_write_classifications_standalone(tmp_path):
     cls = [Classification("t1", Label.BOT, frozenset()),
            Classification("t2", Label.NO_BOT, frozenset(), verified_override=True)]
     path = tmp_path / "cls.csv"
-    write_classifications(path, "cafe0123", Detection.of(cls), "csv")
+    write_classifications(path, "cafe0123", detection_of(cls), "csv")
     lines = path.read_text("utf-8").splitlines()
     assert lines[0] == "# config_fingerprint=cafe0123"
     assert lines[2] == "t1,Bot,,false"
@@ -318,7 +320,7 @@ def test_compare_groups_disjoint_supports():
            Classification("d1", Label.BOT, frozenset()),
            Classification("d2", Label.NO_BOT, frozenset()),
            Classification("d3", Label.NO_BOT, frozenset())]
-    groups = group_docs(Detection.of(cls), docs)
+    groups = group_docs(detection_of(cls), docs)
     out = compare_group_sentiment(
         fold_groups(group_word_sentiment_samples(term_counts(groups), LEX)))
     assert out["NoBot_vs_Bot"].d_statistic == 1.0
@@ -647,6 +649,26 @@ def test_cli_dests_are_the_pipeline_flags():
     assert dests - not_flags == set(pipeline.FLAGS)
 
 
+def test_cli_ingest_check_has_no_rate_basis(capsys):
+    # what ingest-check prints does not depend on the rate basis
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest-check", "c", "--rate-basis", "lifetime"])
+    assert exc.value.code == 2
+    assert "--rate-basis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["detect", "c"], ["analyze", "c", "--out", "o"],
+                                  ["run", "c", "--out", "o"]])
+def test_cli_formats_are_the_classification_files(argv, capsys):
+    parser = build_parser()
+    for fmt in CLASSIFICATION_FILES:
+        assert parser.parse_args(argv + ["--format", fmt]).format == fmt
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv + ["--format", "xml"])
+    choices = re.search(r"choose from (.*)\)", capsys.readouterr().err).group(1)
+    assert choices.replace("'", "").split(", ") == list(CLASSIFICATION_FILES)
+
+
 def test_cli_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -795,7 +817,7 @@ def _check_written_per_record(root, cls, detection):
 
 @given(classification_lists)
 def test_write_classifications_equals_per_record_reference(tmp_path_factory, cls):
-    _check_written_per_record(tmp_path_factory.mktemp("records"), cls, Detection.of(cls))
+    _check_written_per_record(tmp_path_factory.mktemp("records"), cls, detection_of(cls))
 
 
 # any encodable id (no lone surrogates), and ids that csv.writer must quote or
@@ -810,7 +832,7 @@ csv_ids = st.text(st.characters(blacklist_categories=("Cs",))) | st.sampled_from
 @example([("1", Label.BOT, HIT_SETS[2], False), ("cr\r", Label.BOT, HIT_SETS[2], False)])
 def test_csv_classifications_equal_csv_writer_rows(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "c.csv"
-    write_classifications(path, FINGERPRINT, Detection.of([Classification(*r) for r in rows]),
+    write_classifications(path, FINGERPRINT, detection_of([Classification(*r) for r in rows]),
                           "csv")
     buf = io.StringIO(newline="")
     buf.write(f"# config_fingerprint={FINGERPRINT}\n")
@@ -823,11 +845,9 @@ def test_csv_classifications_equal_csv_writer_rows(tmp_path_factory, rows):
 
 @given(classification_lists)
 def test_detection_readers_equal_per_classification_reference(tmp_path_factory, cls):
-    detection = Detection.of(cls)
-    assert list(detection) == cls and detection == cls
+    detection = detection_of(cls)
+    assert list(detection) == cls
     assert len(detection) == len(cls)
-    assert all(detection[i] == c for i, c in enumerate(cls))
-    assert detection[1:] == cls[1:] and detection[::-2] == cls[::-2]
     assert len(set(detection.outcomes)) == len(detection.outcomes)  # one code per outcome
 
     labels = Counter(c.label for c in cls)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from botminer.corpus import ingest
 from botminer.detector import (
     Classification,
-    Detection,
     Label,
     classify,
     fold_groups,
@@ -36,7 +35,7 @@ from botminer.textmine import (
     top_cooccurrents,
 )
 
-from conftest import corpus_of, doc, docs_of, record, term_counts, tweets_of
+from conftest import corpus_of, detection_of, doc, docs_of, record, term_counts, tweets_of
 
 STOPWORDS = load_stopwords()
 
@@ -538,7 +537,7 @@ def test_tweet_sentiment_linearity():
 def _word_values(docs):
     """Word-level sentiment sample of *docs*, all labelled NoBot."""
     cls = [Classification(str(i), Label.NO_BOT, frozenset()) for i in range(len(docs))]
-    groups = group_docs(Detection.of(cls), docs)
+    groups = group_docs(detection_of(cls), docs)
     return group_word_sentiment_samples(term_counts(groups), LEX)[Label.NO_BOT]
 
 
@@ -569,7 +568,7 @@ def _grouped_docs():
 
 def _group_means(cls, docs):
     """group_mean_sentiment on the path the pipeline takes."""
-    groups = group_docs(Detection.of(cls), docs)
+    groups = group_docs(detection_of(cls), docs)
     samples = fold_groups(group_word_sentiment_samples(term_counts(groups), LEX))
     return group_mean_sentiment(samples, fold_groups({k: len(v) for k, v in groups.items()}))
 
@@ -601,13 +600,13 @@ def test_group_mean_sentiment_empty_group_is_none():
 
 def test_group_samples_inclusive_and_checked():
     cls, docs = _grouped_docs()
-    groups = group_docs(Detection.of(cls), docs)
+    groups = group_docs(detection_of(cls), docs)
     samples = fold_groups(group_word_sentiment_samples(term_counts(groups), LEX))
     assert samples[Label.SUSPICIOUS] == Counter({-1: 3})  # bot words included
     assert samples[Label.BOT] == Counter({-1: 2})
     assert samples[Label.NO_BOT] == Counter({1: 1})
     with pytest.raises(ValueError):
-        group_docs(Detection.of(cls), doc("x"))
+        group_docs(detection_of(cls), doc("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +616,9 @@ def test_group_samples_inclusive_and_checked():
 def test_group_docs_rejects_mismatched_inputs():
     cls, docs = _grouped_docs()
     with pytest.raises(ValueError, match="3 classifications but 2 token streams"):
-        group_docs(Detection.of(cls), docs[:2])  # one classification too many
+        group_docs(detection_of(cls), docs[:2])  # one classification too many
     with pytest.raises(ValueError, match="2 classifications but 3 token streams"):
-        group_docs(Detection.of(cls[:2]), docs)  # one doc too many
+        group_docs(detection_of(cls[:2]), docs)  # one doc too many
 
 
 labels = st.lists(st.sampled_from(list(Label)), min_size=1, max_size=40)
@@ -634,7 +633,7 @@ def _labelled(label_list):
 @given(labels)
 def test_group_docs_keeps_order_and_suspicious_includes_bot(label_list):
     cls, docs = _labelled(label_list)
-    groups = group_docs(Detection.of(cls), docs)
+    groups = group_docs(detection_of(cls), docs)
     for label in Label:  # disjoint: every doc listed once, under its own label
         assert groups[label] == tuple(d for d, c in zip(docs, cls) if c.label is label)
     folded = fold_groups(groups)
@@ -656,7 +655,7 @@ def test_column_path_equals_per_tweet_reference(texts, window, data):
     first = {}
     for text, tokens in zip(corpus.texts, docs.streams):  # one token tuple per distinct text
         assert tokens is first.setdefault(text, tokens)
-    groups = group_docs(Detection.of(cls), docs.streams)
+    groups = group_docs(detection_of(cls), docs.streams)
     for label in Label:
         label_docs = tuple(d.tokens for d, c in zip(want, cls) if c.label is label)
         assert groups[label] == label_docs
@@ -684,8 +683,8 @@ def test_analyze_keeps_no_tracked_object_per_tweet(default_synth):
 @given(labels)
 def test_group_summary_counts_equal_group_sizes(label_list):
     cls, docs = _labelled(label_list)
-    groups = fold_groups(group_docs(Detection.of(cls), docs))
-    summary = group_summary(Detection.of(cls))
+    groups = fold_groups(group_docs(detection_of(cls), docs))
+    summary = group_summary(detection_of(cls))
     for label in Label:
         assert summary[label].count == len(groups[label])
 
