@@ -55,23 +55,25 @@ def _flags_from_args(args) -> dict:
     return {flag: getattr(args, flag, None) for flag in pipeline_mod.FLAGS}
 
 
-def _print_shares(label_shares, threshold, strategy):
-    """The label table and threshold line; *label_shares* as in run_summary.json."""
+def _print_shares(detection: dict):
+    """The label table and threshold line of run_summary.json's ``detection`` section."""
     print(f"{'label':<12}{'count':>10}   share")
     for label in detector_mod.Label:
-        row = label_shares[label.value]
+        row = detection["inclusive_label_shares"][label.value]
         note = "  (includes Bot)" if label is detector_mod.Label.SUSPICIOUS else ""
         print(f"{label.value:<12}{row['count']:>10}   {row['share']:7.2%}{note}")
-    print(f"activity threshold: {threshold:.4f} tweets/day ({strategy})")
+    print(f"activity threshold: {detection['activity_threshold']:.4f} tweets/day "
+          f"({detection['activity_strategy']})")
 
 
-def _print_sentiment(summary: pipeline_mod.RunSummary):
+def _print_sentiment(sentiment: dict):
+    """Group means and KS comparisons of run_summary.json's ``sentiment`` section."""
     print("group mean sentiment (per tweet):")
     for label in detector_mod.Label:
-        mean = summary.mean_sentiment[label.value]
+        mean = sentiment["group_means"][label.value]
         print(f"  {label.value:<12}{'undefined' if mean is None else format(mean, '+.4f')}")
     print("KS comparisons (word-level sentiment):")
-    for pair, res in summary.ks_comparisons.items():
+    for pair, res in sentiment["ks_comparisons"].items():
         if res is None:
             print(f"  {pair:<24}skipped (empty group)")
         else:
@@ -95,9 +97,7 @@ def cmd_detect(args) -> int:
     corp = corpus_mod.ingest(args.corpus, strictness=settings.strictness,
                              rate_basis=settings.rate_basis)
     detection = detector_mod.classify(corp, settings.detector)
-    shares = detector_mod.group_summary(detection)
-    _print_shares(pipeline_mod.share_table(shares), detection.threshold,
-                  settings.detector.activity_strategy.value)
+    _print_shares(pipeline_mod.detection_report(detection, settings.detector))
     if args.out:
         path = pipeline_mod.save_classifications(args.out, settings.fingerprint(),
                                                  detection, settings.output_format)
@@ -107,17 +107,16 @@ def cmd_detect(args) -> int:
 
 def cmd_pipeline(args) -> int:
     """The full pipeline: run reports it all, analyze (``full_report`` false) its sentiment."""
-    summary = pipeline_mod.run_pipeline(args.corpus, args.config, args.out,
-                                        _flags_from_args(args))
+    report, timings = pipeline_mod.run_pipeline(args.corpus, args.config, args.out,
+                                                _flags_from_args(args))
     if args.full_report:
-        _print_shares(summary.label_shares, summary.activity_threshold,
-                      summary.activity_strategy)
-    _print_sentiment(summary)
+        _print_shares(report["detection"])
+    _print_sentiment(report["sentiment"])
     if args.full_report:
-        print(f"config fingerprint: {summary.config_fingerprint}")
-    print(f"artifacts in {args.out}: {', '.join(summary.artifacts)}")
+        print(f"config fingerprint: {report['config_fingerprint']}")
+    print(f"artifacts in {args.out}: {', '.join(report['artifacts'])}")
     if args.full_report:
-        for stage, seconds in summary.timings.items():
+        for stage, seconds in timings.items():
             print(f"timing {stage}: {seconds:.3f}s", file=sys.stderr)
     return 0
 

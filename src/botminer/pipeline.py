@@ -2,9 +2,11 @@
 
 Every artifact starts with a ``# config_fingerprint=...`` comment so outputs
 can always be traced back to the exact configuration that produced them.
-Artifacts are byte-identical across runs with the same inputs: stage timings
-are kept on the returned RunSummary object (and printed by the CLI) but are
-deliberately left out of run_summary.json.
+A run returns RunSummary(report, timings): ``report`` is the run_summary.json
+document, whose ``detection`` section detection_report builds (``detect``
+prints the same section).  Artifacts are byte-identical across runs with the
+same inputs: stage timings are kept on RunSummary (and printed by the CLI)
+but are deliberately left out of run_summary.json.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from . import stats as stats_mod
 from . import textmine as textmine_mod
 from .detector import Classification, Detection, DetectorConfig, Label
 from .errors import ConfigError, PipelineStageError, check_int, check_real
-from .stats import KsResult
 
 __all__ = [
     "GROUP_SLUGS",
@@ -37,6 +38,7 @@ __all__ = [
     "CLASSIFICATION_FILES",
     "PipelineSettings",
     "RunSummary",
+    "detection_report",
     "FLAGS",
     "settings_from_flags",
     "compare_group_sentiment",
@@ -165,60 +167,40 @@ class PipelineSettings(_SettingsFields):
 class RunSummary(NamedTuple):
     """Outcome of one pipeline run.
 
-    ``timings`` lives only on this object; the JSON written to disk excludes
-    it so repeated runs stay byte-identical.
+    ``report`` is the run_summary.json document as written.  ``timings``
+    lives only on this object; the file excludes it so repeated runs stay
+    byte-identical.
     """
 
-    config_fingerprint: str
-    total_tweets: int
-    total_accounts: int
-    span_start: str
-    span_end: str
-    skipped_records: int
-    duplicate_ids: int
-    rate_basis: str
-    activity_strategy: str
-    activity_threshold: float
-    label_shares: dict          # inclusive counts/shares per label
-    disjoint_shares: dict       # per-label counts/shares with Bot carved out
-    rule_hits: dict             # rule -> tweets with that rule firing
-    verified_overrides: int
-    mean_sentiment: dict        # label -> mean per-tweet score or None
-    ks_comparisons: dict        # "A_vs_B" -> dict or None
-    artifacts: list
+    report: dict
     timings: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "config_fingerprint": self.config_fingerprint,
-            "corpus": {
-                "total_tweets": self.total_tweets,
-                "total_accounts": self.total_accounts,
-                "span_start": self.span_start,
-                "span_end": self.span_end,
-                "skipped_records": self.skipped_records,
-                "duplicate_ids": self.duplicate_ids,
-                "rate_basis": self.rate_basis,
-            },
-            "detection": {
-                "activity_strategy": self.activity_strategy,
-                "activity_threshold": self.activity_threshold,
-                "inclusive_label_shares": self.label_shares,
-                "disjoint_label_shares": self.disjoint_shares,
-                "rule_hits": self.rule_hits,
-                "verified_overrides": self.verified_overrides,
-            },
-            "sentiment": {
-                "group_means": self.mean_sentiment,
-                "ks_comparisons": self.ks_comparisons,
-            },
-            "artifacts": self.artifacts,
-        }
 
+def detection_report(detection: Detection, config: DetectorConfig) -> dict:
+    """The ``detection`` section of run_summary.json, which ``detect`` prints too.
 
-def share_table(shares: Mapping[Label, detector_mod.GroupShare]) -> dict:
-    """group_summary's shares as run_summary.json writes them, keyed by label value."""
-    return {label.value: {"count": gs.count, "share": gs.share} for label, gs in shares.items()}
+    Inclusive shares come from group_summary (Suspicious includes Bot);
+    disjoint ones count each tweet under its own label.
+    """
+    rule_hits = {rule.value: 0 for rule in detector_mod.Rule}
+    overrides = 0
+    for (_, hits, override), n in zip(detection.outcomes, detection.counts()):
+        if override:
+            overrides += n
+        for rule in hits:
+            rule_hits[rule.value] += n
+    total = len(detection)
+    return {
+        "activity_strategy": config.activity_strategy.value,
+        "activity_threshold": detection.threshold,
+        "inclusive_label_shares": {
+            label.value: {"count": gs.count, "share": gs.share}
+            for label, gs in detector_mod.group_summary(detection).items()},
+        "disjoint_label_shares": {label.value: {"count": n, "share": n / total}
+                                  for label, n in detection.label_counts().items()},
+        "rule_hits": rule_hits,
+        "verified_overrides": overrides,
+    }
 
 
 def compare_group_sentiment(samples: Mapping[Label, Mapping[float, int]]) -> dict:
@@ -389,7 +371,7 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             stage = "detect"
             t0 = time.perf_counter()
             detection = detector_mod.classify(corpus, settings.detector)
-            shares = detector_mod.group_summary(detection)
+            detection_section = detection_report(detection, settings.detector)
             timings[stage] = time.perf_counter() - t0
 
             stage = "analyze"
@@ -440,48 +422,34 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             write_classifications(work_dir / class_name, fingerprint, detection,
                                   settings.output_format)
 
-            rule_hits = {rule.value: 0 for rule in detector_mod.Rule}
-            overrides = 0
-            for (_, hits, override), n in zip(detection.outcomes, detection.counts()):
-                if override:
-                    overrides += n
-                for rule in hits:
-                    rule_hits[rule.value] += n
-            total = len(corpus)
-            disjoint = {label.value: {"count": n, "share": n / total}
-                        for label, n in detection.label_counts().items()}
-
-            summary = RunSummary(
-                config_fingerprint=fingerprint,
-                total_tweets=len(corpus),
-                total_accounts=len(corpus.accounts),
-                span_start=corpus.span_start.isoformat(),
-                span_end=corpus.span_end.isoformat(),
-                skipped_records=corpus.skipped_count,
-                duplicate_ids=corpus.duplicate_count,
-                rate_basis=settings.rate_basis,
-                activity_strategy=settings.detector.activity_strategy.value,
-                activity_threshold=detection.threshold,
-                label_shares=share_table(shares),
-                disjoint_shares=disjoint,
-                rule_hits=rule_hits,
-                verified_overrides=overrides,
-                mean_sentiment={label.value: mean_sentiment[label] for label in Label},
-                ks_comparisons={key: (None if res is None else {
-                    "d_statistic": res.d_statistic, "p_value": res.p_value,
-                    "n1": res.n1, "n2": res.n2}) for key, res in ks_results.items()},
-                artifacts=sorted(os.listdir(work_dir)) + ["run_summary.json"],
-                timings=timings,  # this stage's own time is added below
-            )
+            report = {
+                "config_fingerprint": fingerprint,
+                "corpus": {
+                    "total_tweets": len(corpus),
+                    "total_accounts": len(corpus.accounts),
+                    "span_start": corpus.span_start.isoformat(),
+                    "span_end": corpus.span_end.isoformat(),
+                    "skipped_records": corpus.skipped_count,
+                    "duplicate_ids": corpus.duplicate_count,
+                    "rate_basis": settings.rate_basis,
+                },
+                "detection": detection_section,
+                "sentiment": {
+                    "group_means": {label.value: mean_sentiment[label] for label in Label},
+                    "ks_comparisons": {key: None if res is None else res._asdict()
+                                       for key, res in ks_results.items()},
+                },
+                "artifacts": sorted(os.listdir(work_dir)) + ["run_summary.json"],
+            }
             with open(work_dir / "run_summary.json", "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
+                json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            _publish(work_dir, summary.artifacts)  # run_summary.json last
+            _publish(work_dir, report["artifacts"])  # run_summary.json last
             for name in CLASSIFICATION_FILES.values():
                 if name != class_name:
                     (out_dir / name).unlink(missing_ok=True)
             timings[stage] = time.perf_counter() - t0
-            return summary
+            return RunSummary(report, timings)
         except Exception as exc:
             raise PipelineStageError(stage, exc) from exc
 

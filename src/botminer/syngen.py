@@ -41,6 +41,8 @@ __all__ = [
 
 # fixed origin so timestamps are reproducible and span a known window
 _BASE_EPOCH = datetime(2017, 12, 30, 0, 0, 0, tzinfo=timezone.utc)
+# the longest span whose timestamps datetime can still hold
+_MAX_SPAN_HOURS = (datetime.max.replace(tzinfo=timezone.utc) - _BASE_EPOCH) / timedelta(hours=1)
 _TEMPLATE_POOL = 12
 
 # word pools; sentiment words must stay aligned with data/lexicon.tsv
@@ -55,6 +57,11 @@ _NEGATIVE = ("bad", "terror", "war", "hate", "kill", "death", "attack", "crisis"
              "prison", "danger")
 _HASHTAGS = ("#IranProtests", "#Tehran", "#FreeIran", "#News", "#Breaking")
 _URL_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+# account ages in days, drawn uniformly from these inclusive ranges
+_HUMAN_AGE_DAYS = (200, 3000)
+_BOT_AGE_DAYS = (20, 400)
+_MAX_COUNT = 2**63 - 1  # the largest statuses_count ingest accepts
 
 _OFFICIAL_APPS = (
     ("Twitter for iPhone", "http://twitter.com/download/iphone"),
@@ -94,10 +101,17 @@ class SynthConfig:
             raise ConfigError("account counts must be >= 0")
         if self.n_humans + self.n_bots == 0:
             raise ConfigError("nothing to generate: zero accounts")
-        if self.span_hours <= 0:
-            raise ConfigError(f"span_hours must be > 0, got {self.span_hours}")
-        if self.human_rate_mean <= 0 or self.bot_rate_mean <= 0:
-            raise ConfigError("rate means must be > 0")
+        # written so that nan and inf fail too
+        if not 0 < self.span_hours <= _MAX_SPAN_HOURS:
+            raise ConfigError(f"span_hours must be in (0, {_MAX_SPAN_HOURS:.0f}], "
+                              f"got {self.span_hours}")
+        for name, (_, oldest) in (("human_rate_mean", _HUMAN_AGE_DAYS),
+                                  ("bot_rate_mean", _BOT_AGE_DAYS)):
+            mean = getattr(self, name)
+            # statuses_count is rate * age, with a drawn rate of at most mean * 1.5
+            if not 0 < mean * 1.5 * oldest <= _MAX_COUNT:
+                raise ConfigError(f"{name} must be > 0 and keep every statuses_count "
+                                  f"drawn from it <= {_MAX_COUNT}, got {mean}")
         for name in ("bot_ratio_equalized_prob", "bot_suspicious_source_prob",
                      "bot_duplicate_prob", "bot_negative_skew",
                      "human_negative_skew", "verified_human_prob"):
@@ -201,7 +215,7 @@ def generate(config: SynthConfig, corpus_path, truth_path) -> dict:
         else:
             followers = rng.randint(10, 2000)
             friends = rng.randint(10, 2000)
-        age_days = rng.randint(200, 3000)
+        age_days = rng.randint(*_HUMAN_AGE_DAYS)
         user = {
             "id": acct_id,
             "screen_name": f"human_{h:05d}",
@@ -241,7 +255,7 @@ def generate(config: SynthConfig, corpus_path, truth_path) -> dict:
             app = rng.choice(_BOT_APPS)
         else:
             app = rng.choice(_OFFICIAL_APPS)
-        age_days = rng.randint(20, 400)
+        age_days = rng.randint(*_BOT_AGE_DAYS)
         user = {
             "id": acct_id,
             "screen_name": f"bot_{b:04d}",

@@ -247,11 +247,11 @@ def test_criterion_6_end_to_end_synthetic(tmp_path):
     assert report.false_positive_rate <= 0.08
 
     # sentiment direction + distribution separation
-    bot_mean = summary.mean_sentiment["Bot"]
-    nobot_mean = summary.mean_sentiment["NoBot"]
+    bot_mean = summary.report["sentiment"]["group_means"]["Bot"]
+    nobot_mean = summary.report["sentiment"]["group_means"]["NoBot"]
     assert bot_mean is not None and nobot_mean is not None
     assert bot_mean < nobot_mean
-    ks = summary.ks_comparisons["NoBot_vs_Bot"]
+    ks = summary.report["sentiment"]["ks_comparisons"]["NoBot_vs_Bot"]
     assert ks is not None and ks["p_value"] < 0.01
 
     elapsed = time.perf_counter() - t0
@@ -316,7 +316,7 @@ summary = execute_pipeline(sys.argv[1], sys.argv[2])
 elapsed = time.perf_counter() - t0
 with open("/proc/self/status", encoding="ascii") as fh:
     hwm_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(json.dumps({"elapsed": elapsed, "hwm_kib": hwm_kib, "tweets": summary.total_tweets}))
+print(json.dumps({"elapsed": elapsed, "hwm_kib": hwm_kib, "tweets": summary.report["corpus"]["total_tweets"]}))
 """
 
 

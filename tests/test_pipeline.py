@@ -71,9 +71,9 @@ def test_pipeline_writes_expected_artifacts(synth_corpus, tmp_path):
     out = tmp_path / "artifacts"
     summary = execute_pipeline(synth_corpus, out)
     assert {p.name for p in out.iterdir()} == EXPECTED_ARTIFACTS
-    assert sorted(summary.artifacts) == sorted(EXPECTED_ARTIFACTS)
+    assert sorted(summary.report["artifacts"]) == sorted(EXPECTED_ARTIFACTS)
     fingerprint = PipelineSettings().fingerprint()
-    assert summary.config_fingerprint == fingerprint
+    assert summary.report["config_fingerprint"] == fingerprint
     for name in EXPECTED_ARTIFACTS - {"run_summary.json"}:
         first = (out / name).read_text("utf-8").splitlines()[0]
         assert first == f"# config_fingerprint={fingerprint}"
@@ -85,8 +85,8 @@ def test_rerun_in_other_format_removes_stale_classifications(synth_corpus, tmp_p
     out = tmp_path / "artifacts"
     execute_pipeline(synth_corpus, out, PipelineSettings(output_format=first))
     summary = execute_pipeline(synth_corpus, out, PipelineSettings(output_format=second))
-    assert sorted(os.listdir(out)) == sorted(summary.artifacts)
-    assert f"classifications.{second}" in summary.artifacts
+    assert sorted(os.listdir(out)) == sorted(summary.report["artifacts"])
+    assert f"classifications.{second}" in summary.report["artifacts"]
 
 
 def test_pipeline_loads_each_list_once(synth_corpus, tmp_path, monkeypatch):
@@ -98,18 +98,19 @@ def test_pipeline_loads_each_list_once(synth_corpus, tmp_path, monkeypatch):
         monkeypatch.setattr(textmine, name, counting)
     summary = execute_pipeline(synth_corpus, tmp_path / "artifacts")
     assert loads == {"load_stopwords": 1, "load_lexicon": 1}
-    assert summary.config_fingerprint == PipelineSettings().fingerprint()
+    assert summary.report["config_fingerprint"] == PipelineSettings().fingerprint()
 
 
 def test_pipeline_summary_file_contents(synth_corpus, tmp_path):
     out = tmp_path / "artifacts"
     summary = execute_pipeline(synth_corpus, out)
     on_disk = json.loads((out / "run_summary.json").read_text("utf-8"))
-    assert on_disk == summary.to_dict()
+    assert on_disk == summary.report
     assert set(on_disk) == {"artifacts", "config_fingerprint", "corpus",
                             "detection", "sentiment"}
     assert "timings" not in (out / "run_summary.json").read_text("utf-8")
-    assert summary.timings  # measured, just not persisted
+    # measured, just not persisted
+    assert list(summary.timings) == ["ingest", "detect", "analyze", "compare", "report"]
 
     corpus_info = on_disk["corpus"]
     assert corpus_info["total_tweets"] == sum(
@@ -142,11 +143,12 @@ def test_summary_counts_equal_per_tweet_counts(tmp_path):
         labels[label] += 1
         rules.update(fired.split("|") if fired else ())
         overrides += override == "true"
-    assert overrides == summary.verified_overrides == 2
-    assert {k: v["count"] for k, v in summary.disjoint_shares.items()} == {
+    detection = summary.report["detection"]
+    assert overrides == detection["verified_overrides"] == 2
+    assert {k: v["count"] for k, v in detection["disjoint_label_shares"].items()} == {
         label.value: labels[label.value] for label in Label}
-    assert summary.rule_hits == {rule.value: rules[rule.value] for rule in Rule}
-    assert min(summary.rule_hits.values()) > 0
+    assert detection["rule_hits"] == {rule.value: rules[rule.value] for rule in Rule}
+    assert min(detection["rule_hits"].values()) > 0
 
 
 def test_pipeline_is_byte_deterministic(synth_corpus, tmp_path):
@@ -161,8 +163,8 @@ def test_pipeline_iqr_strategy_echoed(synth_corpus, tmp_path):
     settings = PipelineSettings(
         detector=DetectorConfig(activity_strategy=ActivityStrategy.IQR_FENCE))
     summary = execute_pipeline(synth_corpus, tmp_path / "a", settings)
-    assert summary.activity_strategy == "IqrFence"
-    assert summary.activity_threshold > 0
+    assert summary.report["detection"]["activity_strategy"] == "IqrFence"
+    assert summary.report["detection"]["activity_threshold"] > 0
 
 
 def test_pipeline_empty_corpus_names_ingest_stage(tmp_path):
@@ -237,7 +239,7 @@ def test_pipeline_empty_bot_group_keeps_headers(tmp_path):
     ])
     out = tmp_path / "artifacts"
     summary = execute_pipeline(corpus, out)
-    fingerprint = summary.config_fingerprint
+    fingerprint = summary.report["config_fingerprint"]
     assert (out / "ecdf_bot.csv").read_text("utf-8") == (
         f"# config_fingerprint={fingerprint}\nvalue,cumulative_probability\n")
     body = json.loads((out / "run_summary.json").read_text("utf-8"))
@@ -261,13 +263,13 @@ def test_pipeline_ecdf_files_are_valid_distributions(synth_corpus, tmp_path):
 def test_pipeline_jsonl_classifications(synth_corpus, tmp_path):
     out = tmp_path / "artifacts"
     summary = execute_pipeline(synth_corpus, out, PipelineSettings(output_format="jsonl"))
-    assert "classifications.jsonl" in summary.artifacts
+    assert "classifications.jsonl" in summary.report["artifacts"]
     lines = (out / "classifications.jsonl").read_text("utf-8").splitlines()
-    assert len(lines) == summary.total_tweets
+    assert len(lines) == summary.report["corpus"]["total_tweets"]
     first = json.loads(lines[0])
     assert set(first) == {"tweet_id", "label", "rules", "verified_override",
                           "config_fingerprint"}
-    assert first["config_fingerprint"] == summary.config_fingerprint
+    assert first["config_fingerprint"] == summary.report["config_fingerprint"]
 
 
 def test_classification_csv_rows_match_objects(synth_corpus, tmp_path):
@@ -275,7 +277,7 @@ def test_classification_csv_rows_match_objects(synth_corpus, tmp_path):
     summary = execute_pipeline(synth_corpus, out)
     lines = (out / "classifications.csv").read_text("utf-8").splitlines()
     assert lines[1] == "tweet_id,label,rules,verified_override"
-    assert len(lines) == summary.total_tweets + 2
+    assert len(lines) == summary.report["corpus"]["total_tweets"] + 2
     labels = {line.split(",")[1] for line in lines[2:]}
     assert labels <= {"NoBot", "Suspicious", "Bot"}
 
@@ -556,6 +558,25 @@ def test_cli_synth_then_ingest_check(tmp_path, capsys):
     assert "skipped records: 0" in stdout
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--human-rate", "inf"], "human_rate_mean"),
+    (["--human-rate", "1e308"], "human_rate_mean"),
+    (["--bot-rate", "nan"], "bot_rate_mean"),
+    # a statuses_count past 2**63 - 1; the short span keeps each account to a few tweets
+    (["--bot-rate", "1e17", "--span-hours", "1e-15"], "bot_rate_mean"),
+    (["--span-hours", "inf"], "span_hours"),
+    (["--span-hours", "nan"], "span_hours"),
+    (["--span-hours", "1e308"], "span_hours"),
+])
+def test_cli_synth_rejects_non_finite_or_overflowing_settings(tmp_path, capsys,
+                                                              flags, field):
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--humans", "2", "--bots", "1", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("botminer:") and field in err
+    assert not out.exists()
+
+
 def test_cli_detect_prints_share_table(synth_corpus, capsys):
     assert main(["detect", str(synth_corpus)]) == 0
     stdout = capsys.readouterr().out
@@ -597,6 +618,17 @@ def test_cli_detect_failed_write_keeps_previous_file(synth_corpus, tmp_path, mon
                  "--ratio-tolerance", "0.2"]) == 1
     assert os.listdir(out) == ["classifications.csv"]
     assert (out / "classifications.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("flags", [[], ["--rate-basis", "lifetime",
+                                         "--activity-strategy", "iqr"]])
+def test_cli_detect_and_run_print_one_label_table(synth_corpus, tmp_path, capsys, flags):
+    assert main(["detect", str(synth_corpus), *flags]) == 0
+    table = capsys.readouterr().out
+    assert main(["run", str(synth_corpus), "--out", str(tmp_path / "art"), *flags]) == 0
+    lines = table.splitlines()
+    assert len(lines) == 5 and lines[-1].startswith("activity threshold:")
+    assert capsys.readouterr().out.startswith(table)
 
 
 def test_cli_run_full_pipeline(synth_corpus, tmp_path, capsys):
@@ -753,7 +785,7 @@ def test_successful_runs_remove_leftover_staging_dirs(synth_corpus, tmp_path, ca
     killed.mkdir(parents=True)
     (killed / "wordcloud_bot.csv").write_text("half", encoding="utf-8")
     summary = execute_pipeline(synth_corpus, out)
-    assert sorted(os.listdir(out)) == sorted(summary.artifacts)
+    assert sorted(os.listdir(out)) == sorted(summary.report["artifacts"])
 
     det = tmp_path / "det"
     (det / f".partial-{_dead_pid()}-k1lled_x").mkdir(parents=True)
@@ -771,7 +803,7 @@ def test_successful_runs_keep_staging_dirs_of_live_runs(synth_corpus, tmp_path, 
     own = out / ".partial-stale"  # not a staging directory's name
     own.mkdir()
     summary = execute_pipeline(synth_corpus, out)
-    assert sorted(os.listdir(out)) == sorted([*summary.artifacts, live.name, own.name])
+    assert sorted(os.listdir(out)) == sorted([*summary.report["artifacts"], live.name, own.name])
     assert (live / "wordcloud_bot.csv").read_text(encoding="utf-8") == "half"
     capsys.readouterr()
 

@@ -1,5 +1,6 @@
 """Synthetic corpus generator: determinism, planted signals, scoring."""
 
+import math
 import random
 
 import pytest
@@ -103,6 +104,28 @@ def test_generate_rejects_bad_config():
                {"bot_duplicate_prob": 1.5}, {"verified_human_prob": -0.1}):
         with pytest.raises(ConfigError):
             SynthConfig(**kw)
+
+
+@pytest.mark.parametrize("field, kind, oldest_days", [
+    ("human_rate_mean", "n_humans", 3000), ("bot_rate_mean", "n_bots", 400)])
+def test_largest_accepted_rate_mean_ingests_strictly(tmp_path, field, kind, oldest_days):
+    # a drawn statuses_count is at most mean * 1.5 * the oldest account age
+    mean = 2**63 / (1.5 * oldest_days)
+    while True:
+        try:
+            SynthConfig(**{field: mean})
+            break
+        except ConfigError:
+            mean = math.nextafter(mean, 0.0)
+    with pytest.raises(ConfigError, match=field):
+        SynthConfig(**{field: math.nextafter(mean, math.inf)})
+    # so short a span gives each account one tweet
+    config = SynthConfig(**{"seed": 5, "n_humans": 0, "n_bots": 0, "span_hours": 1e-15,
+                            kind: 20, field: mean})
+    generate(config, tmp_path / "c.ndjson", tmp_path / "t.csv")
+    corpus = ingest(tmp_path / "c.ndjson", "strict")
+    assert len(corpus.accounts) == 20
+    assert max(corpus.accounts.columns.statuses_total) > 2**62
 
 
 def test_generate_strict_round_trip(tmp_path):
