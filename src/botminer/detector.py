@@ -110,17 +110,20 @@ class Detection:
 
     Each tweet's verdict is one code: ``outcomes[codes[i]]`` is the
     ``(label, hits, verified_override)`` of tweet ``tweet_ids[i]``.  Equal
-    codes are one int object, so no object lives per tweet.  Iterating
-    builds one Classification per tweet.
+    codes are one int object, so no object lives per tweet.  ``counts[k]``
+    is the number of tweets with code ``k``, counted once here; the
+    per-label and per-rule figures read it.  Iterating builds one
+    Classification per tweet.
     """
 
-    __slots__ = ("tweet_ids", "codes", "outcomes", "threshold")
+    __slots__ = ("tweet_ids", "codes", "outcomes", "threshold", "counts")
 
     def __init__(self, tweet_ids: tuple, codes: list, outcomes: tuple, threshold: float):
         self.tweet_ids = tweet_ids
         self.codes = codes
         self.outcomes = outcomes
         self.threshold = threshold
+        self.counts = tuple(map(Counter(codes).__getitem__, range(len(outcomes))))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -130,15 +133,10 @@ class Detection:
         return (Classification(tid, *outcomes[code])
                 for tid, code in zip(self.tweet_ids, self.codes))
 
-    def counts(self) -> list:
-        """The number of tweets with each outcome, indexed by code."""
-        n = Counter(self.codes)
-        return [n[code] for code in range(len(self.outcomes))]
-
     def label_counts(self) -> dict:
         """The number of tweets with each label, disjoint (Bot not in Suspicious)."""
         disjoint = dict.fromkeys(Label, 0)
-        for (label, _, _), n in zip(self.outcomes, self.counts()):
+        for (label, _, _), n in zip(self.outcomes, self.counts):
             disjoint[label] += n
         return disjoint
 

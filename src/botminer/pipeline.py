@@ -184,7 +184,7 @@ def detection_report(detection: Detection, config: DetectorConfig) -> dict:
     """
     rule_hits = {rule.value: 0 for rule in detector_mod.Rule}
     overrides = 0
-    for (_, hits, override), n in zip(detection.outcomes, detection.counts()):
+    for (_, hits, override), n in zip(detection.outcomes, detection.counts):
         if override:
             overrides += n
         for rule in hits:
@@ -355,10 +355,10 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
     if settings is None:
         settings = PipelineSettings()
     out_dir = Path(out_dir)
-    with _staging_dir(out_dir) as work_dir:
-        timings: dict[str, float] = {}
-        stage = "setup"
-        try:
+    timings: dict[str, float] = {}
+    stage = "setup"
+    try:
+        with _staging_dir(out_dir) as work_dir:
             stopwords, lexicon = lists = settings.load_lists()
             fingerprint = settings.fingerprint(lists)
 
@@ -450,8 +450,8 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
                     (out_dir / name).unlink(missing_ok=True)
             timings[stage] = time.perf_counter() - t0
             return RunSummary(report, timings)
-        except Exception as exc:
-            raise PipelineStageError(stage, exc) from exc
+    except Exception as exc:
+        raise PipelineStageError(stage, exc) from exc
 
 
 _RATE_BASIS_ALIASES = {"window": corpus_mod.RATE_CORPUS_WINDOW,

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 from .corpus import Corpus
 from .detector import Classification, Label
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .listfile import read_entries
 from .rng import SplitMix64
 
@@ -62,6 +62,9 @@ _URL_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 _HUMAN_AGE_DAYS = (200, 3000)
 _BOT_AGE_DAYS = (20, 400)
 _MAX_COUNT = 2**63 - 1  # the largest statuses_count ingest accepts
+# generate holds every record in memory (about 0.7 KiB and 24 us each on a
+# 2-core Xeon), so this bounds a run at about 3.3 GiB and two minutes
+_MAX_TWEETS = 5_000_000
 
 _OFFICIAL_APPS = (
     ("Twitter for iPhone", "http://twitter.com/download/iphone"),
@@ -97,8 +100,8 @@ class SynthConfig:
     verified_human_prob: float = 0.02
 
     def __post_init__(self):
-        if self.n_humans < 0 or self.n_bots < 0:
-            raise ConfigError("account counts must be >= 0")
+        check_int("n_humans", self.n_humans, 0)
+        check_int("n_bots", self.n_bots, 0)
         if self.n_humans + self.n_bots == 0:
             raise ConfigError("nothing to generate: zero accounts")
         # written so that nan and inf fail too
@@ -112,6 +115,15 @@ class SynthConfig:
             if not 0 < mean * 1.5 * oldest <= _MAX_COUNT:
                 raise ConfigError(f"{name} must be > 0 and keep every statuses_count "
                                   f"drawn from it <= {_MAX_COUNT}, got {mean}")
+        # an account draws max(1, round(rate * span_days)) tweets, rate < 1.5 * mean;
+        # each draws one at least, so the account count is checked first, which
+        # keeps the float products from overflowing
+        span_days = self.span_hours / 24.0
+        if (self.n_humans + self.n_bots > _MAX_TWEETS
+                or self.n_humans * max(1.0, 1.5 * self.human_rate_mean * span_days)
+                + self.n_bots * max(1.0, 1.5 * self.bot_rate_mean * span_days) > _MAX_TWEETS):
+            raise ConfigError(f"n_humans, n_bots, span_hours, human_rate_mean and "
+                              f"bot_rate_mean may draw more than {_MAX_TWEETS} tweets")
         for name in ("bot_ratio_equalized_prob", "bot_suspicious_source_prob",
                      "bot_duplicate_prob", "bot_negative_skew",
                      "human_negative_skew", "verified_human_prob"):

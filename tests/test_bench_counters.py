@@ -47,7 +47,7 @@ def test_counters_read_tokenize_and_classify_outputs(default_synth):
     detection = classify(corpus)
     hits = counters["detector.classify"]((corpus,), detection)["rule_hits"]
     assert hits == sum(len(rules) * n for (_, rules, _), n
-                       in zip(detection.outcomes, detection.counts())) > 0
+                       in zip(detection.outcomes, detection.counts)) > 0
 
 
 def test_detection_quality_equals_evaluate_detection(default_synth):

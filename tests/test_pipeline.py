@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from botminer import pipeline, textmine
 from botminer.cli import build_parser, main
+from botminer.corpus import ingest
 from botminer.detector import (
     ActivityStrategy,
     Classification,
@@ -24,6 +25,7 @@ from botminer.detector import (
     GroupShare,
     Label,
     Rule,
+    classify,
     fold_groups,
     group_summary,
 )
@@ -32,6 +34,7 @@ from botminer.pipeline import (
     CLASSIFICATION_FILES,
     PipelineSettings,
     compare_group_sentiment,
+    detection_report,
     execute_pipeline,
     run_pipeline,
     settings_from_flags,
@@ -149,6 +152,34 @@ def test_summary_counts_equal_per_tweet_counts(tmp_path):
         label.value: labels[label.value] for label in Label}
     assert detection["rule_hits"] == {rule.value: rules[rule.value] for rule in Rule}
     assert min(detection["rule_hits"].values()) > 0
+
+
+class _LengthOnly:
+    """A code column that has a length but cannot be read."""
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        raise AssertionError("the codes were read after the Detection was built")
+
+
+def test_detection_counts_its_codes_once(synth_corpus):
+    detection = classify(ingest(synth_corpus))
+    codes = detection.codes
+    assert detection.counts == tuple(Counter(codes)[c] for c in range(len(detection.outcomes)))
+    config = DetectorConfig()
+
+    def figures():
+        return (detection_report(detection, config), detection.label_counts(),
+                group_summary(detection))
+
+    before = figures()
+    detection.codes = _LengthOnly(len(codes))
+    assert figures() == before
 
 
 def test_pipeline_is_byte_deterministic(synth_corpus, tmp_path):
@@ -567,6 +598,8 @@ def test_cli_synth_then_ingest_check(tmp_path, capsys):
     (["--span-hours", "inf"], "span_hours"),
     (["--span-hours", "nan"], "span_hours"),
     (["--span-hours", "1e308"], "span_hours"),
+    # every statuses_count fits, but the run may draw up to 6e15 tweets
+    (["--human-rate", "2e15"], "human_rate_mean"),
 ])
 def test_cli_synth_rejects_non_finite_or_overflowing_settings(tmp_path, capsys,
                                                               flags, field):
@@ -669,6 +702,14 @@ def test_cli_empty_corpus_names_stage(tmp_path, capsys):
     empty.write_text("", encoding="utf-8")
     assert main(["run", str(empty), "--out", str(tmp_path / "out")]) == 1
     assert "stage 'ingest' failed" in capsys.readouterr().err
+
+
+def test_cli_out_that_is_a_file_names_setup_stage(synth_corpus, tmp_path, capsys):
+    out = tmp_path / "F"
+    out.write_bytes(b"kept")
+    assert main(["run", str(synth_corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("botminer: stage 'setup' failed: ")
+    assert out.read_bytes() == b"kept"
 
 
 def test_cli_dests_are_the_pipeline_flags():

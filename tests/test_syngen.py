@@ -99,7 +99,8 @@ def test_generate_humans_only(tmp_path):
 
 
 def test_generate_rejects_bad_config():
-    for kw in ({"n_humans": 0, "n_bots": 0}, {"n_humans": -1},
+    for kw in ({"n_humans": 0, "n_bots": 0}, {"n_humans": -1}, {"n_humans": 1.5},
+               {"n_humans": True, "n_bots": 0}, {"n_bots": 1.0},
                {"span_hours": 0}, {"bot_rate_mean": 0},
                {"bot_duplicate_prob": 1.5}, {"verified_human_prob": -0.1}):
         with pytest.raises(ConfigError):
@@ -109,18 +110,19 @@ def test_generate_rejects_bad_config():
 @pytest.mark.parametrize("field, kind, oldest_days", [
     ("human_rate_mean", "n_humans", 3000), ("bot_rate_mean", "n_bots", 400)])
 def test_largest_accepted_rate_mean_ingests_strictly(tmp_path, field, kind, oldest_days):
-    # a drawn statuses_count is at most mean * 1.5 * the oldest account age
+    # a drawn statuses_count is at most mean * 1.5 * the oldest account age;
+    # so short a span gives each account one tweet, within the total tweet bound
+    short = {"span_hours": 1e-15}
     mean = 2**63 / (1.5 * oldest_days)
     while True:
         try:
-            SynthConfig(**{field: mean})
+            SynthConfig(**short, **{field: mean})
             break
         except ConfigError:
             mean = math.nextafter(mean, 0.0)
-    with pytest.raises(ConfigError, match=field):
-        SynthConfig(**{field: math.nextafter(mean, math.inf)})
-    # so short a span gives each account one tweet
-    config = SynthConfig(**{"seed": 5, "n_humans": 0, "n_bots": 0, "span_hours": 1e-15,
+    with pytest.raises(ConfigError, match=f"^{field} must be > 0"):
+        SynthConfig(**short, **{field: math.nextafter(mean, math.inf)})
+    config = SynthConfig(**{**short, "seed": 5, "n_humans": 0, "n_bots": 0,
                             kind: 20, field: mean})
     generate(config, tmp_path / "c.ndjson", tmp_path / "t.csv")
     corpus = ingest(tmp_path / "c.ndjson", "strict")
