@@ -37,7 +37,12 @@ def check_int(name: str, value, minimum: int) -> None:
 
 
 def check_real(name: str, value) -> None:
-    """ConfigError unless *value* is a finite int or float (a bool is not)."""
-    if (type(value) is bool or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    """ConfigError unless *value* is an int or float (a bool is not) that is
+    finite as a float: an int past float's range is rejected too."""
+    try:
+        finite = (type(value) is not bool and isinstance(value, (int, float))
+                  and math.isfinite(value))
+    except OverflowError:  # math.isfinite converts an int to float
+        finite = False
+    if not finite:
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")

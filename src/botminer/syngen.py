@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 from .corpus import Corpus
 from .detector import Classification, Label
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .listfile import read_entries
 from .rng import SplitMix64
 
@@ -65,6 +65,7 @@ _MAX_COUNT = 2**63 - 1  # the largest statuses_count ingest accepts
 # generate holds every record in memory (about 0.7 KiB and 24 us each on a
 # 2-core Xeon), so this bounds a run at about 3.3 GiB and two minutes
 _MAX_TWEETS = 5_000_000
+_MAX_SEED = 2**64 - 1  # SplitMix64 keeps 64 bits of the seed; a larger one would alias
 
 _OFFICIAL_APPS = (
     ("Twitter for iPhone", "http://twitter.com/download/iphone"),
@@ -80,6 +81,10 @@ _BOT_APPS = (
     ("pipes.cyberguerril.org", "http://pipes.cyberguerril.org"),
     ("www.rightstreem.com", "http://www.rightstreem.com"),
 )
+
+_PROBABILITIES = ("bot_ratio_equalized_prob", "bot_suspicious_source_prob",
+                  "bot_duplicate_prob", "bot_negative_skew",
+                  "human_negative_skew", "verified_human_prob")
 
 
 @dataclass(frozen=True)
@@ -100,11 +105,15 @@ class SynthConfig:
     verified_human_prob: float = 0.02
 
     def __post_init__(self):
+        check_int("seed", self.seed, 0)
+        if self.seed > _MAX_SEED:
+            raise ConfigError(f"seed must be <= {_MAX_SEED}, got {self.seed}")
         check_int("n_humans", self.n_humans, 0)
         check_int("n_bots", self.n_bots, 0)
         if self.n_humans + self.n_bots == 0:
             raise ConfigError("nothing to generate: zero accounts")
-        # written so that nan and inf fail too
+        for name in ("span_hours", "human_rate_mean", "bot_rate_mean") + _PROBABILITIES:
+            check_real(name, getattr(self, name))
         if not 0 < self.span_hours <= _MAX_SPAN_HOURS:
             raise ConfigError(f"span_hours must be in (0, {_MAX_SPAN_HOURS:.0f}], "
                               f"got {self.span_hours}")
@@ -124,9 +133,7 @@ class SynthConfig:
                 + self.n_bots * max(1.0, 1.5 * self.bot_rate_mean * span_days) > _MAX_TWEETS):
             raise ConfigError(f"n_humans, n_bots, span_hours, human_rate_mean and "
                               f"bot_rate_mean may draw more than {_MAX_TWEETS} tweets")
-        for name in ("bot_ratio_equalized_prob", "bot_suspicious_source_prob",
-                     "bot_duplicate_prob", "bot_negative_skew",
-                     "human_negative_skew", "verified_human_prob"):
+        for name in _PROBABILITIES:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {p}")

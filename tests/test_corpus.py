@@ -3,7 +3,7 @@
 import csv
 import gc
 import json
-from datetime import timezone
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +141,30 @@ def test_retweet_detection_variants():
     assert tweet(retweeted_status={"id": "1"}).is_retweet
     assert not tweet(text="heart RT means nothing here").is_retweet
     assert not tweet(retweet_of=None).is_retweet
+
+
+_ABSENT = object()  # the key is left out of the record
+
+
+def test_retweet_rule_table(tmp_path):
+    # a retweet: text starting "RT @", a retweeted_status that is present and
+    # not null, or a retweeted_status_id that is present, not null and not ""
+    recs, expected = [], []
+    for status in (_ABSENT, None, {}, False, {"id": "1"}):
+        for status_id in (_ABSENT, None, "", 0, "0", "12"):
+            for text in ("x", "RT @u: x", " RT @u", "rt @u"):
+                rec = record(i=str(len(recs)), text=text)
+                if status is not _ABSENT:
+                    rec["retweeted_status"] = status
+                if status_id is not _ABSENT:
+                    rec["retweeted_status_id"] = status_id
+                recs.append(rec)
+                expected.append(text.startswith("RT @") or status not in (_ABSENT, None)
+                                or status_id not in (_ABSENT, None, ""))
+    corpus = ingest(write_ndjson(tmp_path / "c.ndjson", recs), STRICT)
+    for got in ([parse_record(rec)[0].is_retweet for rec in recs], list(corpus.is_retweet)):
+        assert got == expected
+        assert all(type(flag) is bool for flag in got)  # so each flag is True or False itself
 
 
 def test_user_created_defaults_to_tweet_time():
@@ -587,6 +611,55 @@ def test_ingest_reports_a_malformed_time_on_every_line(tmp_path):
     with pytest.raises(MalformedRecordError) as strict:
         ingest(path, STRICT)
     assert str(strict.value) == f"line 1: {alone.value}"
+
+
+_TIME_SUFFIXES = ("", "Z", "+00:00", "-00:00", "+01:00", "-23:59")
+# the legacy spelling, garbage, and offsets that move an instant out of datetime's range
+_FIXED_TIMES = ("Sat Dec 30 13:08:45 +0000 2017", "yesterday",
+                "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00")
+time_spellings = st.one_of(
+    st.builds(lambda dt, suffix: dt.isoformat() + suffix,
+              st.datetimes(), st.sampled_from(_TIME_SUFFIXES)),
+    st.sampled_from(_FIXED_TIMES))
+# a few spellings, drawn again and again, so that records share and repeat times
+tweet_times = st.lists(time_spellings, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+def _parse_or_error(raw):
+    try:
+        return parse_timestamp(raw)
+    except MalformedRecordError as exc:
+        return exc
+
+
+@example(times=["2017-12-30T13:08:45+01:00"] * 2 + ["2017-12-30T13:08:45"])
+@example(times=["0001-01-01T00:00:00+01:00", "0001-01-01T00:00:00+01:00", "yesterday"])
+@given(tweet_times)
+def test_ingest_tweet_times_are_parse_timestamp(tmp_path_factory, times):
+    recs = [record(i=str(k)) for k in range(len(times))]
+    for rec, raw in zip(recs, times):
+        rec["created_at"] = raw
+    path = write_ndjson(tmp_path_factory.mktemp("times") / "c.ndjson", recs)
+    parsed = [_parse_or_error(raw) for raw in times]
+    kept = [dt for dt in parsed if isinstance(dt, datetime)]
+    if kept:
+        corpus = ingest(path, LENIENT)
+        assert corpus.created_at == tuple(kept)
+        assert all(dt.tzinfo is timezone.utc for dt in corpus.created_at)
+        assert corpus.skipped_count == len(parsed) - len(kept)
+    else:
+        with pytest.raises(EmptyCorpusError):
+            ingest(path, LENIENT)
+    bad = [k for k, dt in enumerate(parsed) if not isinstance(dt, datetime)]
+    if bad:
+        with pytest.raises(MalformedRecordError) as alone:
+            parse_record(recs[bad[0]])
+        with pytest.raises(MalformedRecordError) as strict:
+            ingest(path, STRICT)
+        assert str(strict.value) == f"line {bad[0] + 1}: {alone.value}"
+    else:
+        assert ingest(path, STRICT).created_at == tuple(kept)
 
 
 def test_parser_keeps_no_tweet_time():

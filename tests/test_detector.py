@@ -498,7 +498,8 @@ def test_config_validation():
     for kw in ({"activity_quantile": 0.0}, {"activity_quantile": 1.0},
                {"iqr_multiplier": 0.0}, {"ratio_tolerance": 1.5},
                {"duplicate_min_cluster": 1}, {"min_followers": -1},
-               {"iqr_fence_base": "q2"}, {"suspicious_sources": frozenset()}):
+               {"iqr_fence_base": "q2"}, {"suspicious_sources": frozenset()},
+               {"iqr_multiplier": 10**400}):  # an int past float's range
         with pytest.raises(ConfigError):
             DetectorConfig(**kw)
 

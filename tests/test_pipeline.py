@@ -600,6 +600,7 @@ def test_cli_synth_then_ingest_check(tmp_path, capsys):
     (["--span-hours", "1e308"], "span_hours"),
     # every statuses_count fits, but the run may draw up to 6e15 tweets
     (["--human-rate", "2e15"], "human_rate_mean"),
+    (["--seed", "-1"], "seed"),  # SplitMix64 seeds are in [0, 2**64 - 1]
 ])
 def test_cli_synth_rejects_non_finite_or_overflowing_settings(tmp_path, capsys,
                                                               flags, field):

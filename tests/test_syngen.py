@@ -102,9 +102,16 @@ def test_generate_rejects_bad_config():
     for kw in ({"n_humans": 0, "n_bots": 0}, {"n_humans": -1}, {"n_humans": 1.5},
                {"n_humans": True, "n_bots": 0}, {"n_bots": 1.0},
                {"span_hours": 0}, {"bot_rate_mean": 0},
-               {"bot_duplicate_prob": 1.5}, {"verified_human_prob": -0.1}):
+               {"bot_duplicate_prob": 1.5}, {"verified_human_prob": -0.1},
+               # the seed is an int in SplitMix64's 64-bit range
+               {"seed": 1.5}, {"seed": True}, {"seed": -1}, {"seed": 2**64}, {"seed": 2**70},
+               # spans, rates and probabilities are reals, and a bool is not one
+               {"bot_duplicate_prob": True}, {"span_hours": True},
+               {"bot_duplicate_prob": "0.5"}, {"span_hours": "24"}, {"human_rate_mean": "5"},
+               {"human_rate_mean": 10**400}):
         with pytest.raises(ConfigError):
             SynthConfig(**kw)
+    assert SynthConfig(seed=0).seed == 0 and SynthConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("field, kind, oldest_days", [
