@@ -10,7 +10,11 @@ report artifacts).
 `syngen` and `rng` load on first use: no `run`, `analyze` or `detect` needs
 them, so importing the package or the CLI does not.  Their names below
 (`SynthConfig`, `generate`, `SplitMix64`, ...) resolve through the module
-``__getattr__`` and import them then.
+``__getattr__`` and import them then.  Two stdlib modules load on use too:
+`csv` when a CSV file is written (``detect --format jsonl`` writes none), and
+`html` only to unescape a source anchor that holds ``&``.  Every command
+pays for what importing the CLI loads, so nothing loads there that a command
+may not use.
 """
 
 import importlib

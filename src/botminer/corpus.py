@@ -8,7 +8,6 @@ conservative default so partial dumps still load in lenient mode.
 
 from __future__ import annotations
 
-import html
 import json
 import re
 import unicodedata
@@ -215,7 +214,11 @@ def extract_source_app(source_raw) -> str:
     if source_raw:
         m = _ANCHOR_RE.search(str(source_raw))
         if m:
-            inner = html.unescape(m.group(1)).strip()
+            inner = m.group(1)
+            if "&" in inner:  # html.unescape returns any other text unchanged
+                import html  # its entity table loads only for a source that needs it
+                inner = html.unescape(inner)
+            inner = inner.strip()
             if inner:
                 return inner
         trimmed = str(source_raw).strip()

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the config value checks."""
 
 import math
+import sys
 
 
 class BotminerError(Exception):
@@ -28,12 +29,31 @@ class PipelineStageError(BotminerError):
         self.cause = cause
 
 
+def shown(value) -> str:
+    """repr(*value)* for an error message, cut to 80 characters.
+
+    An int too long for str (``sys.get_int_max_str_digits``) cannot be
+    formatted at all, so it is described by its size.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def check_int(name: str, value, minimum: int) -> None:
-    """ConfigError unless *value* is an int (a bool is not) of at least *minimum*."""
+    """ConfigError unless *value* is an int (a bool is not) of at least *minimum*
+    that str can write out, as the config fingerprint does."""
     if type(value) is not int:
-        raise ConfigError(f"{name} must be an int, got {value!r}")
+        raise ConfigError(f"{name} must be an int, got {shown(value)}")
+    try:
+        str(value)
+    except ValueError:
+        raise ConfigError(f"{name} must have at most {sys.get_int_max_str_digits()} "
+                          f"digits, got {shown(value)}") from None
     if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{name} must be >= {minimum}, got {shown(value)}")
 
 
 def check_real(name: str, value) -> None:
@@ -45,4 +65,4 @@ def check_real(name: str, value) -> None:
     except OverflowError:  # math.isfinite converts an int to float
         finite = False
     if not finite:
-        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite real number, got {shown(value)}")

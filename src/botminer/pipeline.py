@@ -11,7 +11,6 @@ but are deliberately left out of run_summary.json.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -223,6 +222,8 @@ def compare_group_sentiment(samples: Mapping[Label, Mapping[float, int]]) -> dic
 
 
 def _write_table(path: Path, fingerprint: str, header, rows):
+    import csv  # loaded by the first CSV a run writes: detect --format jsonl writes none
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_fingerprint={fingerprint}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -248,6 +249,8 @@ def write_classifications(path: Path, fingerprint: str, detection: Detection, fm
     """
     outcomes = [Classification("", *outcome) for outcome in detection.outcomes]
     if fmt == "csv":
+        import csv
+
         row = io.StringIO()
         writer = csv.writer(row, lineterminator="\n")
 

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 from .corpus import Corpus
 from .detector import Classification, Label
-from .errors import ConfigError, check_int, check_real
+from .errors import ConfigError, check_int, check_real, shown
 from .listfile import read_entries
 from .rng import SplitMix64
 
@@ -107,7 +107,7 @@ class SynthConfig:
     def __post_init__(self):
         check_int("seed", self.seed, 0)
         if self.seed > _MAX_SEED:
-            raise ConfigError(f"seed must be <= {_MAX_SEED}, got {self.seed}")
+            raise ConfigError(f"seed must be <= {_MAX_SEED}, got {shown(self.seed)}")
         check_int("n_humans", self.n_humans, 0)
         check_int("n_bots", self.n_bots, 0)
         if self.n_humans + self.n_bots == 0:

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import html
 import json
 from datetime import datetime, timezone
 
@@ -51,6 +52,26 @@ def test_source_app_entities_and_attributes():
     raw = '<a href="x" rel="nofollow">Q &amp; A</a>'
     assert extract_source_app(raw) == "Q & A"
     assert extract_source_app('<a href="x"></a>') == '<a href="x"></a>'  # empty anchor: raw fallback
+
+
+# entities named, decimal, hex, unterminated, unknown and absent; whitespace
+# str.strip removes (no-break space included); non-ASCII text
+_SOURCE_PIECES = ("&amp;", "&#38;", "&#x26;", "&", "AT&T", "&amp", "&foo;", " ", "\t",
+                  "\n", "\u00a0", "é", "Ωμέγα", "日本", "Web", "Client")
+
+
+@given(st.lists(st.sampled_from(_SOURCE_PIECES), max_size=8), st.booleans())
+@example(["&#38;"], True)
+@example([" Q ", "&amp;", " A "], True)
+def test_source_app_unescapes_exactly_as_html(pieces, anchored):
+    inner = "".join(pieces)
+    if anchored:
+        raw = f'<a href="https://app.example/?a=1&amp;b=2" rel="nofollow">{inner}</a>'
+        expected = html.unescape(inner).strip() or raw.strip()
+    else:  # a bare string is used as-is
+        raw = inner
+        expected = inner.strip() or "unknown"
+    assert extract_source_app(raw) == expected
 
 
 def test_source_app_never_empty():

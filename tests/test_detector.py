@@ -499,7 +499,10 @@ def test_config_validation():
                {"iqr_multiplier": 0.0}, {"ratio_tolerance": 1.5},
                {"duplicate_min_cluster": 1}, {"min_followers": -1},
                {"iqr_fence_base": "q2"}, {"suspicious_sources": frozenset()},
-               {"iqr_multiplier": 10**400}):  # an int past float's range
+               {"iqr_multiplier": 10**400},  # an int past float's range
+               # ints too long for str, which the fingerprint writes
+               {"min_followers": -10**5000}, {"ratio_tolerance": 10**5000},
+               {"duplicate_min_cluster": 10**5000}):
         with pytest.raises(ConfigError):
             DetectorConfig(**kw)
 

@@ -386,10 +386,26 @@ def test_settings_rejects_bad_format():
     {"output_format": "CSV"}, {"k_terms": 0}, {"k_neighbors": 0}, {"k_terms": 2.0},
     {"query_term": None}, {"detector": None}, {"stopwords_path": 3}, {"lexicon_path": b"x"},
     {"query_term": "Iran!"}, {"query_term": "iran protests"}, {"query_term": ""},
+    # the fingerprint writes every field as JSON; repr cannot name this case
+    pytest.param({"window": 10**5000}, id="{'window': 10**5000}"),
 ], ids=repr)
 def test_settings_reject_bad_fields(kw):
     with pytest.raises(ConfigError, match=next(iter(kw))):
         PipelineSettings(**kw)
+
+
+@pytest.mark.parametrize("config, field, sign, digits", [
+    (SynthConfig, "seed", 1, 5000), (SynthConfig, "seed", 1, 4000),
+    (SynthConfig, "span_hours", 1, 5000), (DetectorConfig, "min_followers", -1, 5000),
+    (DetectorConfig, "min_followers", -1, 4000), (DetectorConfig, "ratio_tolerance", 1, 5000),
+    (PipelineSettings, "window", 1, 5000), (PipelineSettings, "window", -1, 4000),
+])
+def test_configs_reject_a_huge_int_without_formatting_it(config, field, sign, digits):
+    # 10**5000 has more digits than str writes by default; 10**4000 is only long
+    with pytest.raises(ConfigError) as caught:
+        config(**{field: sign * 10**digits})
+    message = str(caught.value)
+    assert message.startswith(f"{field} must ") and len(message) < 160
 
 
 def test_replace_and_make_check_fields():
@@ -787,22 +803,73 @@ print(json.dumps(out))
 """
 
 
-def test_cli_import_loads_no_module_a_run_does_not_use():
-    """dataclasses and inspect (its import) and syngen and rng (synth's) stay unloaded."""
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's botminer."""
     src_root = Path(pipeline.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src_root), env.get("PYTHONPATH"))))
+    return env
+
+
+def test_cli_import_loads_no_module_a_run_does_not_use():
+    """dataclasses and inspect (its import), syngen and rng (synth's), html (an
+    escaped source's) and csv (a CSV writer's) stay unloaded."""
     names = json.dumps([PACKAGE_NAMES, SYNGEN_NAMES, PACKAGE_MODULES])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, names],
-                          env=env, capture_output=True, text=True, timeout=120, check=False)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, names], env=_child_env(),
+                          capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    unused = {"dataclasses", "inspect", "botminer.syngen", "botminer.rng"}
+    unused = {"dataclasses", "inspect", "botminer.syngen", "botminer.rng",
+              "html", "html.entities", "csv"}
     assert "botminer.pipeline" in out["loaded"]
     assert unused.isdisjoint(out["loaded"])
     assert out["eager_missing"] == [] and not out["syngen_after_eager"]
     assert out["syngen_after_lazy"]  # on first access to one of its names
     assert out["missing"] == [] and out["star_missing"] == []
+
+
+_COMMAND_CHILD = """
+import json, sys
+before = set(sys.modules)
+from botminer.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def _modules_loaded_by(argv) -> set:
+    """The modules one CLI command loads, run to success in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _COMMAND_CHILD, json.dumps(argv)],
+                          env=_child_env(), capture_output=True, text=True, timeout=120,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["code"] == 0
+    return set(out["loaded"])
+
+
+def test_commands_load_html_and_csv_only_when_they_use_them(synth_corpus, tmp_path):
+    detect = _modules_loaded_by(["detect", str(synth_corpus), "--format", "jsonl",
+                                 "--out", str(tmp_path / "detect")])
+    assert {"html", "html.entities", "csv"}.isdisjoint(detect)
+    run = _modules_loaded_by(["run", str(synth_corpus), "--out", str(tmp_path / "run")])
+    assert "csv" in run and {"html", "html.entities"}.isdisjoint(run)
+
+    # one tweet's source anchor holds an entity; only that source's app is listed
+    lines = synth_corpus.read_text(encoding="utf-8").splitlines()
+    escaped = json.loads(lines[0])
+    escaped["source"] = '<a href="https://qa.example" rel="nofollow">Q &amp; A</a>'
+    corpus = tmp_path / "escaped.ndjson"
+    corpus.write_text("\n".join([json.dumps(escaped), *lines[1:]]) + "\n", encoding="utf-8")
+    sources = tmp_path / "sources.txt"
+    sources.write_text("Q & A\n", encoding="utf-8")
+    out = tmp_path / "escaped"
+    loaded = _modules_loaded_by(["detect", str(corpus), "--sources", str(sources),
+                                 "--format", "jsonl", "--out", str(out)])
+    assert "html" in loaded and "csv" not in loaded
+    records = (out / "classifications.jsonl").read_text(encoding="utf-8").splitlines()
+    flagged = [r["tweet_id"] for r in map(json.loads, records) if "Source" in r["rules"]]
+    assert flagged == [escaped["id"]]
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,9 @@ def test_generate_rejects_bad_config():
                # spans, rates and probabilities are reals, and a bool is not one
                {"bot_duplicate_prob": True}, {"span_hours": True},
                {"bot_duplicate_prob": "0.5"}, {"span_hours": "24"}, {"human_rate_mean": "5"},
-               {"human_rate_mean": 10**400}):
+               {"human_rate_mean": 10**400},
+               # an int too long for str is rejected, not formatted into the message
+               {"seed": 10**5000}, {"span_hours": 10**5000}):
         with pytest.raises(ConfigError):
             SynthConfig(**kw)
     assert SynthConfig(seed=0).seed == 0 and SynthConfig(seed=2**64 - 1).seed == 2**64 - 1
