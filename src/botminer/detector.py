@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import stats
 from .corpus import Corpus
-from .errors import ConfigError, check_int, check_real
+from .errors import ConfigError, check_int, check_real, shown
 from .listfile import read_entries
 
 __all__ = [
@@ -192,13 +192,16 @@ class DetectorConfig(_DetectorFields):
         for name in ("ratio_tolerance", "activity_quantile", "iqr_multiplier"):
             check_real(name, getattr(self, name))
         if not 0.0 <= self.ratio_tolerance <= 1.0:
-            raise ConfigError(f"ratio_tolerance must be in [0, 1], got {self.ratio_tolerance}")
+            raise ConfigError("ratio_tolerance must be in [0, 1], "
+                              f"got {shown(self.ratio_tolerance)}")
         if not 0.0 < self.activity_quantile < 1.0:
-            raise ConfigError(f"activity_quantile must be in (0, 1), got {self.activity_quantile}")
+            raise ConfigError("activity_quantile must be in (0, 1), "
+                              f"got {shown(self.activity_quantile)}")
         if self.iqr_multiplier <= 0.0:
-            raise ConfigError(f"iqr_multiplier must be > 0, got {self.iqr_multiplier}")
+            raise ConfigError(f"iqr_multiplier must be > 0, got {shown(self.iqr_multiplier)}")
         if self.iqr_fence_base not in ("q3", "median"):
-            raise ConfigError(f"iqr_fence_base must be 'q3' or 'median', got {self.iqr_fence_base!r}")
+            raise ConfigError("iqr_fence_base must be 'q3' or 'median', "
+                              f"got {shown(self.iqr_fence_base)}")
         check_int("duplicate_min_cluster", self.duplicate_min_cluster, 2)
         strategy = _exact_strategy(self.activity_strategy)
         sources = self.suspicious_sources
@@ -226,7 +229,7 @@ def _exact_strategy(raw) -> ActivityStrategy:
     try:
         return ActivityStrategy(raw)
     except ValueError:
-        raise ConfigError(f"unknown activity strategy {raw!r}") from None
+        raise ConfigError(f"unknown activity strategy {shown(raw)}") from None
 
 
 def parse_activity_strategy(raw: str) -> ActivityStrategy:

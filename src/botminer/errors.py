@@ -30,7 +30,8 @@ class PipelineStageError(BotminerError):
 
 
 def shown(value) -> str:
-    """repr(*value)* for an error message, cut to 80 characters.
+    """repr(*value*) for an error message, cut to 32 characters: every float
+    fits whole, and a message stays short whatever int it names.
 
     An int too long for str (``sys.get_int_max_str_digits``) cannot be
     formatted at all, so it is described by its size.
@@ -39,7 +40,7 @@ def shown(value) -> str:
         text = repr(value)
     except ValueError:
         return f"an int of {value.bit_length()} bits"
-    return text if len(text) <= 80 else text[:77] + "..."
+    return text if len(text) <= 32 else text[:29] + "..."
 
 
 def check_int(name: str, value, minimum: int) -> None:

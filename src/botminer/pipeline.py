@@ -29,7 +29,7 @@ from . import detector as detector_mod
 from . import stats as stats_mod
 from . import textmine as textmine_mod
 from .detector import Classification, Detection, DetectorConfig, Label
-from .errors import ConfigError, PipelineStageError, check_int, check_real
+from .errors import ConfigError, PipelineStageError, check_int, check_real, shown
 
 __all__ = [
     "GROUP_SLUGS",
@@ -105,29 +105,29 @@ class PipelineSettings(_SettingsFields):
         if self.detector is _DEFAULT_DETECTOR:
             self = super().__new__(cls, **{**self._asdict(), "detector": DetectorConfig()})
         elif not isinstance(self.detector, DetectorConfig):
-            raise ConfigError(f"detector must be a DetectorConfig, got {self.detector!r}")
+            raise ConfigError(f"detector must be a DetectorConfig, got {shown(self.detector)}")
         for name, allowed in (
                 ("rate_basis", (corpus_mod.RATE_CORPUS_WINDOW, corpus_mod.RATE_LIFETIME)),
                 ("strictness", (corpus_mod.LENIENT, corpus_mod.STRICT)),
                 ("output_format", tuple(CLASSIFICATION_FILES))):
             value = getattr(self, name)
             if type(value) is not str or value not in allowed:
-                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+                raise ConfigError(f"{name} must be one of {allowed}, got {shown(value)}")
         if type(self.query_term) is not str:
-            raise ConfigError(f"query_term must be a str, got {self.query_term!r}")
+            raise ConfigError(f"query_term must be a str, got {shown(self.query_term)}")
         # tokens are compared with it lowercased; any other form filters nothing
         textmine_mod.check_cleaned(self.query_term.lower(), "query_term")
         check_real("min_df", self.min_df)
         check_real("max_df", self.max_df)
         if not 0.0 <= self.min_df < self.max_df <= 1.0:
             raise ConfigError("the document-frequency band needs 0 <= min_df < max_df <= 1, "
-                              f"got min_df={self.min_df}, max_df={self.max_df}")
+                              f"got min_df={shown(self.min_df)}, max_df={shown(self.max_df)}")
         for name in ("window", "k_terms", "k_neighbors"):
             check_int(name, getattr(self, name), 1)
         for name in ("stopwords_path", "lexicon_path"):
             path = getattr(self, name)
             if path is not None and not isinstance(path, (str, os.PathLike)):
-                raise ConfigError(f"{name} must be a path or None, got {path!r}")
+                raise ConfigError(f"{name} must be a path or None, got {shown(path)}")
         return self
 
     def load_lists(self) -> tuple:

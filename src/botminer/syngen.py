@@ -116,14 +116,14 @@ class SynthConfig:
             check_real(name, getattr(self, name))
         if not 0 < self.span_hours <= _MAX_SPAN_HOURS:
             raise ConfigError(f"span_hours must be in (0, {_MAX_SPAN_HOURS:.0f}], "
-                              f"got {self.span_hours}")
+                              f"got {shown(self.span_hours)}")
         for name, (_, oldest) in (("human_rate_mean", _HUMAN_AGE_DAYS),
                                   ("bot_rate_mean", _BOT_AGE_DAYS)):
             mean = getattr(self, name)
             # statuses_count is rate * age, with a drawn rate of at most mean * 1.5
             if not 0 < mean * 1.5 * oldest <= _MAX_COUNT:
-                raise ConfigError(f"{name} must be > 0 and keep every statuses_count "
-                                  f"drawn from it <= {_MAX_COUNT}, got {mean}")
+                raise ConfigError(f"{name} must be > 0 and keep statuses_count "
+                                  f"<= {_MAX_COUNT}, got {shown(mean)}")
         # an account draws max(1, round(rate * span_days)) tweets, rate < 1.5 * mean;
         # each draws one at least, so the account count is checked first, which
         # keeps the float products from overflowing
@@ -136,7 +136,7 @@ class SynthConfig:
         for name in _PROBABILITIES:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
+                raise ConfigError(f"{name} must be in [0, 1], got {shown(p)}")
 
 
 def _anchor(app: tuple) -> str:
@@ -175,6 +175,53 @@ def _iso(dt: datetime) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _human(rng: SplitMix64, config: SynthConfig, templates: tuple):
+    """A human's (followers, friends, verified, age_days) and its tweet drawer."""
+    verified = rng.chance(config.verified_human_prob)
+    if verified:
+        # media-style account; half get an exactly equalized ratio so the
+        # corpus always exercises the verified override suppressing a hit
+        followers = rng.randint(1000, 50000)
+        friends = followers if rng.chance(0.5) else rng.randint(10, 2000)
+    else:
+        followers = rng.randint(10, 2000)
+        friends = rng.randint(10, 2000)
+    age_days = rng.randint(*_HUMAN_AGE_DAYS)
+
+    def tweet() -> tuple:
+        source = _anchor(rng.choice(_OFFICIAL_APPS))
+        if not rng.chance(0.12):
+            return _compose_text(rng, config.human_negative_skew), source, False
+        # half the retweets echo a template verbatim: identical texts that
+        # must stay exempt from the duplicate rule
+        if rng.chance(0.5):
+            return "RT @newswire: " + rng.choice(templates), source, True
+        return "RT @afriend: " + _compose_text(rng, config.human_negative_skew), source, True
+
+    return (followers, friends, verified, age_days), tweet
+
+
+def _bot(rng: SplitMix64, config: SynthConfig, templates: tuple):
+    """A bot's (followers, friends, verified, age_days) and its tweet drawer."""
+    followers = rng.randint(150, 30000)
+    if rng.chance(config.bot_ratio_equalized_prob):
+        # truncation keeps the relative gap <= 0.05 of the larger count
+        delta = int(followers * 0.05 * rng.random())
+        friends = followers + delta if rng.chance(0.5) else followers - delta
+    else:
+        friends = rng.randint(10, 2000)
+    apps = _BOT_APPS if rng.chance(config.bot_suspicious_source_prob) else _OFFICIAL_APPS
+    source = _anchor(rng.choice(apps))
+    age_days = rng.randint(*_BOT_AGE_DAYS)
+
+    def tweet() -> tuple:
+        if rng.chance(config.bot_duplicate_prob):
+            return rng.choice(templates), source, False
+        return _compose_text(rng, config.bot_negative_skew), source, False
+
+    return (followers, friends, False, age_days), tweet
+
+
 def generate(config: SynthConfig, corpus_path, truth_path) -> dict:
     """Write the synthetic corpus and its ground-truth file.
 
@@ -186,15 +233,7 @@ def generate(config: SynthConfig, corpus_path, truth_path) -> dict:
     rng = SplitMix64(config.seed)
     span_secs = max(int(config.span_hours * 3600), 1)
     span_days = config.span_hours / 24.0
-    iso_memo: dict[int, str] = {}
-
-    def offset_iso(offset: int) -> str:
-        try:
-            return iso_memo[offset]
-        except KeyError:
-            value = _iso(_BASE_EPOCH + timedelta(seconds=offset))
-            iso_memo[offset] = value
-            return value
+    iso_of: dict[int, str] = {}
 
     # shared texts that duplicate-happy bots clone verbatim
     templates = tuple(_compose_text(rng, config.bot_negative_skew)
@@ -202,96 +241,37 @@ def generate(config: SynthConfig, corpus_path, truth_path) -> dict:
 
     records = []  # (created_at_iso, tweet_id, serialized line)
     truth: dict[str, str] = {}
-    counter = 0
-
-    def emit(created_iso: str, text: str, source: str, user: dict,
-             retweet_of: str | None = None):
-        nonlocal counter
-        tweet_id = f"t{counter:08d}"
-        counter += 1
-        record = {
-            "id": tweet_id,
-            "text": text,
-            "created_at": created_iso,
-            "source": source,
-            "user": user,
-        }
-        if retweet_of is not None:
-            record["retweeted_status_id"] = retweet_of
-        records.append((created_iso, tweet_id,
-                        json.dumps(record, sort_keys=True, separators=(",", ":"))))
-
-    for h in range(config.n_humans):
-        acct_id = f"h{h:06d}"
-        truth[acct_id] = "human"
-        rate = config.human_rate_mean * (0.5 + rng.random())
-        verified = rng.chance(config.verified_human_prob)
-        if verified:
-            # media-style account; half get an exactly equalized ratio so the
-            # corpus always exercises the verified override suppressing a hit
-            followers = rng.randint(1000, 50000)
-            friends = followers if rng.chance(0.5) else rng.randint(10, 2000)
-        else:
-            followers = rng.randint(10, 2000)
-            friends = rng.randint(10, 2000)
-        age_days = rng.randint(*_HUMAN_AGE_DAYS)
-        user = {
-            "id": acct_id,
-            "screen_name": f"human_{h:05d}",
-            "followers_count": followers,
-            "friends_count": friends,
-            "verified": verified,
-            "statuses_count": int(rate * age_days),
-            "created_at": _iso(_BASE_EPOCH - timedelta(days=age_days)),
-        }
-        for _ in range(max(1, round(rate * span_days))):
-            created = offset_iso(rng.randint(0, span_secs - 1))
-            source = _anchor(rng.choice(_OFFICIAL_APPS))
-            if rng.chance(0.12):
-                # half the retweets echo a template verbatim: identical texts
-                # that must stay exempt from the duplicate rule
-                if rng.chance(0.5):
-                    text = "RT @newswire: " + rng.choice(templates)
-                else:
-                    text = "RT @afriend: " + _compose_text(rng, config.human_negative_skew)
-                emit(created, text, source, user, retweet_of=str(900_000_000 + counter))
-            else:
-                emit(created, _compose_text(rng, config.human_negative_skew),
-                     source, user)
-
-    for b in range(config.n_bots):
-        acct_id = f"b{b:06d}"
-        truth[acct_id] = "bot"
-        rate = config.bot_rate_mean * (0.5 + rng.random())
-        followers = rng.randint(150, 30000)
-        if rng.chance(config.bot_ratio_equalized_prob):
-            # truncation keeps the relative gap <= 0.05 of the larger count
-            delta = int(followers * 0.05 * rng.random())
-            friends = followers + delta if rng.chance(0.5) else followers - delta
-        else:
-            friends = rng.randint(10, 2000)
-        if rng.chance(config.bot_suspicious_source_prob):
-            app = rng.choice(_BOT_APPS)
-        else:
-            app = rng.choice(_OFFICIAL_APPS)
-        age_days = rng.randint(*_BOT_AGE_DAYS)
-        user = {
-            "id": acct_id,
-            "screen_name": f"bot_{b:04d}",
-            "followers_count": followers,
-            "friends_count": friends,
-            "verified": False,
-            "statuses_count": int(rate * age_days),
-            "created_at": _iso(_BASE_EPOCH - timedelta(days=age_days)),
-        }
-        source = _anchor(app)
-        for _ in range(max(1, round(rate * span_days))):
-            created = offset_iso(rng.randint(0, span_secs - 1))
-            if rng.chance(config.bot_duplicate_prob):
-                text = rng.choice(templates)
-            else:
-                text = _compose_text(rng, config.bot_negative_skew)
-            emit(created, text, source, user)
+    # humans first, then bots, each in index order: the draw order is the output
+    for label, count, rate_mean, draw, screen_name in (
+            ("human", config.n_humans, config.human_rate_mean, _human, "human_{:05d}"),
+            ("bot", config.n_bots, config.bot_rate_mean, _bot, "bot_{:04d}")):
+        for i in range(count):
+            acct_id = f"{label[0]}{i:06d}"
+            truth[acct_id] = label
+            rate = rate_mean * (0.5 + rng.random())
+            (followers, friends, verified, age_days), tweet = draw(rng, config, templates)
+            user = {
+                "id": acct_id,
+                "screen_name": screen_name.format(i),
+                "followers_count": followers,
+                "friends_count": friends,
+                "verified": verified,
+                "statuses_count": int(rate * age_days),
+                "created_at": _iso(_BASE_EPOCH - timedelta(days=age_days)),
+            }
+            for _ in range(max(1, round(rate * span_days))):
+                offset = rng.randint(0, span_secs - 1)
+                created = iso_of.get(offset)
+                if created is None:
+                    created = iso_of[offset] = _iso(_BASE_EPOCH + timedelta(seconds=offset))
+                text, source, is_retweet = tweet()
+                tweet_id = f"t{len(records):08d}"
+                record = {"id": tweet_id, "text": text, "created_at": created,
+                          "source": source, "user": user}
+                if is_retweet:
+                    record["retweeted_status_id"] = str(900_000_000 + len(records))
+                records.append((created, tweet_id,
+                                json.dumps(record, sort_keys=True, separators=(",", ":"))))
 
     records.sort()
     corpus_path = Path(corpus_path)
@@ -308,16 +288,21 @@ def generate(config: SynthConfig, corpus_path, truth_path) -> dict:
 
 
 def load_ground_truth(path) -> dict:
-    """Read an account_id,label file back into a dict."""
-    truth = {}
-    for _, line in read_entries(path):
+    """Read an account_id,label file back into a dict; each account id may
+    appear once."""
+    truth, line_of = {}, {}
+    for lineno, line in read_entries(path):
         if line == "account_id,label":
             continue
         acct, _, label = line.partition(",")
-        label = label.strip().lower()
+        acct, label = acct.strip(), label.strip().lower()
         if label not in ("human", "bot"):
-            raise ConfigError(f"ground truth label must be human|bot, got {label!r}")
-        truth[acct.strip()] = label
+            raise ConfigError(f"ground truth line {lineno}: label must be human|bot, "
+                              f"got {shown(label)}")
+        first = line_of.setdefault(acct, lineno)
+        if first != lineno:
+            raise ConfigError(f"ground truth line {lineno}: {shown(acct)} repeats line {first}")
+        truth[acct] = label
     return truth
 
 

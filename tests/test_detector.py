@@ -502,9 +502,15 @@ def test_config_validation():
                {"iqr_multiplier": 10**400},  # an int past float's range
                # ints too long for str, which the fingerprint writes
                {"min_followers": -10**5000}, {"ratio_tolerance": 10**5000},
-               {"duplicate_min_cluster": 10**5000}):
+               {"duplicate_min_cluster": 10**5000}, {"activity_strategy": 10**5000}):
         with pytest.raises(ConfigError):
             DetectorConfig(**kw)
+    # finite as floats, so they reach the range checks, whose messages cut them
+    for name, value in (("ratio_tolerance", 10**300), ("activity_quantile", -10**300),
+                        ("iqr_multiplier", -10**300)):
+        with pytest.raises(ConfigError, match=f"^{name} must ") as caught:
+            DetectorConfig(**{name: value})
+        assert len(str(caught.value)) <= 120
 
 
 @pytest.mark.parametrize("kw", [

@@ -388,10 +388,14 @@ def test_settings_rejects_bad_format():
     {"query_term": "Iran!"}, {"query_term": "iran protests"}, {"query_term": ""},
     # the fingerprint writes every field as JSON; repr cannot name this case
     pytest.param({"window": 10**5000}, id="{'window': 10**5000}"),
+    # finite as floats, so they reach the band check, whose message cuts them
+    pytest.param({"min_df": 10**300}, id="{'min_df': 10**300}"),
+    pytest.param({"max_df": -10**300}, id="{'max_df': -10**300}"),
 ], ids=repr)
 def test_settings_reject_bad_fields(kw):
-    with pytest.raises(ConfigError, match=next(iter(kw))):
+    with pytest.raises(ConfigError, match=next(iter(kw))) as caught:
         PipelineSettings(**kw)
+    assert len(str(caught.value)) <= 120
 
 
 @pytest.mark.parametrize("config, field, sign, digits", [
@@ -399,6 +403,10 @@ def test_settings_reject_bad_fields(kw):
     (SynthConfig, "span_hours", 1, 5000), (DetectorConfig, "min_followers", -1, 5000),
     (DetectorConfig, "min_followers", -1, 4000), (DetectorConfig, "ratio_tolerance", 1, 5000),
     (PipelineSettings, "window", 1, 5000), (PipelineSettings, "window", -1, 4000),
+    # fields that are not numbers name the rejected value through errors.shown too
+    (DetectorConfig, "iqr_fence_base", 1, 5000), (PipelineSettings, "rate_basis", 1, 5000),
+    (PipelineSettings, "detector", 1, 5000), (PipelineSettings, "query_term", -1, 5000),
+    (PipelineSettings, "lexicon_path", 1, 4000),
 ])
 def test_configs_reject_a_huge_int_without_formatting_it(config, field, sign, digits):
     # 10**5000 has more digits than str writes by default; 10**4000 is only long

@@ -1,5 +1,6 @@
 """Synthetic corpus generator: determinism, planted signals, scoring."""
 
+import hashlib
 import math
 import random
 
@@ -78,6 +79,53 @@ def test_generate_is_byte_deterministic(tmp_path):
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
 
+# sha256 of the corpus and truth files generate writes, and their tweet and
+# account counts; a refactor of generate must leave every one unchanged, and a
+# new generator option must leave them unchanged at its default
+_PINNED = [
+    (SynthConfig(), 10_594, 525,
+     "ed5e021fd44da01a0bad4840320511f546cb9d72e51b9a1e068ca88d8e74d387",
+     "2fd267b0c82b09fdeaef292ac3873b1a25dd6c1658d4d7a1d8c8e41c6ccb8e07"),
+    (SynthConfig(seed=11, n_humans=50, n_bots=0), 236, 50,
+     "55eced210bfffa5d00d4a12d7b8b71781ec7cddc4edda754f007c119a59f8171",
+     "d8e9e1308473bf5f8b1eb6a66dd4c93ce560abba41998a331f214c2412dc88b2"),
+    (SynthConfig(seed=2, n_humans=0, n_bots=4), 1_174, 4,
+     "574ba3a5b41bc845d1c4c77c8ed6475b4f5829f78ad833d60c3d99cb2573ab71",
+     "d3559dca0081e96b9f660587ff804fc8b1252a876bc9297d7971ec9083454531"),
+    (SynthConfig(seed=5, n_humans=168, n_bots=21, bot_rate_mean=200.0,
+                 bot_duplicate_prob=0.9), 5_088, 189,
+     "c46f5b5a5a5598f3f465e1e2be65ff9d5975fa16ccd00e2408221cf5c7cded4e",
+     "c1f650197671f5d5526e550b0ab54b811ab4696ea399f7229090c345cb9f6187"),
+]
+
+
+def _digest(path):
+    """(line count, sha256 hex digest) of a file, read in 1 MiB blocks."""
+    sha, lines = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(block)
+            lines += block.count(b"\n")
+    return lines, sha.hexdigest()
+
+
+@pytest.mark.parametrize("config, tweets, accounts, corpus_sha, truth_sha", _PINNED,
+                         ids=["default", "humans_only", "bots_only", "dup_heavy"])
+def test_generate_bytes_are_pinned(tmp_path, config, tweets, accounts, corpus_sha, truth_sha):
+    truth = generate(config, tmp_path / "c.ndjson", tmp_path / "t.csv")
+    got = (_digest(tmp_path / "c.ndjson"), len(truth), _digest(tmp_path / "t.csv")[1])
+    assert got == ((tweets, corpus_sha), accounts, truth_sha), f"bytes moved for {config}"
+
+
+@pytest.mark.scale
+def test_scale_corpus_bytes_are_pinned(scale_corpus):
+    # the corpus criteria 8 and 9 run on, hashed where the session's fixture wrote it
+    assert _digest(scale_corpus) == (
+        900_646, "70d754aa4c193798d9e10c501ccce62e925c1d75d1d8b0115644da4fad86ced2")
+    assert _digest(scale_corpus.parent / "truth.csv") == (
+        63_001, "fb1e966cef132e550c845ec9d71920064bde788f6c0677c0c339d62608f1d424")
+
+
 def test_generate_seed_changes_output(tmp_path):
     generate(SMALL, tmp_path / "a.ndjson", tmp_path / "a.csv")
     generate(SynthConfig(seed=4, n_humans=40, n_bots=5),
@@ -113,6 +161,14 @@ def test_generate_rejects_bad_config():
                {"seed": 10**5000}, {"span_hours": 10**5000}):
         with pytest.raises(ConfigError):
             SynthConfig(**kw)
+    # finite as floats, so they reach the range checks, whose messages cut them
+    for name in ("span_hours", "human_rate_mean", "bot_rate_mean", "bot_ratio_equalized_prob",
+                 "bot_suspicious_source_prob", "bot_duplicate_prob", "bot_negative_skew",
+                 "human_negative_skew", "verified_human_prob"):
+        for value in (10**300, -10**300):
+            with pytest.raises(ConfigError, match=f"^{name} must ") as caught:
+                SynthConfig(**{name: value})
+            assert len(str(caught.value)) <= 120
     assert SynthConfig(seed=0).seed == 0 and SynthConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
@@ -229,7 +285,15 @@ def test_ground_truth_file_with_bom(tmp_path):
 def test_ground_truth_rejects_unknown_label(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("account_id,label\nx,cyborg\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="line 2: .*'cyborg'"):
+        load_ground_truth(path)
+
+
+def test_ground_truth_rejects_a_repeated_id(tmp_path):
+    # a later line would silently relabel the account
+    path = tmp_path / "t.csv"
+    path.write_text("account_id,label\nu1,human\nu2,bot\n u1 ,bot\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 4: 'u1' repeats line 2"):
         load_ground_truth(path)
 
 
