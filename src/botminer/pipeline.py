@@ -11,7 +11,6 @@ but are deliberately left out of run_summary.json.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import operator
@@ -23,6 +22,14 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping, NamedTuple
+
+try:  # the interpreter's own SHA-256: hashlib would map OpenSSL's libcrypto on every run
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import corpus as corpus_mod
 from . import detector as detector_mod
@@ -160,7 +167,7 @@ class PipelineSettings(_SettingsFields):
                    "stopwords": sorted(stopwords), "lexicon": sorted(lexicon.polarity.items())}
         del payload["stopwords_path"], payload["lexicon_path"]  # their content is hashed
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 class RunSummary(NamedTuple):

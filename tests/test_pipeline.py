@@ -544,6 +544,41 @@ def test_fingerprint_hashes_source_content(tmp_path):
     assert only_twittbot.fingerprint() != default.fingerprint()
 
 
+@pytest.mark.parametrize("settings", [
+    PipelineSettings(window=4),
+    PipelineSettings(query_term="#iran"),
+    PipelineSettings(detector=DetectorConfig(suspicious_sources=frozenset({"twittbot"}))),
+], ids=["window", "query_term", "sources"])
+def test_fingerprint_is_hashlib_sha256_of_its_payload(settings, monkeypatch):
+    """The built-in SHA-256 gives hashlib's digest of the bytes the fingerprint hashes."""
+    import hashlib
+
+    blobs = []
+    builtin = pipeline.sha256
+
+    def recording(blob):
+        blobs.append(blob)
+        return builtin(blob)
+
+    monkeypatch.setattr(pipeline, "sha256", recording)
+    fingerprint = settings.fingerprint()
+    assert len(blobs) == 1 and json.loads(blobs[0])
+    assert fingerprint == hashlib.sha256(blobs[0]).hexdigest()[:16]
+
+
+_HASHLIB_CHILD = """
+import sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None  # no built-in SHA-256 module
+import hashlib
+from botminer import pipeline
+print(pipeline.sha256 is hashlib.sha256, pipeline.PipelineSettings().fingerprint())
+"""
+
+
+def test_fingerprint_falls_back_to_hashlib():
+    assert _run_child(_HASHLIB_CHILD).split() == ["True", "8ce6488eb20f63f1"]
+
+
 # one changed value per settings field; a path field's file holds other content
 DETECTOR_CHANGES = {
     "min_followers": 101,
@@ -811,24 +846,30 @@ print(json.dumps(out))
 """
 
 
-def _child_env() -> dict:
-    """The environment of a fresh interpreter that imports this checkout's botminer."""
+def _run_child(code: str, *args) -> str:
+    """The stdout of *code*, run to success in a fresh interpreter that imports
+    this checkout's botminer.
+
+    The child runs with ``-S``: without ``site``, whose ``.pth`` files may preload
+    stdlib modules, a pin on what botminer loads holds in any environment."""
     src_root = Path(pipeline.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src_root), env.get("PYTHONPATH"))))
-    return env
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_cli_import_loads_no_module_a_run_does_not_use():
     """dataclasses and inspect (its import), syngen and rng (synth's), html (an
-    escaped source's) and csv (a CSV writer's) stay unloaded."""
+    escaped source's), csv (a CSV writer's), hashlib with OpenSSL behind it and
+    importlib.resources with zipfile stay unloaded."""
     names = json.dumps([PACKAGE_NAMES, SYNGEN_NAMES, PACKAGE_MODULES])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, names], env=_child_env(),
-                          capture_output=True, text=True, timeout=120, check=False)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = json.loads(_run_child(_IMPORT_CHILD, names))
     unused = {"dataclasses", "inspect", "botminer.syngen", "botminer.rng",
-              "html", "html.entities", "csv"}
+              "html", "html.entities", "csv", "hashlib", "_hashlib",
+              "importlib.resources", "zipfile"}
     assert "botminer.pipeline" in out["loaded"]
     assert unused.isdisjoint(out["loaded"])
     assert out["eager_missing"] == [] and not out["syngen_after_eager"]
@@ -847,11 +888,7 @@ print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
 
 def _modules_loaded_by(argv) -> set:
     """The modules one CLI command loads, run to success in a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", _COMMAND_CHILD, json.dumps(argv)],
-                          env=_child_env(), capture_output=True, text=True, timeout=120,
-                          check=False)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    out = json.loads(_run_child(_COMMAND_CHILD, json.dumps(argv)).splitlines()[-1])
     assert out["code"] == 0
     return set(out["loaded"])
 
@@ -878,6 +915,20 @@ def test_commands_load_html_and_csv_only_when_they_use_them(synth_corpus, tmp_pa
     records = (out / "classifications.jsonl").read_text(encoding="utf-8").splitlines()
     flagged = [r["tweet_id"] for r in map(json.loads, records) if "Source" in r["rules"]]
     assert flagged == [escaped["id"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{corpus}", "--out", "{out}"],
+    ["analyze", "{corpus}", "--out", "{out}", "--format", "jsonl"],
+    ["detect", "{corpus}", "--out", "{out}"],
+    ["detect", "{corpus}", "--out", "{out}", "--format", "jsonl"],
+    ["ingest-check", "{corpus}"],
+    ["synth", "--out", "{out}", "--humans", "5", "--bots", "1"],
+], ids=["run", "analyze", "detect-csv", "detect-jsonl", "ingest-check", "synth"])
+def test_no_command_loads_hashlib(argv, synth_corpus, tmp_path):
+    """The fingerprint hashes with the built-in SHA-256, so no run maps OpenSSL."""
+    argv = [a.format(corpus=synth_corpus, out=tmp_path / "out") for a in argv]
+    assert {"hashlib", "_hashlib", "zipfile"}.isdisjoint(_modules_loaded_by(argv))
 
 
 # ---------------------------------------------------------------------------
