@@ -83,12 +83,12 @@ def _print_sentiment(sentiment: dict):
 def cmd_ingest_check(args) -> int:
     settings = pipeline_mod.settings_from_flags(None, _flags_from_args(args))
     corp = corpus_mod.ingest(args.corpus, strictness=settings.strictness)
-    print(f"tweets: {len(corp)}")
-    print(f"accounts: {len(corp.accounts)}")
-    print(f"span: {corp.span_start.isoformat()} .. {corp.span_end.isoformat()}"
-          f" ({corp.span_days:.3f} days)")
-    print(f"skipped records: {corp.skipped_count}")
-    print(f"duplicate ids: {corp.duplicate_count}")
+    report = pipeline_mod.corpus_report(corp)
+    print(f"tweets: {report['total_tweets']}")
+    print(f"accounts: {report['total_accounts']}")
+    print(f"span: {report['span_start']} .. {report['span_end']} ({corp.span_days:.3f} days)")
+    print(f"skipped records: {report['skipped_records']}")
+    print(f"duplicate ids: {report['duplicate_ids']}")
     return 0
 
 

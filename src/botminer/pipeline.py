@@ -3,8 +3,9 @@
 Every artifact starts with a ``# config_fingerprint=...`` comment so outputs
 can always be traced back to the exact configuration that produced them.
 A run returns RunSummary(report, timings): ``report`` is the run_summary.json
-document, whose ``detection`` section detection_report builds (``detect``
-prints the same section).  Artifacts are byte-identical across runs with the
+document, whose ``corpus`` and ``detection`` sections corpus_report and
+detection_report build (``ingest-check`` and ``detect`` print the same
+sections).  Artifacts are byte-identical across runs with the
 same inputs: stage timings are kept on RunSummary (and printed by the CLI)
 but are deliberately left out of run_summary.json.
 """
@@ -44,6 +45,7 @@ __all__ = [
     "CLASSIFICATION_FILES",
     "PipelineSettings",
     "RunSummary",
+    "corpus_report",
     "detection_report",
     "FLAGS",
     "settings_from_flags",
@@ -180,6 +182,19 @@ class RunSummary(NamedTuple):
 
     report: dict
     timings: dict
+
+
+def corpus_report(corpus: corpus_mod.Corpus) -> dict:
+    """What loaded: the ``corpus`` section of run_summary.json, less its
+    ``rate_basis``, which ``ingest-check`` prints too."""
+    return {
+        "total_tweets": len(corpus),
+        "total_accounts": len(corpus.accounts),
+        "span_start": corpus.span_start.isoformat(),
+        "span_end": corpus.span_end.isoformat(),
+        "skipped_records": corpus.skipped_count,
+        "duplicate_ids": corpus.duplicate_count,
+    }
 
 
 def detection_report(detection: Detection, config: DetectorConfig) -> dict:
@@ -434,15 +449,7 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
 
             report = {
                 "config_fingerprint": fingerprint,
-                "corpus": {
-                    "total_tweets": len(corpus),
-                    "total_accounts": len(corpus.accounts),
-                    "span_start": corpus.span_start.isoformat(),
-                    "span_end": corpus.span_end.isoformat(),
-                    "skipped_records": corpus.skipped_count,
-                    "duplicate_ids": corpus.duplicate_count,
-                    "rate_basis": settings.rate_basis,
-                },
+                "corpus": {**corpus_report(corpus), "rate_basis": settings.rate_basis},
                 "detection": detection_section,
                 "sentiment": {
                     "group_means": {label.value: mean_sentiment[label] for label in Label},

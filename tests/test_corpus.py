@@ -842,6 +842,30 @@ def test_ingest_equals_parse_record_per_line(tmp_path_factory, drawn):
     _assert_ingest_matches_oracle(_write_lines(tmp_path_factory, lines), lines)
 
 
+@example(drawn=_REPLACED_LATEST)
+@given(oracle_lines)
+def test_build_corpus_resolves_repeated_ids_as_ingest(tmp_path_factory, drawn):
+    # build_corpus over the parse_record rows of the lines, repeated ids
+    # included, is the Corpus ingest makes of those lines
+    lines = [_oracle_line(item) for item in drawn]
+    pairs = []
+    for line in lines:
+        try:
+            pairs.append(parse_record(json.loads(line)))
+        except MalformedRecordError:
+            continue
+    if not pairs:
+        with pytest.raises(EmptyCorpusError):
+            build_corpus(fields_of(pairs))
+        return
+    built = build_corpus(fields_of(pairs))
+    ingested = ingest(_write_lines(tmp_path_factory, lines))
+    assert built.ids == ingested.ids
+    assert built.duplicate_count == ingested.duplicate_count == len(pairs) - len(set(built.ids))
+    assert tuple(built.tweets) == tuple(ingested.tweets)
+    assert dict(built.accounts.items()) == dict(ingested.accounts.items())
+
+
 # Text json.loads is touchy about, put around a record line: a BOM, whitespace
 # that str.strip removes but JSON does not allow, and trailing garbage.
 _PREFIXES = ["", "", "\ufeff", " ", "\t", "\x0c", "\x85", "\xa0", "\u2028", "\x1c"]

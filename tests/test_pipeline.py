@@ -34,6 +34,7 @@ from botminer.pipeline import (
     CLASSIFICATION_FILES,
     PipelineSettings,
     compare_group_sentiment,
+    corpus_report,
     detection_report,
     execute_pipeline,
     run_pipeline,
@@ -646,6 +647,29 @@ def test_cli_synth_then_ingest_check(tmp_path, capsys):
     assert "tweets:" in stdout
     assert "accounts: 6" in stdout
     assert "skipped records: 0" in stdout
+
+
+def test_ingest_check_prints_the_summary_corpus_section(tmp_path, capsys):
+    bot_app = '<a href="x">twittbot</a>'
+    recs = [record(i="1", text="hope", minutes=0), record(i="2", text="terror", minutes=5),
+            record(i="1", text="hope again", minutes=1),  # replaces the first "1"
+            record(i="3", text="terror", minutes=3, account="b", source=bot_app)]
+    path = write_ndjson(tmp_path / "c.ndjson", recs)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("{broken\n")
+    summary = execute_pipeline(path, tmp_path / "out")
+    section = summary.report["corpus"]
+    assert section == {**corpus_report(ingest(path)), "rate_basis": "corpus-window"}
+    assert main(["ingest-check", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "tweets: 3\n"
+        "accounts: 2\n"
+        "span: 2017-12-30T12:01:00+00:00 .. 2017-12-30T12:05:00+00:00 (0.042 days)\n"
+        "skipped records: 1\n"
+        "duplicate ids: 1\n")
+    assert (section["total_tweets"], section["total_accounts"], section["span_start"],
+            section["skipped_records"], section["duplicate_ids"]) == (
+        3, 2, "2017-12-30T12:01:00+00:00", 1, 1)
 
 
 @pytest.mark.parametrize("flags, field", [
