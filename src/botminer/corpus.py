@@ -89,6 +89,10 @@ class AccountStats(NamedTuple):
 
 _N_TWEET_FIELDS = len(Tweet._fields)
 _N_FIELDS = _N_TWEET_FIELDS + len(AccountSnapshot._fields)  # of one row
+# the row positions of the follower, friend and status counts
+_COUNT_COLUMNS = tuple(_N_TWEET_FIELDS + AccountSnapshot._fields.index(name)
+                       for name in ("followers", "friends", "statuses_total"))
+_CHUNK_HINT = 1 << 16  # ingest reads lines in chunks of about this many bytes
 # a Tweet from a tuple of its fields, at C level
 _new_tweet = partial(tuple.__new__, Tweet)
 
@@ -392,26 +396,27 @@ def _check_rate_basis(rate_basis: str) -> None:
         raise ValueError(f"unknown rate basis {rate_basis!r}")
 
 
-def _account_columns(fields: Sequence, created_at: tuple, author_ids: tuple,
-                     span_days: float, span_end: datetime, rate_basis: str) -> AccountStats:
-    """The per-account columns, from each account's latest row's author fields.
+def _account_columns(author_columns: Sequence, rows: Sequence, created_at: tuple,
+                     author_ids: tuple, span_days: float, span_end: datetime,
+                     rate_basis: str) -> AccountStats:
+    """The per-account columns, from each account's latest tweet's author fields.
 
-    *fields* are build_corpus's rows, flattened; *created_at* and
-    *author_ids* are their columns.  The latest row is the one with the
-    largest ``created_at``; of equal timestamps, the later one.  Accounts
-    are in the order of their first row.
+    *author_columns* are build_corpus's six AccountSnapshot columns, one
+    entry per row; tweet i of the corpus is row ``rows[i]``.  *created_at*
+    and *author_ids* are the tweets' columns.  The latest tweet is the one
+    with the largest ``created_at``; of equal timestamps, the later one.
+    Accounts are in the order of their first tweet.
     """
-    latest: dict[str, int] = {}  # account_id -> index of its latest row
+    latest: dict[str, int] = {}  # account_id -> index of its latest tweet
     latest_of = latest.get
     for i, acct, created in zip(count(), author_ids, created_at):
         j = latest_of(acct)
         if j is None or created >= created_at[j]:
             latest[acct] = i
-    n_tweets = Counter(author_ids)  # in first-row order, as latest is
-    # each author field's column: that field of every row, at the latest rows
+    n_tweets = Counter(author_ids)  # in first-tweet order, as latest is
+    at = tuple(map(rows.__getitem__, latest.values()))  # the latest tweets' rows
     screen_names, followers, friends, verified, statuses, account_created = (
-        tuple(map(fields[k::_N_FIELDS].__getitem__, latest.values()))
-        for k in range(_N_TWEET_FIELDS, _N_FIELDS))
+        tuple(map(column.__getitem__, at)) for column in author_columns)
     counts = tuple(n_tweets.values())
     if rate_basis == RATE_CORPUS_WINDOW:
         rates = map(truediv, counts, repeat(span_days))
@@ -425,39 +430,46 @@ def _account_columns(fields: Sequence, created_at: tuple, author_ids: tuple,
                         statuses, counts, tuple(rates), account_created)
 
 
-def build_corpus(fields: Sequence, rate_basis: str = RATE_CORPUS_WINDOW,
+def build_corpus(columns: Sequence, rate_basis: str = RATE_CORPUS_WINDOW,
                  skipped_count: int = 0) -> Corpus:
-    """Assemble a Corpus from its rows, flattened into one sequence.
+    """Assemble a Corpus from its rows, given as 12 equal-length columns.
 
     A row holds one tweet's Tweet fields, then its AccountSnapshot fields
-    (a parse_record pair ``tweet + snapshot``); *fields* holds the rows one
-    after another, in corpus order, as ingest collects them.  A repeated
-    tweet id keeps its last row, at its first row's position (dict
-    semantics), and the rows it replaces are counted in ``duplicate_count``.
-    The Corpus keeps the Tweet fields as columns; the author fields only
-    feed the per-account columns, and the Corpus keeps no other of them.
+    (a parse_record pair ``tweet + snapshot``); *columns* holds each field
+    of every row in corpus order, as ingest collects them, so for
+    parse_record pairs they are ``list(zip(*(t + a for t, a in pairs)))``.
+    A repeated tweet id keeps its last row, at its first row's position
+    (dict semantics), and the rows it replaces are counted in
+    ``duplicate_count``.  The Corpus keeps the Tweet fields as columns; the
+    author fields only feed the per-account columns, and the Corpus keeps
+    no other of them.
     """
     _check_rate_basis(rate_basis)
-    if not fields:
+    if not columns or not columns[0]:
         raise EmptyCorpusError("no usable tweets")
-    if len(fields) % _N_FIELDS:
-        raise ValueError(f"{len(fields)} fields are not whole rows of {_N_FIELDS}")
-    ids = tuple(fields[::_N_FIELDS])
+    if len(columns) != _N_FIELDS:
+        raise ValueError(f"{len(columns)} columns, not one per field of {_N_FIELDS}")
+    n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ValueError("columns of unequal length")
+    ids = tuple(columns[0])
     # a dict, not a set: CPython quadruples a small set's table, so 21,000
     # ids take 2 MiB as a set and 0.4 MiB as a dict
     duplicate_count = len(ids) - len(dict.fromkeys(ids))
     if duplicate_count:
-        # each id's last row, at its first row's position
-        last = dict(zip(ids, count())).values()
-        fields = [field for r in last for field in fields[r * _N_FIELDS:(r + 1) * _N_FIELDS]]
-        ids = tuple(fields[::_N_FIELDS])
-    columns = [ids, *(tuple(fields[k::_N_FIELDS]) for k in range(1, _N_TWEET_FIELDS))]
-    _, _, created_at, _, _, author_ids = columns
+        rows = tuple(dict(zip(ids, count())).values())  # each id's last row, at its first
+        tweet_columns = [tuple(map(column.__getitem__, rows))
+                         for column in columns[:_N_TWEET_FIELDS]]
+    else:
+        rows = range(n)
+        tweet_columns = [ids, *map(tuple, columns[1:_N_TWEET_FIELDS])]
+    _, _, created_at, _, _, author_ids = tweet_columns
     span_start, span_end = min(created_at), max(created_at)
-    accounts = _AccountView(_account_columns(fields, created_at, author_ids,
-                                             _span_days(span_start, span_end), span_end,
-                                             rate_basis))
-    return Corpus(*columns, accounts, span_start, span_end, skipped_count, duplicate_count)
+    accounts = _AccountView(_account_columns(columns[_N_TWEET_FIELDS:], rows, created_at,
+                                             author_ids, _span_days(span_start, span_end),
+                                             span_end, rate_basis))
+    return Corpus(*tweet_columns, accounts, span_start, span_end, skipped_count,
+                  duplicate_count)
 
 
 def _decode_error(line: str, msg: str, pos: int) -> MalformedRecordError:
@@ -483,40 +495,57 @@ def ingest(path, strictness: str = LENIENT,
     Records are parsed as parse_record parses them, but a tweet time equal
     to the previous record's, and an account time or source string seen
     before, reuse that parse.
+    Lines are read in chunks of about ``_CHUNK_HINT`` bytes.  At the end of
+    each chunk its rows move into the 12 per-field columns build_corpus
+    takes, the follower, friend and status counts packed as int64 arrays.
     """
     if strictness not in (LENIENT, STRICT):
         raise ValueError(f"unknown strictness {strictness!r}")
     _check_rate_basis(rate_basis)
+    from array import array  # a shared library: loaded only by a command that ingests
+
     parse = _Parser().parse
     scan_once = json.JSONDecoder().scan_once
-    fields: list = []  # each record's row, flattened: no object lives per record
-    add_row = fields.extend
-    skipped = 0
+    # one column per field, filled chunk by chunk; the counts are packed as
+    # int64, so no count int outlives its chunk
+    columns = [array("q") if k in _COUNT_COLUMNS else [] for k in range(_N_FIELDS)]
+    fills = [column.fromlist if k in _COUNT_COLUMNS else column.extend
+             for k, column in enumerate(columns)]
+    rows: list = []  # one chunk's rows, flattened: no object lives per record
+    add_row = rows.extend
+    skipped = lineno = 0
     with open(Path(path), "rb", buffering=1 << 15) as fh:  # fewer reads than the 8 KiB default
-        for lineno, raw in enumerate(fh, start=1):
-            try:
+        while chunk := fh.readlines(_CHUNK_HINT):
+            for lineno, raw in enumerate(chunk, start=lineno + 1):
                 try:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    obj, end = scan_once(line, 0)
-                except UnicodeDecodeError as exc:
-                    raise MalformedRecordError(f"invalid UTF-8: {exc}") from None
-                except StopIteration as exc:
-                    raise _decode_error(line, "Expecting value", exc.value) from None
-                except (ValueError, RecursionError) as exc:
-                    raise MalformedRecordError(f"invalid JSON: {exc}") from None
-                if end != len(line):
-                    raise _decode_error(line, "Extra data", end)
-                add_row(parse(obj))
-            except MalformedRecordError as exc:
-                if strictness == STRICT:
-                    raise MalformedRecordError(f"line {lineno}: {exc}") from None
-                skipped += 1
-    # free the parse caches before build_corpus: its columns and per-account
-    # pass set the run's memory peak (text mining's token streams reach about
-    # as high)
-    del parse, scan_once
-    if not fields:
+                    try:
+                        line = raw.decode("utf-8").strip()
+                        if not line:
+                            continue
+                        obj, end = scan_once(line, 0)
+                    except UnicodeDecodeError as exc:
+                        raise MalformedRecordError(f"invalid UTF-8: {exc}") from None
+                    except StopIteration as exc:
+                        raise _decode_error(line, "Expecting value", exc.value) from None
+                    except (ValueError, RecursionError) as exc:
+                        raise MalformedRecordError(f"invalid JSON: {exc}") from None
+                    if end != len(line):
+                        raise _decode_error(line, "Extra data", end)
+                    add_row(parse(obj))
+                except MalformedRecordError as exc:
+                    if strictness == STRICT:
+                        raise MalformedRecordError(f"line {lineno}: {exc}") from None
+                    skipped += 1
+            for k, fill in enumerate(fills):
+                fill(rows[k::_N_FIELDS])
+            rows.clear()
+    # free the parse caches before build_corpus, whose repeated-id check sets
+    # ingest's memory peak, and the fills, so that each tweet field's list is
+    # freed as it becomes the tuple the Corpus keeps (build_corpus's tuple()
+    # returns a tuple as it is): no column is held twice
+    del parse, scan_once, fills
+    for k in range(_N_TWEET_FIELDS):
+        columns[k] = tuple(columns[k])
+    if not columns[0]:
         raise EmptyCorpusError(f"no usable records in {path}")
-    return build_corpus(fields, rate_basis=rate_basis, skipped_count=skipped)
+    return build_corpus(columns, rate_basis=rate_basis, skipped_count=skipped)

@@ -29,6 +29,9 @@ LINEAR = "linear"
 # truncation threshold for the Kolmogorov series
 _KS_SERIES_EPS = 1e-12
 _KS_SERIES_MAX_TERMS = 1_000_000
+# below this lambda the alternating series needs ever more terms (and stops
+# short of its limit below about 1e-5); the complementary series needs two
+_KS_SMALL_LAMBDA = 0.5
 
 
 def quantile(values: Iterable[float], q: float, method: str = NEAREST_RANK) -> float:
@@ -102,6 +105,14 @@ def _kolmogorov_sf(lam: float) -> float:
     # At lambda == 0 the series never converges numerically but the limit is 1.
     if lam <= 0.0:
         return 1.0
+    if lam < _KS_SMALL_LAMBDA:
+        # Q(lambda) = 1 - sqrt(2 pi)/lambda * sum_{k>=1} exp(-(2k-1)^2 pi^2 / (8 lambda^2)).
+        # Here pi^2 / (8 lambda^2) > 4.9, so the terms from k = 3 on are below
+        # exp(-123), and below lambda = 0.04 even the first one is 0.0.
+        r = math.pi / lam
+        x = r * r / 8.0
+        tail = math.exp(-x) + math.exp(-9.0 * x)
+        return 1.0 - math.sqrt(2.0 * math.pi) / lam * tail if tail else 1.0
     total = 0.0
     sign = 1.0
     for k in range(1, _KS_SERIES_MAX_TERMS + 1):

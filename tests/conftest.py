@@ -53,12 +53,12 @@ def tweet(**kw):
 
 
 def corpus_of(*recs, rate_basis="corpus-window"):
-    return build_corpus(fields_of(map(parse_record, recs)), rate_basis=rate_basis)
+    return build_corpus(columns_of(map(parse_record, recs)), rate_basis=rate_basis)
 
 
-def fields_of(pairs):
-    """parse_record pairs as build_corpus takes them: every pair's fields in turn."""
-    return [field for tweet, author in pairs for field in tweet + author]
+def columns_of(pairs):
+    """parse_record pairs as build_corpus takes them: one column per field."""
+    return list(zip(*(tweet + author for tweet, author in pairs)))
 
 
 def tweets_of(texts):

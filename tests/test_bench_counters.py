@@ -78,7 +78,12 @@ def test_traced_run_reaches_every_layer_and_counts(default_synth, tmp_path, monk
     artifact_bytes = sum(p.stat().st_size for p in out.iterdir())
     metrics, absent = spans.layer_metrics(tracer.spans, artifact_bytes)
     assert absent == []
-    counted = {s[spans.NAME] for s in tracer.spans if s[spans.COUNTS]}
+    # every wrapped call is reached, not only every layer: a run that skipped
+    # corpus.build_corpus would read corpus.aggregate_s as 0 and still reach "corpus"
+    reached = {s[spans.NAME] for s in tracer.spans}
+    assert reached >= {f"{module_name}.{name}" for module_name, functions in spans.WRAPPED.items()
+                       for name in functions}
+    counted ={s[spans.NAME] for s in tracer.spans if s[spans.COUNTS]}
     assert counted == set(spans.COUNTERS)
     assert metrics["detector.rule_hits"] > 0 and metrics["textmine.tokens"] > 0
 

@@ -5,11 +5,13 @@ import gc
 import html
 import json
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from botminer import corpus as corpus_mod
 from botminer.corpus import (
     LENIENT,
     RATE_LIFETIME,
@@ -27,7 +29,7 @@ from botminer.detector import classify
 from botminer.errors import EmptyCorpusError, MalformedRecordError
 from botminer.pipeline import write_classifications
 
-from conftest import WEB_CLIENT, corpus_of, fields_of, record, tweet, write_ndjson
+from conftest import WEB_CLIENT, columns_of, corpus_of, record, tweet, write_ndjson
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +398,9 @@ BAD_LINES = {
     "bad_utf8_byte": b"\xff",
     "bad_utf8_in_text": _line(i="x", text="cafe").replace(b"cafe", b"caf\xe9"),
     "count_overflow": _line(i="x", followers=12345).replace(b"12345", b"1e400"),
+    # one past what ingest's int64 count columns hold
+    **{f"{field}_past_int64": _line(i="x", **{field: 2**63})
+       for field in ("followers", "friends", "statuses")},
     "timestamp_overflow": _line(i="x", created_at="0001-01-01T00:00:00+01:00"),
     "int_past_digit_limit": b'{"id": ' + b"1" * 5000 + b"}",
     "deep_nesting": b"[" * 100_000,
@@ -449,6 +454,32 @@ def test_ingest_high_follower_account_fixture(tmp_path):
     assert stats.friends == 15854
     assert stats.screen_name == "Davewellwisher"
     assert corpus.source_apps[0] == "IFTTT"
+
+
+_EDGE_COUNTS = [0, 256, 257, 2**31, 2**63 - 1]  # cached, uncached, 32-bit, int64 max
+
+
+def test_counts_reach_account_stats_as_exact_ints(tmp_path):
+    # the counts pass through int64 arrays in ingest and tuples in build_corpus
+    recs = [record(i=str(k), account=f"a{k}", followers=n, friends=_EDGE_COUNTS[-1 - k],
+                   statuses=n) for k, n in enumerate(_EDGE_COUNTS)]
+    for corpus in (ingest(write_ndjson(tmp_path / "c.ndjson", recs)), corpus_of(*recs)):
+        stats = [corpus.accounts[f"a{k}"] for k in range(len(_EDGE_COUNTS))]
+        counts = [(s.followers, s.friends, s.statuses_total) for s in stats]
+        assert counts == [(n, _EDGE_COUNTS[-1 - k], n) for k, n in enumerate(_EDGE_COUNTS)]
+        assert all(type(c) is int for row in counts for c in row)
+
+
+def test_ingest_one_line_per_chunk_gives_the_same_corpus(default_synth):
+    corpus = ingest(default_synth[0])
+    with mock.patch.object(corpus_mod, "_CHUNK_HINT", 1):
+        per_line = ingest(default_synth[0])
+    assert per_line.tweets.columns == corpus.tweets.columns
+    assert per_line.accounts.columns == corpus.accounts.columns
+    assert ((per_line.skipped_count, per_line.duplicate_count, per_line.span_start,
+             per_line.span_end)
+            == (corpus.skipped_count, corpus.duplicate_count, corpus.span_start,
+                corpus.span_end))
 
 
 def test_ingest_keeps_non_ascii_tweet_ids_and_composes_text(tmp_path):
@@ -535,10 +566,15 @@ def test_build_corpus_empty():
         build_corpus(())
 
 
-def test_build_corpus_rejects_partial_rows():
-    fields = fields_of([parse_record(record())])
-    with pytest.raises(ValueError, match="whole rows"):
-        build_corpus(fields[:-1])
+def test_build_corpus_rejects_ragged_columns_and_a_wrong_column_count():
+    columns = columns_of([parse_record(record()), parse_record(record(i="2"))])
+    with pytest.raises(ValueError, match="unequal length"):
+        build_corpus([*columns[:-1], columns[-1][:1]])
+    with pytest.raises(ValueError, match="unequal length"):
+        build_corpus([columns[0][:1], *columns[1:]])
+    for wrong in (columns[:-1], [*columns, columns[-1]]):
+        with pytest.raises(ValueError, match="not one per field"):
+            build_corpus(wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +594,7 @@ def test_tweet_view_equals_tuple_of_parse_record_tweets(rows):
     pairs = [parse_record(record(i=f"t{k}", text=text, minutes=minutes, account=account,
                                  source=source))
              for k, (text, minutes, account, source) in enumerate(rows)]
-    corpus = build_corpus(fields_of(pairs))
+    corpus = build_corpus(columns_of(pairs))
     expected = tuple(tweet for tweet, _ in pairs)
     view = corpus.tweets
 
@@ -584,7 +620,7 @@ def test_ingest_keeps_no_tracked_object_per_tweet(default_synth):
 
 @given(view_rows)
 def test_account_view_is_a_mapping_of_account_stats(rows):
-    corpus = build_corpus(fields_of(
+    corpus = build_corpus(columns_of(
         parse_record(record(i=f"t{k}", text=text, minutes=minutes, account=account,
                             followers=minutes))
         for k, (text, minutes, account, _) in enumerate(rows)))
@@ -811,6 +847,14 @@ def _assert_ingest_matches_oracle(path, lines):
             ingest(path, STRICT)
 
 
+def _assert_ingest_matches_oracle_in_any_chunks(path, lines):
+    """The oracle check with the default chunk, then with every line its own
+    chunk, so that errors, blank lines and repeated ids fall on chunk edges."""
+    _assert_ingest_matches_oracle(path, lines)
+    with mock.patch.object(corpus_mod, "_CHUNK_HINT", 1):
+        _assert_ingest_matches_oracle(path, lines)
+
+
 def _write_lines(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("oracle") / "c.ndjson"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -839,7 +883,7 @@ _REPLACED_LATEST = [
 @given(oracle_lines)
 def test_ingest_equals_parse_record_per_line(tmp_path_factory, drawn):
     lines = [_oracle_line(item) for item in drawn]
-    _assert_ingest_matches_oracle(_write_lines(tmp_path_factory, lines), lines)
+    _assert_ingest_matches_oracle_in_any_chunks(_write_lines(tmp_path_factory, lines), lines)
 
 
 @example(drawn=_REPLACED_LATEST)
@@ -856,9 +900,9 @@ def test_build_corpus_resolves_repeated_ids_as_ingest(tmp_path_factory, drawn):
             continue
     if not pairs:
         with pytest.raises(EmptyCorpusError):
-            build_corpus(fields_of(pairs))
+            build_corpus(columns_of(pairs))
         return
-    built = build_corpus(fields_of(pairs))
+    built = build_corpus(columns_of(pairs))
     ingested = ingest(_write_lines(tmp_path_factory, lines))
     assert built.ids == ingested.ids
     assert built.duplicate_count == ingested.duplicate_count == len(pairs) - len(set(built.ids))
@@ -893,4 +937,4 @@ touchy_lines = st.lists(st.one_of(
 def test_ingest_decodes_a_line_exactly_as_json_loads(tmp_path_factory, lines):
     # a line is skipped exactly when json.loads(line.strip()) raises (or the
     # record is malformed), and strict mode reports json.loads's own message
-    _assert_ingest_matches_oracle(_write_lines(tmp_path_factory, lines), lines)
+    _assert_ingest_matches_oracle_in_any_chunks(_write_lines(tmp_path_factory, lines), lines)

@@ -887,13 +887,13 @@ def _run_child(code: str, *args) -> str:
 
 def test_cli_import_loads_no_module_a_run_does_not_use():
     """dataclasses and inspect (its import), syngen and rng (synth's), html (an
-    escaped source's), csv (a CSV writer's), hashlib with OpenSSL behind it and
-    importlib.resources with zipfile stay unloaded."""
+    escaped source's), csv (a CSV writer's), array (ingest's), hashlib with
+    OpenSSL behind it and importlib.resources with zipfile stay unloaded."""
     names = json.dumps([PACKAGE_NAMES, SYNGEN_NAMES, PACKAGE_MODULES])
     out = json.loads(_run_child(_IMPORT_CHILD, names))
     unused = {"dataclasses", "inspect", "botminer.syngen", "botminer.rng",
               "html", "html.entities", "csv", "hashlib", "_hashlib",
-              "importlib.resources", "zipfile"}
+              "importlib.resources", "zipfile", "array"}
     assert "botminer.pipeline" in out["loaded"]
     assert unused.isdisjoint(out["loaded"])
     assert out["eager_missing"] == [] and not out["syngen_after_eager"]
@@ -923,6 +923,11 @@ def test_commands_load_html_and_csv_only_when_they_use_them(synth_corpus, tmp_pa
     assert {"html", "html.entities", "csv"}.isdisjoint(detect)
     run = _modules_loaded_by(["run", str(synth_corpus), "--out", str(tmp_path / "run")])
     assert "csv" in run and {"html", "html.entities"}.isdisjoint(run)
+    # array holds ingest's packed counts; synth ingests nothing
+    assert "array" in detect and "array" in run
+    synth = _modules_loaded_by(["synth", "--out", str(tmp_path / "synth"), "--humans", "5",
+                                "--bots", "1"])
+    assert "array" not in synth
 
     # one tweet's source anchor holds an entity; only that source's app is listed
     lines = synth_corpus.read_text(encoding="utf-8").splitlines()

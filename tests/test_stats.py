@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from botminer.stats import LINEAR, NEAREST_RANK, ecdf, ks_two_sample, quantile
+from botminer.stats import LINEAR, NEAREST_RANK, _kolmogorov_sf, ecdf, ks_two_sample, quantile
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +195,22 @@ def test_ks_p_matches_kolmogorov_sf():
         lam = res.d_statistic * math.sqrt(res.n1 * res.n2 / (res.n1 + res.n2))
         assert res.p_value == pytest.approx(float(scipy.special.kolmogorov(lam)), abs=1e-9)
         assert 0.0 <= res.p_value <= 1.0
+
+
+def test_kolmogorov_sf_matches_scipy_from_tiny_lambda_to_three():
+    # both sides of the switch to the complementary series at lambda = 0.5
+    for lam in [*np.logspace(-12, 0, 241), *np.linspace(0.01, 3.0, 300)]:
+        expected = float(scipy.special.kolmogorov(lam))
+        assert _kolmogorov_sf(float(lam)) == pytest.approx(expected, rel=0, abs=1e-12), lam
+
+
+def test_ks_p_of_near_equal_samples_is_one():
+    # D is about 1e-12 and lambda about 7e-10, where the alternating series
+    # stopped after its term limit and read p = 1e-6
+    res = ks_two_sample({-1.0: 1, 1.0: 999_999}, {-1.0: 1, 1.0: 1_000_000})
+    lam = res.d_statistic * math.sqrt(res.n1 * res.n2 / (res.n1 + res.n2))
+    assert 0.0 < lam < 1e-9
+    assert res.p_value == float(scipy.special.kolmogorov(lam)) == 1.0
 
 
 def test_ks_d_zero_iff_cdfs_agree():
