@@ -54,7 +54,6 @@ _fromisoformat = datetime.fromisoformat
 class AccountSnapshot(NamedTuple):
     """Author state embedded in a single tweet record."""
 
-    screen_name: str
     followers: int
     friends: int
     verified: bool
@@ -77,7 +76,6 @@ class AccountStats(NamedTuple):
     """Per-account aggregate over the corpus (latest snapshot wins)."""
 
     account_id: str
-    screen_name: str
     followers: int
     friends: int
     verified: bool
@@ -325,9 +323,8 @@ class _Parser:
         raw_user_created = user_get("created_at")
         if type(raw_user_created) is not str:
             raw_user_created = _field(user, "created_at", (str,), "")
-        screen_name = user_get("screen_name")
-        if type(screen_name) is not str:
-            screen_name = _field(user, "screen_name", (str,), "")
+        if type(user_get("screen_name")) is not str:  # checked, not kept
+            _field(user, "screen_name", (str,), "")
         followers = user_get("followers_count")
         if type(followers) is not int or not 0 <= followers <= _MAX_COUNT:
             followers = _count_field(user, "followers_count")
@@ -360,7 +357,7 @@ class _Parser:
         if source_app is None:
             source_app = self._sources[raw_source] = extract_source_app(raw_source)
         return (tweet_id, text, created_at, source_app, is_retweet, account_id,
-                screen_name, followers, friends, verified, statuses, account_created)
+                followers, friends, verified, statuses, account_created)
 
 
 def _id(obj: Mapping) -> str:
@@ -376,7 +373,8 @@ def parse_record(obj: Mapping) -> tuple[Tweet, AccountSnapshot]:
     """Normalize one decoded JSON object into a (Tweet, AccountSnapshot) pair.
 
     The snapshot is the author state the record carries; build_corpus turns
-    the latest one per account into its AccountStats.
+    the latest one per account into its AccountStats.  ``user.screen_name``
+    is checked (a string, null or absent) but not kept.
     Raises MalformedRecordError on structural problems: missing required
     fields, a field of the wrong JSON type (nothing is coerced), a tweet id
     that cannot be written as UTF-8, unparseable or out-of-range timestamps,
@@ -401,7 +399,7 @@ def _account_columns(author_columns: Sequence, rows: Sequence, created_at: tuple
                      rate_basis: str) -> AccountStats:
     """The per-account columns, from each account's latest tweet's author fields.
 
-    *author_columns* are build_corpus's six AccountSnapshot columns, one
+    *author_columns* are build_corpus's five AccountSnapshot columns, one
     entry per row; tweet i of the corpus is row ``rows[i]``.  *created_at*
     and *author_ids* are the tweets' columns.  The latest tweet is the one
     with the largest ``created_at``; of equal timestamps, the later one.
@@ -415,7 +413,7 @@ def _account_columns(author_columns: Sequence, rows: Sequence, created_at: tuple
             latest[acct] = i
     n_tweets = Counter(author_ids)  # in first-tweet order, as latest is
     at = tuple(map(rows.__getitem__, latest.values()))  # the latest tweets' rows
-    screen_names, followers, friends, verified, statuses, account_created = (
+    followers, friends, verified, statuses, account_created = (
         tuple(map(column.__getitem__, at)) for column in author_columns)
     counts = tuple(n_tweets.values())
     if rate_basis == RATE_CORPUS_WINDOW:
@@ -426,13 +424,13 @@ def _account_columns(author_columns: Sequence, rows: Sequence, created_at: tuple
                                 map(sub, repeat(span_end), account_created)),
                    repeat(_SECONDS_PER_DAY))
         rates = map(truediv, statuses, map(max, ages, repeat(1.0)))
-    return AccountStats(tuple(n_tweets), screen_names, followers, friends, verified,
-                        statuses, counts, tuple(rates), account_created)
+    return AccountStats(tuple(n_tweets), followers, friends, verified, statuses, counts,
+                        tuple(rates), account_created)
 
 
 def build_corpus(columns: Sequence, rate_basis: str = RATE_CORPUS_WINDOW,
                  skipped_count: int = 0) -> Corpus:
-    """Assemble a Corpus from its rows, given as 12 equal-length columns.
+    """Assemble a Corpus from its rows, given as 11 equal-length columns.
 
     A row holds one tweet's Tweet fields, then its AccountSnapshot fields
     (a parse_record pair ``tweet + snapshot``); *columns* holds each field
@@ -496,7 +494,7 @@ def ingest(path, strictness: str = LENIENT,
     to the previous record's, and an account time or source string seen
     before, reuse that parse.
     Lines are read in chunks of about ``_CHUNK_HINT`` bytes.  At the end of
-    each chunk its rows move into the 12 per-field columns build_corpus
+    each chunk its rows move into the 11 per-field columns build_corpus
     takes, the follower, friend and status counts packed as int64 arrays.
     """
     if strictness not in (LENIENT, STRICT):
@@ -539,10 +537,9 @@ def ingest(path, strictness: str = LENIENT,
             for k, fill in enumerate(fills):
                 fill(rows[k::_N_FIELDS])
             rows.clear()
-    # free the parse caches before build_corpus, whose repeated-id check sets
-    # ingest's memory peak, and the fills, so that each tweet field's list is
-    # freed as it becomes the tuple the Corpus keeps (build_corpus's tuple()
-    # returns a tuple as it is): no column is held twice
+    # free the parse caches before build_corpus, and the fills, so that each
+    # tweet field's list is freed as it becomes the tuple the Corpus keeps
+    # (build_corpus's tuple() returns a tuple as it is): no column is held twice
     del parse, scan_once, fills
     for k in range(_N_TWEET_FIELDS):
         columns[k] = tuple(columns[k])

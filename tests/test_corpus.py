@@ -117,7 +117,6 @@ def test_parse_record_roundtrip():
                                     followers=7, friends=3, statuses=55))
     assert t.id == "42"
     assert t.author_id == "a9"
-    assert author.screen_name == "sn"
     assert (author.followers, author.friends, author.statuses_total) == (7, 3, 55)
     assert t.source_app == "Twitter Web Client"
     assert not t.is_retweet
@@ -264,7 +263,6 @@ def test_parse_record_accepts_int_ids_and_null_defaults():
     t, author = parse_record(rec)
     assert (t.id, t.author_id) == ("42", "7")
     assert author.verified is False
-    assert author.screen_name == ""
     assert author.account_created_at == t.created_at
     assert t.source_app == "unknown"
     assert parse_record(record(verified=True))[1].verified is True
@@ -405,6 +403,9 @@ BAD_LINES = {
     "int_past_digit_limit": b'{"id": ' + b"1" * 5000 + b"}",
     "deep_nesting": b"[" * 100_000,
     "lone_surrogate_id": _line(i="\ud800"),
+    # screen names are not kept, but one that is not a string still fails its record
+    **{f"screen_name_{type(v).__name__}": _line(i="x", screen_name=v)
+       for v in (7, True, 1.5, ["sn"], {"name": "sn"})},
 }
 
 
@@ -452,7 +453,6 @@ def test_ingest_high_follower_account_fixture(tmp_path):
     stats = corpus.accounts["dw"]
     assert stats.followers == 27374
     assert stats.friends == 15854
-    assert stats.screen_name == "Davewellwisher"
     assert corpus.source_apps[0] == "IFTTT"
 
 
@@ -572,7 +572,9 @@ def test_build_corpus_rejects_ragged_columns_and_a_wrong_column_count():
         build_corpus([*columns[:-1], columns[-1][:1]])
     with pytest.raises(ValueError, match="unequal length"):
         build_corpus([columns[0][:1], *columns[1:]])
-    for wrong in (columns[:-1], [*columns, columns[-1]]):
+    # the last is the layout that had a screen-name column before the counts
+    for wrong in (columns[:-1], [*columns, columns[-1]],
+                  [*columns[:6], ("user1", "user1"), *columns[6:]]):
         with pytest.raises(ValueError, match="not one per field"):
             build_corpus(wrong)
 
@@ -764,6 +766,7 @@ ORACLE_USERS = [  # the valid payloads, then the malformed ones
     dict(_U1, followers_count=10.0),  # equal to _U1 in Python, not in JSON
     dict(_U1, verified=0),
     dict(_U1, statuses_count=-1),
+    dict(_U1, screen_name=7),
     {"id": "u4", "created_at": "yesterday"},
     {"id": ["u5"]},
     {"screen_name": "no id"},
@@ -829,7 +832,7 @@ def _assert_ingest_matches_oracle(path, lines):
             own = [(t.created_at, pos, author)
                    for pos, (t, author) in enumerate(by_id.values()) if t.author_id == acct]
             latest = max(own, key=lambda e: e[:2])[2]
-            assert (stats.screen_name, stats.followers, stats.friends, stats.verified,
+            assert (stats.followers, stats.friends, stats.verified,
                     stats.statuses_total, stats.account_created_at) == latest
             assert stats.tweets_in_corpus == len(own)
     else:

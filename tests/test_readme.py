@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from botminer.cli import main
+from botminer.corpus import AccountSnapshot, AccountStats, Tweet
 from botminer.detector import ActivityStrategy, DetectorConfig, load_detector_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
@@ -67,3 +68,18 @@ def test_readme_detector_config_loads_and_runs(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path), "--humans", "30", "--bots", "3"]) == 0
     assert main(["detect", str(tmp_path / "corpus.ndjson"), "--config", str(cfg_path)]) == 0
     assert "Bot" in capsys.readouterr().out
+
+
+def _listed_fields(intro: str) -> tuple:
+    """The backticked names of the README sentence that *intro* opens, asides left out."""
+    text = " ".join(README.split())  # a sentence may wrap anywhere
+    sentence = re.search(re.escape(intro) + r"(.*?)\. ", text).group(1)
+    return tuple(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", sentence)))
+
+
+def test_readme_data_model_lists_each_named_tuples_fields():
+    for intro, model in [("A `Tweet` is a named tuple of", Tweet),
+                         ("The `AccountSnapshot` is the author state the record carries:",
+                          AccountSnapshot),
+                         ("`AccountStats` is a named tuple of", AccountStats)]:
+        assert _listed_fields(intro) == model._fields, intro
