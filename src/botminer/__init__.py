@@ -7,114 +7,55 @@ tweet dumps), `detector` (four metadata heuristics plus their combination),
 corpora with planted ground truth), and `pipeline`/`cli` (orchestration and
 report artifacts).
 
-`syngen` and `rng` load on first use: no `run`, `analyze` or `detect` needs
-them, so importing the package or the CLI does not.  Their names below
-(`SynthConfig`, `generate`, `SplitMix64`, ...) resolve through the module
-``__getattr__`` and import them then.  Two stdlib modules load on use too:
-`csv` when a CSV file is written (``detect --format jsonl`` writes none), and
-`html` only to unescape a source anchor that holds ``&``.  Every command
-pays for what importing the CLI loads, so nothing loads there that a command
-may not use.
+Importing the package loads none of its modules.  Each exported name, and
+each module, resolves through the module ``__getattr__`` on first access and
+imports its module then; `cli` and `pipeline` import the modules they use
+themselves.  So `syngen` and `rng`, which no `run`, `analyze` or `detect`
+needs, stay unloaded until something asks for them.  Two stdlib modules load
+on use too: `csv` when a CSV file is written (``detect --format jsonl``
+writes none), and `html` only to unescape a source anchor that holds ``&``.
 """
 
 import importlib
 
-from .corpus import (
-    AccountSnapshot,
-    AccountStats,
-    Corpus,
-    Tweet,
-    build_corpus,
-    extract_source_app,
-    ingest,
-)
-from .detector import (
-    ActivityStrategy,
-    Classification,
-    Detection,
-    DetectorConfig,
-    Label,
-    Rule,
-    activity_rule,
-    activity_threshold,
-    classify,
-    duplicate_rule,
-    fold_groups,
-    group_summary,
-    load_detector_config,
-    load_suspicious_sources,
-    ratio_rule,
-    source_rule,
-)
-from .errors import (
-    BotminerError,
-    ConfigError,
-    EmptyCorpusError,
-    MalformedRecordError,
-    PipelineStageError,
-)
-from .pipeline import (
-    PipelineSettings,
-    RunSummary,
-    execute_pipeline,
-    run_pipeline,
-    settings_from_flags,
-)
-from .stats import Ecdf, KsResult, ecdf, ks_two_sample, quantile
-from .textmine import (
-    CooccurrenceModel,
-    SentimentLexicon,
-    TokenizedDoc,
-    VocabModel,
-    build_vocab,
-    cooccurrence,
-    group_docs,
-    group_mean_sentiment,
-    group_word_sentiment_samples,
-    load_lexicon,
-    load_stopwords,
-    tfidf_weight,
-    tokenize_corpus,
-    top_cooccurrents,
-)
-
 __version__ = "0.1.0"
 
-# name -> the submodule that defines it, imported on first access
-_LAZY = {
-    "SplitMix64": "rng",
-    "DetectionReport": "syngen",
-    "SynthConfig": "syngen",
-    "evaluate_detection": "syngen",
-    "generate": "syngen",
-    "load_ground_truth": "syngen",
+# submodule -> the names the package exports from it, each imported on first access
+_EXPORTS = {
+    "corpus": ("AccountSnapshot", "AccountStats", "Corpus", "Tweet", "build_corpus",
+               "extract_source_app", "ingest"),
+    "detector": ("ActivityStrategy", "Classification", "Detection", "DetectorConfig", "Label",
+                 "Rule", "activity_rule", "activity_threshold", "classify", "duplicate_rule",
+                 "fold_groups", "group_summary", "load_detector_config",
+                 "load_suspicious_sources", "ratio_rule", "source_rule"),
+    "errors": ("BotminerError", "ConfigError", "EmptyCorpusError", "MalformedRecordError",
+               "PipelineStageError"),
+    "listfile": (),
+    "pipeline": ("PipelineSettings", "RunSummary", "execute_pipeline", "run_pipeline",
+                 "settings_from_flags"),
+    "rng": ("SplitMix64",),
+    "stats": ("Ecdf", "KsResult", "ecdf", "ks_two_sample", "quantile"),
+    "syngen": ("DetectionReport", "SynthConfig", "evaluate_detection", "generate",
+               "load_ground_truth"),
+    "textmine": ("CooccurrenceModel", "SentimentLexicon", "TokenizedDoc", "VocabModel",
+                 "build_vocab", "cooccurrence", "group_docs", "group_mean_sentiment",
+                 "group_word_sentiment_samples", "load_lexicon", "load_stopwords",
+                 "tfidf_weight", "tokenize_corpus", "top_cooccurrents"),
 }
-
-__all__ = [
-    "AccountSnapshot", "AccountStats", "Corpus", "Tweet", "build_corpus",
-    "extract_source_app", "ingest",
-    "ActivityStrategy", "Classification", "Detection", "DetectorConfig", "Label", "Rule",
-    "activity_rule", "activity_threshold", "classify", "duplicate_rule", "fold_groups",
-    "group_summary", "load_detector_config", "load_suspicious_sources", "ratio_rule",
-    "source_rule",
-    "BotminerError", "ConfigError", "EmptyCorpusError", "MalformedRecordError",
-    "PipelineStageError",
-    "PipelineSettings", "RunSummary", "execute_pipeline", "run_pipeline",
-    "settings_from_flags",
-    "Ecdf", "KsResult", "ecdf", "ks_two_sample", "quantile",
-    "CooccurrenceModel", "SentimentLexicon", "TokenizedDoc", "VocabModel", "build_vocab",
-    "cooccurrence", "group_docs", "group_mean_sentiment", "group_word_sentiment_samples",
-    "load_lexicon", "load_stopwords", "tfidf_weight", "tokenize_corpus", "top_cooccurrents",
-    *_LAZY,
-]
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    """A lazy name, or the rng or syngen module itself, imported on first access."""
-    if name in ("rng", "syngen"):
+    """An exported name or a submodule, imported on first access."""
+    if name in _EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")
-    if name not in _LAZY:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
     globals()[name] = value  # later lookups find it without this function
     return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF, *_EXPORTS})

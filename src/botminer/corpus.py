@@ -470,15 +470,6 @@ def build_corpus(columns: Sequence, rate_basis: str = RATE_CORPUS_WINDOW,
                   duplicate_count)
 
 
-def _decode_error(line: str, msg: str, pos: int) -> MalformedRecordError:
-    """The error json.loads gives for *line*, where scan_once stopped at *pos*."""
-    if line.startswith("\ufeff"):
-        msg, pos = "Unexpected UTF-8 BOM (decode using utf-8-sig)", 0
-    elif msg == "Extra data":  # json.loads reports it past the whitespace
-        pos = json.decoder.WHITESPACE.match(line, pos).end()
-    return MalformedRecordError(f"invalid JSON: {json.JSONDecodeError(msg, line, pos)}")
-
-
 def ingest(path, strictness: str = LENIENT,
            rate_basis: str = RATE_CORPUS_WINDOW) -> Corpus:
     """Read a newline-delimited JSON dump into a Corpus.
@@ -520,15 +511,16 @@ def ingest(path, strictness: str = LENIENT,
                         line = raw.decode("utf-8").strip()
                         if not line:
                             continue
-                        obj, end = scan_once(line, 0)
+                        try:
+                            obj, end = scan_once(line, 0)
+                        except StopIteration:
+                            end = 0
+                        if end != len(line):  # not one JSON value: json.loads names the fault
+                            obj = json.loads(line)
                     except UnicodeDecodeError as exc:
                         raise MalformedRecordError(f"invalid UTF-8: {exc}") from None
-                    except StopIteration as exc:
-                        raise _decode_error(line, "Expecting value", exc.value) from None
                     except (ValueError, RecursionError) as exc:
                         raise MalformedRecordError(f"invalid JSON: {exc}") from None
-                    if end != len(line):
-                        raise _decode_error(line, "Extra data", end)
                     add_row(parse(obj))
                 except MalformedRecordError as exc:
                     if strictness == STRICT:

@@ -370,14 +370,16 @@ def top_cooccurrents(model: CooccurrenceModel, k_terms: int = 20,
     """
     if k_terms < 1 or k_neighbors < 1:
         raise ValueError("k_terms and k_neighbors must be >= 1")
-    hubs = sorted(model.term_freq, key=lambda t: (-model.term_freq[t], t))[:k_terms]
-    neighbors = defaultdict(set)
-    for w1, w2 in model.pair_counts:
-        neighbors[w1].add(w2)
-        neighbors[w2].add(w1)
+    freq = model.term_freq
+    hubs = sorted(freq, key=lambda t: (-freq[t], t))[:k_terms]
+    partners = {hub: [] for hub in hubs}
+    for (w1, w2), c in model.pair_counts.items():
+        if w1 in partners:
+            partners[w1].append((w2, c / freq[w1]))
+        if w2 in partners:
+            partners[w2].append((w1, c / freq[w2]))
     edges = []
-    for hub in hubs:
-        scored = [(p, model.association(hub, p)) for p in neighbors[hub]]
+    for hub, scored in partners.items():
         scored.sort(key=lambda pv: (-pv[1], pv[0]))
         edges.extend((hub, partner, value) for partner, value in scored[:k_neighbors])
     return edges

@@ -941,3 +941,15 @@ def test_ingest_decodes_a_line_exactly_as_json_loads(tmp_path_factory, lines):
     # a line is skipped exactly when json.loads(line.strip()) raises (or the
     # record is malformed), and strict mode reports json.loads's own message
     _assert_ingest_matches_oracle_in_any_chunks(_write_lines(tmp_path_factory, lines), lines)
+
+
+def test_ingest_calls_json_loads_only_for_a_bad_line(default_synth, tmp_path):
+    # json.loads only names a bad line's fault; records decode through scan_once
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join([json.dumps(record()), "{} x", "\ufeff{}"]) + "\n",
+                   encoding="utf-8")
+    with mock.patch.object(corpus_mod.json, "loads", wraps=json.loads) as loads:
+        ingest(default_synth[0])
+        assert loads.call_count == 0
+        assert ingest(bad).skipped_count == 2
+        assert loads.call_count == 2

@@ -901,6 +901,33 @@ def test_cli_import_loads_no_module_a_run_does_not_use():
     assert out["missing"] == [] and out["star_missing"] == []
 
 
+_PACKAGE_CHILD = """
+import json, sys
+import botminer
+print(json.dumps({"loaded": sorted(m for m in sys.modules if m.startswith("botminer.")),
+                  "all": botminer.__all__, "dir": dir(botminer)}))
+"""
+
+
+def test_package_import_loads_no_submodule():
+    """`import botminer` alone loads none of its modules, yet lists every
+    exported name and module in `__all__` and `dir`."""
+    out = json.loads(_run_child(_PACKAGE_CHILD))
+    assert out["loaded"] == []
+    assert out["all"] == PACKAGE_NAMES
+    assert set(PACKAGE_NAMES + PACKAGE_MODULES) <= set(out["dir"])
+
+
+def test_each_package_name_is_its_modules_own():
+    import botminer
+
+    for name in PACKAGE_NAMES:
+        value = getattr(botminer, name)
+        module = value.__module__.removeprefix("botminer.")
+        assert module in PACKAGE_MODULES, name
+        assert value is getattr(getattr(botminer, module), name), name
+
+
 _COMMAND_CHILD = """
 import json, sys
 before = set(sys.modules)

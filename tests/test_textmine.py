@@ -466,6 +466,33 @@ def test_top_cooccurrents_tie_breaks_lexicographic():
     assert edges == [("hub", "aa", 0.5), ("hub", "bb", 0.5)]
 
 
+def brute_top_cooccurrents(docs, window, k_terms, k_neighbors):
+    """Reference from README's definition: the k_terms most frequent terms by
+    (-freq, term), each with its k_neighbors partners by (-association,
+    partner), where association is the count of the hub and the partner
+    within window tokens of each other in one doc, divided by the hub's freq."""
+    freq = Counter(t for tokens in docs for t in tokens)
+    edges = []
+    for hub in sorted(freq, key=lambda t: (-freq[t], t))[:k_terms]:
+        together = Counter()
+        for tokens in docs:
+            for i, left in enumerate(tokens):
+                for right in tokens[i + 1:i + window + 1]:
+                    if left != right and hub in (left, right):
+                        together[right if left == hub else left] += 1
+        ranked = sorted(together, key=lambda p: (-together[p] / freq[hub], p))
+        edges.extend((hub, p, together[p] / freq[hub]) for p in ranked[:k_neighbors])
+    return edges
+
+
+@given(st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=10), max_size=12),
+       st.integers(1, 6), st.integers(1, 5), st.integers(1, 5))
+def test_top_cooccurrents_equals_brute_force(token_lists, window, k_terms, k_neighbors):
+    docs = docs_of(token_lists)
+    assert (top_cooccurrents(cooccurrence(docs, window), k_terms, k_neighbors)
+            == brute_top_cooccurrents(docs, window, k_terms, k_neighbors))
+
+
 def test_top_cooccurrents_rejects_bad_k():
     model = cooccurrence(doc("a", "b"), window=1)
     with pytest.raises(ValueError):
