@@ -37,7 +37,7 @@ _EXPORTS = {
     "stats": ("Ecdf", "KsResult", "ecdf", "ks_two_sample", "quantile"),
     "syngen": ("DetectionReport", "SynthConfig", "evaluate_detection", "generate",
                "load_ground_truth"),
-    "textmine": ("CooccurrenceModel", "SentimentLexicon", "TokenizedDoc", "VocabModel",
+    "textmine": ("CooccurrenceModel", "TokenizedDoc", "VocabModel",
                  "build_vocab", "cooccurrence", "group_docs", "group_mean_sentiment",
                  "group_word_sentiment_samples", "load_lexicon", "load_stopwords",
                  "tfidf_weight", "tokenize_corpus", "top_cooccurrents"),

@@ -189,19 +189,28 @@ class Corpus:
 def parse_timestamp(raw: str) -> datetime:
     """Parse an ISO-8601 timestamp (or the legacy streaming format) to UTC."""
     try:
-        dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+        dt = _fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError:
-        try:
-            # e.g. "Sat Dec 30 13:08:45 +0000 2017"
-            dt = datetime.strptime(raw, "%a %b %d %H:%M:%S %z %Y")
-        except ValueError:
-            raise MalformedRecordError(f"unparseable timestamp {raw!r}") from None
-    if dt.tzinfo is timezone.utc:
+        dt = _parse_legacy(raw)
+    return _to_utc(dt, raw)
+
+
+def _parse_legacy(raw: str) -> datetime:
+    """*raw* in the legacy streaming format, e.g. "Sat Dec 30 13:08:45 +0000 2017"."""
+    try:
+        return datetime.strptime(raw, "%a %b %d %H:%M:%S %z %Y")
+    except ValueError:
+        raise MalformedRecordError(f"unparseable timestamp {raw!r}") from None
+
+
+def _to_utc(dt: datetime, raw: str) -> datetime:
+    """*dt*, parsed from *raw*, in UTC; a naive time is taken as UTC."""
+    if dt.tzinfo is _UTC:
         return dt
     if dt.tzinfo is None:
-        return dt.replace(tzinfo=timezone.utc)
+        return dt.replace(tzinfo=_UTC)
     try:
-        return dt.astimezone(timezone.utc)
+        return dt.astimezone(_UTC)
     except OverflowError:
         raise MalformedRecordError(f"timestamp out of range {raw!r}") from None
 
@@ -263,9 +272,10 @@ class _Parser:
     to give its default or raise its message.  A tweet's ``created_at`` that
     equals the previous record's shares that record's parse, which catches
     the repeats of a time-ordered dump; any other is parsed anew, as tweet
-    times are nearly all distinct.  An ISO time that ``fromisoformat`` reads
-    as UTC is kept as it comes, as parse_timestamp's own first step keeps
-    it; any other goes through parse_timestamp.  Each distinct account
+    times are nearly all distinct, with parse_timestamp's steps inline, so
+    each new time costs one ``fromisoformat`` attempt: an ISO time read as
+    UTC is kept as it comes, any other goes on to parse_timestamp's
+    ``_parse_legacy`` and ``_to_utc``.  Each distinct account
     ``created_at`` and ``source`` string is parsed once and its result shared
     by every record that repeats it.  Only successful parses are kept, so a
     malformed timestamp is checked (and reported) again wherever it occurs.
@@ -314,10 +324,10 @@ class _Parser:
             try:
                 created_at = _fromisoformat(raw_created.replace("Z", "+00:00"))
             except ValueError:
-                created_at = parse_timestamp(raw_created)
+                created_at = _to_utc(_parse_legacy(raw_created), raw_created)
             else:
                 if created_at.tzinfo is not _UTC:
-                    created_at = parse_timestamp(raw_created)
+                    created_at = _to_utc(created_at, raw_created)
             self._last_raw_created = raw_created
             self._last_created = created_at
         raw_user_created = user_get("created_at")

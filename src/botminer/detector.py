@@ -262,22 +262,15 @@ def load_detector_config(path, sources_path=None) -> DetectorConfig:
         raw[key] = value.strip()
 
     kwargs = {}
-    converters = {
-        "min_followers": int,
-        "ratio_tolerance": float,
-        "activity_strategy": parse_activity_strategy,
-        "activity_quantile": float,
-        "iqr_multiplier": float,
-        "iqr_fence_base": str,
-        "duplicate_min_cluster": int,
-    }
+    defaults = _DetectorFields._field_defaults
     for key, value in raw.items():
         if key == "sources_file":
             continue
-        if key not in converters:
+        if key not in defaults or key == "suspicious_sources":  # sources come from a file
             raise ConfigError(f"{path}: unknown config key {key!r}")
+        convert = parse_activity_strategy if key == "activity_strategy" else type(defaults[key])
         try:
-            kwargs[key] = converters[key](value)
+            kwargs[key] = convert(value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from None
 

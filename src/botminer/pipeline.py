@@ -140,7 +140,7 @@ class PipelineSettings(_SettingsFields):
         return self
 
     def load_lists(self) -> tuple:
-        """The (stop-word set, SentimentLexicon) pair read from the configured files.
+        """The (stop-word set, lexicon dict) pair read from the configured files.
 
         Tokens are filtered before the lexicon lookup, so a lexicon word that
         tokenization drops (a stop word, the query term or a word starting with
@@ -148,7 +148,7 @@ class PipelineSettings(_SettingsFields):
         """
         stopwords = textmine_mod.load_stopwords(self.stopwords_path)
         lexicon = textmine_mod.load_lexicon(self.lexicon_path)
-        unreachable = textmine_mod.dropped_words(lexicon.polarity, stopwords, self.query_term)
+        unreachable = textmine_mod.dropped_words(lexicon, stopwords, self.query_term)
         if unreachable:
             raise ConfigError(f"lexicon words {unreachable} are stop words, the query term "
                               f"{self.query_term!r} or URL pieces starting with 'http', "
@@ -166,7 +166,7 @@ class PipelineSettings(_SettingsFields):
                     "activity_strategy": self.detector.activity_strategy.value,
                     "suspicious_sources": sorted(self.detector.suspicious_sources)}
         payload = {**self._asdict(), "detector": detector,
-                   "stopwords": sorted(stopwords), "lexicon": sorted(lexicon.polarity.items())}
+                   "stopwords": sorted(stopwords), "lexicon": sorted(lexicon.items())}
         del payload["stopwords_path"], payload["lexicon_path"]  # their content is hashed
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -403,11 +403,11 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             t0 = time.perf_counter()
             docs = textmine_mod.tokenize_corpus(corpus.tweets, stopwords, settings.query_term)
             label_streams = textmine_mod.group_docs(detection, docs.streams)
-            label_models = {label: textmine_mod.cooccurrence(streams, settings.window)
-                            for label, streams in label_streams.items()}
-            samples = detector_mod.fold_groups(textmine_mod.group_word_sentiment_samples(
-                {label: model.term_freq for label, model in label_models.items()}, lexicon))
-            models = detector_mod.fold_groups(label_models)
+            models = detector_mod.fold_groups(
+                {label: textmine_mod.cooccurrence(streams, settings.window)
+                 for label, streams in label_streams.items()})
+            samples = textmine_mod.group_word_sentiment_samples(
+                {label: model.term_freq for label, model in models.items()}, lexicon)
 
             for label, slug in GROUP_SLUGS.items():
                 model = models[label]

@@ -34,7 +34,6 @@ __all__ = [
     "CooccurrenceModel",
     "cooccurrence",
     "top_cooccurrents",
-    "SentimentLexicon",
     "load_lexicon",
     "group_word_sentiment_samples",
     "group_mean_sentiment",
@@ -283,19 +282,6 @@ class CooccurrenceModel(NamedTuple):
             self.window, self.pair_counts + other.pair_counts, self.term_freq + other.term_freq,
             self.doc_freq + other.doc_freq, self.n_docs + other.n_docs)
 
-    def count(self, w1: str, w2: str) -> int:
-        if w1 == w2:
-            return 0
-        key = (w1, w2) if w1 <= w2 else (w2, w1)
-        return self.pair_counts.get(key, 0)
-
-    def association(self, w1: str, w2: str) -> float:
-        """count(w1, w2) / freq(w1): how often w2 keeps w1 company."""
-        freq = self.term_freq.get(w1, 0)
-        if freq == 0:
-            return 0.0
-        return self.count(w1, w2) / freq
-
 
 def _pair_getters(n: int, window: int) -> tuple:
     """(left, right) getters of a length-n stream's pairs, each returning a tuple.
@@ -389,28 +375,11 @@ def top_cooccurrents(model: CooccurrenceModel, k_terms: int = 20,
 # dictionary sentiment
 # ---------------------------------------------------------------------------
 
-class SentimentLexicon:
-    """Word -> polarity map with case-insensitive lookup."""
-
-    __slots__ = ("polarity",)
-
-    def __init__(self, polarity: Mapping[str, float]):
-        if not polarity:
-            raise ConfigError("sentiment lexicon is empty")
-        self.polarity = {w.lower(): float(v) for w, v in polarity.items()}
-
-    def value(self, token: str) -> float | None:
-        return self.polarity.get(token.lower())
-
-    def __len__(self) -> int:
-        return len(self.polarity)
-
-
-def load_lexicon(path=None) -> SentimentLexicon:
+def load_lexicon(path=None) -> dict:
     """Load a two-column TSV lexicon (word <TAB> finite polarity, '#' comments).
 
-    Every word must be in cleaned token form once lowercased, and may be
-    listed once, in any case.
+    Returns lowercased word -> float polarity.  Every word must be in cleaned
+    token form once lowercased, and may be listed once, in any case.
     """
     polarity, line_of = {}, {}
     for lineno, line in read_entries(path, "lexicon.tsv"):
@@ -429,17 +398,19 @@ def load_lexicon(path=None) -> SentimentLexicon:
         first = line_of.setdefault(key, lineno)
         if first != lineno:
             raise ConfigError(f"lexicon line {lineno}: {word!r} repeats line {first}")
-        polarity[word] = value
-    return SentimentLexicon(polarity)
+        polarity[key] = value
+    if not polarity:
+        raise ConfigError("sentiment lexicon is empty")
+    return polarity
 
 
 def group_word_sentiment_samples(term_counts: Mapping[Label, Mapping[str, int]],
-                                 lexicon: SentimentLexicon) -> dict:
+                                 lexicon: Mapping[str, float]) -> dict:
     """Word-level polarity histogram per group: Counter of polarity -> occurrences.
 
-    *term_counts* maps a key to its docs' token counts (the term_freq of the
-    cooccurrence model of each disjoint label's docs); every occurrence of a
-    lexicon word counts once.  Keys follow the counts' order, so with
+    *term_counts* maps a key to its docs' token counts (the term_freq of each
+    group's cooccurrence model); every occurrence of a *lexicon* word (a
+    load_lexicon dict) counts once.  Keys follow the counts' order, so with
     first-occurrence counts the first token carrying a polarity is where a
     per-token walk first sees it (and 0.0 vs -0.0 keys hold).
     """
@@ -447,7 +418,7 @@ def group_word_sentiment_samples(term_counts: Mapping[Label, Mapping[str, int]],
     for label, counts in term_counts.items():
         values = samples[label] = Counter()
         for token, c in counts.items():
-            value = lexicon.value(token)
+            value = lexicon.get(token)
             if value is not None:
                 values[value] += c
     return samples

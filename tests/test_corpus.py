@@ -721,6 +721,25 @@ def test_ingest_tweet_times_are_parse_timestamp(tmp_path_factory, times):
         assert ingest(path, STRICT).created_at == tuple(kept)
 
 
+def test_ingest_tries_fromisoformat_once_per_new_time(tmp_path):
+    # v1.1 and offset times leave the inline ISO path, and are not tried again
+    times = ["Sat Dec 30 13:08:45 +0000 2017", "Sat Dec 30 13:08:45 +0000 2017",
+             "Sat Dec 30 14:08:45 +0100 2017", "2017-12-30T13:08:45+01:00",
+             "2017-12-30T13:08:45+01:00", "Sun Dec 31 00:00:00 -0500 2017",
+             "Sat Dec 30 13:08:45 +0000 2017", "2017-12-30T13:08:45Z"]
+    recs = [record(i=str(k)) for k in range(len(times))]  # no account time to parse
+    for rec, raw in zip(recs, times):
+        rec["created_at"] = raw
+    path = write_ndjson(tmp_path / "c.ndjson", recs)
+    want = tuple(map(parse_timestamp, times))
+    new_times = sum(raw != prev for raw, prev in zip(times, [None] + times))
+    with mock.patch.object(corpus_mod, "_fromisoformat", wraps=datetime.fromisoformat) as iso:
+        corpus = ingest(path, STRICT)
+    assert iso.call_count == new_times == 6
+    assert corpus.created_at == want
+    assert all(dt.tzinfo is timezone.utc for dt in corpus.created_at)
+
+
 def test_parser_keeps_no_tweet_time():
     # tweet times are nearly all distinct, so only account times are kept
     parser = _Parser()

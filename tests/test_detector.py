@@ -614,11 +614,26 @@ def test_load_detector_config_explicit_sources_win(tmp_path):
     assert cfg.suspicious_sources == frozenset({"appb"})
 
 
+def test_load_detector_config_reads_back_every_field(tmp_path):
+    config = DetectorConfig(min_followers=7, ratio_tolerance=0.3,
+                            activity_strategy=ActivityStrategy.IQR_FENCE, activity_quantile=0.8,
+                            iqr_multiplier=2.5, iqr_fence_base="median", duplicate_min_cluster=4)
+    fields = {key: getattr(value, "value", value) for key, value in config._asdict().items()
+              if key != "suspicious_sources"}  # sources come only from sources_file
+    assert all(config[i] != default for i, default in enumerate(DetectorConfig()[:-1]))
+    cfg_path = tmp_path / "detector.cfg"
+    cfg_path.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()),
+                        encoding="utf-8")
+    assert load_detector_config(cfg_path) == config
+
+
 def test_load_detector_config_rejects_unknown_key(tmp_path):
     cfg_path = tmp_path / "detector.cfg"
-    cfg_path.write_text("min_folowers = 10\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_detector_config(cfg_path)
+    # suspicious_sources is a field, but sources come only from sources_file
+    for key in ("min_folowers", "suspicious_sources"):
+        cfg_path.write_text(f"{key} = 10\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_detector_config(cfg_path)
 
 
 @pytest.mark.parametrize("lines, first, repeat", [

@@ -43,7 +43,6 @@ from botminer.pipeline import (
 )
 from botminer.syngen import SynthConfig, generate
 from botminer.textmine import (
-    SentimentLexicon,
     group_docs,
     group_word_sentiment_samples,
 )
@@ -329,7 +328,7 @@ def test_write_classifications_standalone(tmp_path):
 # group comparisons
 # ---------------------------------------------------------------------------
 
-LEX = SentimentLexicon({"bad": -1, "good": 1})
+LEX = {"bad": -1.0, "good": 1.0}
 
 
 def test_compare_group_sentiment_identical_groups():
@@ -831,13 +830,14 @@ def test_cli_rejects_unknown_subcommand(capsys):
         main(["frobnicate"])
 
 
-# what the package exported when it imported syngen and rng eagerly
+# what the package exported when it imported syngen and rng eagerly, less the
+# SentimentLexicon class (load_lexicon returns a plain dict)
 PACKAGE_NAMES = [
     "AccountSnapshot", "AccountStats", "ActivityStrategy", "BotminerError", "Classification",
     "ConfigError", "CooccurrenceModel", "Corpus", "Detection", "DetectionReport",
     "DetectorConfig", "Ecdf", "EmptyCorpusError", "KsResult", "Label", "MalformedRecordError",
-    "PipelineSettings", "PipelineStageError", "Rule", "RunSummary", "SentimentLexicon",
-    "SplitMix64", "SynthConfig", "TokenizedDoc", "Tweet", "VocabModel", "activity_rule",
+    "PipelineSettings", "PipelineStageError", "Rule", "RunSummary", "SplitMix64",
+    "SynthConfig", "TokenizedDoc", "Tweet", "VocabModel", "activity_rule",
     "activity_threshold", "build_corpus", "build_vocab", "classify", "cooccurrence",
     "duplicate_rule", "ecdf", "evaluate_detection", "execute_pipeline", "extract_source_app",
     "fold_groups", "generate", "group_docs", "group_mean_sentiment", "group_summary",

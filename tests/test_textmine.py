@@ -20,7 +20,6 @@ from botminer.detector import (
 )
 from botminer.errors import ConfigError
 from botminer.textmine import (
-    SentimentLexicon,
     TokenizedDoc,
     build_vocab,
     cooccurrence,
@@ -372,17 +371,14 @@ def test_cooccurrence_models_of_different_windows_do_not_add():
 
 def test_cooccurrence_triangle():
     model = cooccurrence(doc("a", "b", "c"), window=5)
-    assert model.count("a", "b") == 1
-    assert model.count("a", "c") == 1
-    assert model.count("b", "c") == 1
+    assert model.pair_counts == {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
 
 
 def test_cooccurrence_window_cutoff():
-    assert cooccurrence(doc("a", "b"), window=1).count("a", "b") == 1
+    assert cooccurrence(doc("a", "b"), window=1).pair_counts == {("a", "b"): 1}
     model = cooccurrence(doc("a", "x", "x", "x", "x", "x", "b"), window=5)
-    assert model.count("a", "b") == 0  # distance 6 exceeds the window
-    assert model.count("a", "x") == 5
-    assert model.count("x", "b") == 5
+    # no ("a", "b"): distance 6 exceeds the window; keys are canonical (min, max)
+    assert model.pair_counts == {("a", "x"): 5, ("b", "x"): 5}
 
 
 def test_cooccurrence_single_token_doc():
@@ -392,7 +388,6 @@ def test_cooccurrence_single_token_doc():
 def test_cooccurrence_self_pairs_excluded():
     model = cooccurrence(doc("a", "a", "a"), window=5)
     assert model.pair_counts == {}
-    assert model.count("a", "a") == 0
 
 
 def test_cooccurrence_rejects_bad_window():
@@ -402,7 +397,7 @@ def test_cooccurrence_rejects_bad_window():
 
 def test_cooccurrence_does_not_cross_documents():
     model = cooccurrence(doc("a") + doc("b"), window=5)
-    assert model.count("a", "b") == 0
+    assert model.pair_counts == {}
 
 
 def test_cooccurrence_symmetry_and_total():
@@ -413,8 +408,7 @@ def test_cooccurrence_symmetry_and_total():
         window = rng.randint(1, 5)
         tokens = rng.sample(words, length)  # all distinct
         model = cooccurrence(doc(*tokens), window=window)
-        for (w1, w2), c in model.pair_counts.items():
-            assert model.count(w1, w2) == model.count(w2, w1) == c
+        assert all(w1 < w2 for w1, w2 in model.pair_counts)  # one canonical key per pair
         if length > window:
             expected = length * window - window * (window + 1) // 2
         else:
@@ -424,9 +418,11 @@ def test_cooccurrence_symmetry_and_total():
 
 def test_association_is_conditional_frequency():
     model = cooccurrence(doc("a", "b") + doc("a", "c") + doc("a", "b"), window=5)
-    assert model.association("a", "b") == pytest.approx(2 / 3)
-    assert model.association("b", "a") == pytest.approx(1.0)
-    assert model.association("zzz", "a") == 0.0
+    # count over the hub's freq, so it is directional: every b stands near an a,
+    # two of the three a's near a b
+    assert top_cooccurrents(model, k_terms=3, k_neighbors=2) == [
+        ("a", "b", 2 / 3), ("a", "c", 1 / 3),
+        ("b", "a", 1.0), ("c", "a", 1.0)]
 
 
 def test_association_bounded_by_window():
@@ -436,11 +432,9 @@ def test_association_bounded_by_window():
         window = rng.randint(1, 5)
         docs = docs_of([[rng.choice(words) for _ in range(rng.randint(1, 12))]
                         for k in range(rng.randint(1, 5))])
-        model = cooccurrence(docs, window=window)
-        for w1 in words:
-            for w2 in words:
-                if w1 != w2:
-                    assert 0.0 <= model.association(w1, w2) <= 2 * window
+        edges = top_cooccurrents(cooccurrence(docs, window=window), len(words), len(words))
+        for hub, partner, value in edges:
+            assert hub != partner and 0.0 < value <= 2 * window
 
 
 def test_top_cooccurrents_shape():
@@ -505,7 +499,7 @@ def test_top_cooccurrents_rejects_bad_k():
 # sentiment
 # ---------------------------------------------------------------------------
 
-LEX = SentimentLexicon({"bad": -1, "terrible": -1, "good": 1})
+LEX = {"bad": -1.0, "terrible": -1.0, "good": 1.0}
 
 
 def tweet_sentiment(d):
@@ -521,13 +515,13 @@ def per_token_samples(groups, lexicon):
         values = samples[label] = Counter()
         for tokens in docs:
             for token in tokens:
-                value = lexicon.value(token)
+                value = lexicon.get(token)
                 if value is not None:
                     values[value] += 1
     return samples
 
 
-SIGNED_ZERO_LEX = SentimentLexicon({"a": 0.0, "b": -0.0, "c": 1.5, "d": -2})
+SIGNED_ZERO_LEX = {"a": 0.0, "b": -0.0, "c": 1.5, "d": -2.0}
 
 
 @given(st.fixed_dictionaries({label: repeated_docs for label in Label}))
@@ -537,6 +531,23 @@ def test_group_samples_equal_per_token_loop(groups):
     assert got == want
     for label in Label:  # repr tells 0.0 from -0.0: the first zero seen is the key
         assert list(map(repr, got[label])) == list(map(repr, want[label]))
+
+
+def _signed_items(hist):
+    return [(math.copysign(1.0, value), value, c) for value, c in hist.items()]
+
+
+@given(st.fixed_dictionaries({label: repeated_docs for label in Label}))
+def test_folded_model_samples_equal_folded_label_samples(groups):
+    """The pipeline's path (fold the models, then count each group's term_freq)
+    gives the folded per-label histograms, key order and zero signs included."""
+    models = fold_groups({label: cooccurrence(streams) for label, streams in groups.items()})
+    got = group_word_sentiment_samples({k: m.term_freq for k, m in models.items()},
+                                       SIGNED_ZERO_LEX)
+    want = fold_groups(group_word_sentiment_samples(term_counts(groups), SIGNED_ZERO_LEX))
+    assert list(got) == list(want)
+    for label in Label:
+        assert _signed_items(got[label]) == _signed_items(want[label])
 
 
 def test_tweet_sentiment_sum():
@@ -593,11 +604,21 @@ def _grouped_docs():
     return cls, docs
 
 
+def _group_models(cls, docs):
+    """Per-group co-occurrence models, folded from the per-label ones as the pipeline does."""
+    return fold_groups({label: cooccurrence(streams)
+                        for label, streams in group_docs(detection_of(cls), docs).items()})
+
+
+def _group_samples(models):
+    return group_word_sentiment_samples({k: m.term_freq for k, m in models.items()}, LEX)
+
+
 def _group_means(cls, docs):
     """group_mean_sentiment on the path the pipeline takes."""
-    groups = group_docs(detection_of(cls), docs)
-    samples = fold_groups(group_word_sentiment_samples(term_counts(groups), LEX))
-    return group_mean_sentiment(samples, fold_groups({k: len(v) for k, v in groups.items()}))
+    models = _group_models(cls, docs)
+    return group_mean_sentiment(_group_samples(models),
+                                {k: m.n_docs for k, m in models.items()})
 
 
 def test_group_mean_sentiment_inclusive():
@@ -627,8 +648,7 @@ def test_group_mean_sentiment_empty_group_is_none():
 
 def test_group_samples_inclusive_and_checked():
     cls, docs = _grouped_docs()
-    groups = group_docs(detection_of(cls), docs)
-    samples = fold_groups(group_word_sentiment_samples(term_counts(groups), LEX))
+    samples = _group_samples(_group_models(cls, docs))
     assert samples[Label.SUSPICIOUS] == Counter({-1: 3})  # bot words included
     assert samples[Label.BOT] == Counter({-1: 2})
     assert samples[Label.NO_BOT] == Counter({1: 1})
@@ -752,7 +772,7 @@ def test_load_stopwords_rejects_entry_no_token_can_equal(tmp_path):
 def test_load_lexicon_rejects_word_no_token_can_equal(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("GOOD\t1\n@Win\t2\n", encoding="utf-8")
-    assert load_lexicon(path).polarity == {"good": 1.0, "@win": 2.0}
+    assert load_lexicon(path) == {"good": 1.0, "@win": 2.0}
     for word in ("good!", "don't", "well done", "@", "İyi"):
         path.write_text(f"fine\t1\n{word}\t-1\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="line 2"):
@@ -762,7 +782,7 @@ def test_load_lexicon_rejects_word_no_token_can_equal(tmp_path):
 def test_load_lexicon_file_with_bom(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("good\t1\nbad\t-1\n", encoding="utf-8-sig")
-    assert load_lexicon(path).polarity == {"good": 1.0, "bad": -1.0}
+    assert load_lexicon(path) == {"good": 1.0, "bad": -1.0}
 
 
 def test_load_lexicon_rejects_repeated_word(tmp_path):
@@ -774,11 +794,11 @@ def test_load_lexicon_rejects_repeated_word(tmp_path):
 
 def test_default_lexicon_loads():
     lex = load_lexicon()
-    assert len(lex) > 20
-    assert lex.value("good") == 1.0
-    assert lex.value("terror") == -1.0
-    assert lex.value("GOOD") == 1.0  # case-insensitive
-    assert lex.value("notaword") is None
+    assert type(lex) is dict and len(lex) > 20
+    assert lex["good"] == 1.0
+    assert lex["terror"] == -1.0
+    assert "notaword" not in lex
+    assert all(word == word.lower() and type(v) is float for word, v in lex.items())
 
 
 def test_load_lexicon_rejects_malformed(tmp_path):
@@ -796,6 +816,9 @@ def test_load_lexicon_rejects_malformed(tmp_path):
             load_lexicon(bad_value)
 
 
-def test_lexicon_rejects_empty():
-    with pytest.raises(ConfigError):
-        SentimentLexicon({})
+def test_lexicon_rejects_empty(tmp_path):
+    path = tmp_path / "lex.tsv"
+    for content in ("", "# only a comment\n\n"):
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigError, match="sentiment lexicon is empty"):
+            load_lexicon(path)
