@@ -4,6 +4,7 @@ Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
 criterion; add ``-s`` to see the measured numbers.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -339,6 +340,12 @@ def test_criterion_9_pipeline_scale(scale_corpus, tmp_path):
 
     assert 850_000 <= result["tweets"] <= 950_000
     assert (out / "run_summary.json").is_file()
+    # the artifacts, pinned: sha256 over each file's name, then its bytes, in name order
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode("utf-8"))
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == "ef56612f9830f9b6cdbf4b6ad3e3ec2d91b0b4f92a9fe87ee7b3ed3fa43f6cb1"
     assert result["elapsed"] < 60.0
     assert peak_gib < 1.5
     print(f"\n[PASS] criterion 9: {result['tweets']} tweets through execute_pipeline in "
