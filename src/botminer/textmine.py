@@ -378,8 +378,9 @@ def top_cooccurrents(model: CooccurrenceModel, k_terms: int = 20,
 def load_lexicon(path=None) -> dict:
     """Load a two-column TSV lexicon (word <TAB> finite polarity, '#' comments).
 
-    Returns lowercased word -> float polarity.  Every word must be in cleaned
-    token form once lowercased, and may be listed once, in any case.
+    Returns lowercased word -> float polarity, with -0.0 read as 0.0.  Every
+    word must be in cleaned token form once lowercased, and may be listed
+    once, in any case.
     """
     polarity, line_of = {}, {}
     for lineno, line in read_entries(path, "lexicon.tsv"):
@@ -398,7 +399,7 @@ def load_lexicon(path=None) -> dict:
         first = line_of.setdefault(key, lineno)
         if first != lineno:
             raise ConfigError(f"lexicon line {lineno}: {word!r} repeats line {first}")
-        polarity[key] = value
+        polarity[key] = value + 0.0  # one zero: its sign would follow the input order
     if not polarity:
         raise ConfigError("sentiment lexicon is empty")
     return polarity
@@ -412,7 +413,7 @@ def group_word_sentiment_samples(term_counts: Mapping[Label, Mapping[str, int]],
     group's cooccurrence model); every occurrence of a *lexicon* word (a
     load_lexicon dict) counts once.  Keys follow the counts' order, so with
     first-occurrence counts the first token carrying a polarity is where a
-    per-token walk first sees it (and 0.0 vs -0.0 keys hold).
+    per-token walk first sees it.
     """
     samples = {}
     for label, counts in term_counts.items():

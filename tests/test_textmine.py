@@ -521,30 +521,36 @@ def per_token_samples(groups, lexicon):
     return samples
 
 
-SIGNED_ZERO_LEX = {"a": 0.0, "b": -0.0, "c": 1.5, "d": -2.0}
-
-
-@given(st.fixed_dictionaries({label: repeated_docs for label in Label}))
-def test_group_samples_equal_per_token_loop(groups):
-    got = group_word_sentiment_samples(term_counts(groups), SIGNED_ZERO_LEX)
-    want = per_token_samples(groups, SIGNED_ZERO_LEX)
-    assert got == want
-    for label in Label:  # repr tells 0.0 from -0.0: the first zero seen is the key
-        assert list(map(repr, got[label])) == list(map(repr, want[label]))
+@pytest.fixture(scope="module")
+def signed_zero_lex(tmp_path_factory):
+    """A loaded lexicon that lists a zero of each sign: both load as 0.0."""
+    path = tmp_path_factory.mktemp("lexicon") / "signed_zero.tsv"
+    path.write_text("a\t0.0\nb\t-0.0\nc\t1.5\nd\t-2.0\n", encoding="utf-8")
+    return load_lexicon(path)
 
 
 def _signed_items(hist):
     return [(math.copysign(1.0, value), value, c) for value, c in hist.items()]
 
 
-@given(st.fixed_dictionaries({label: repeated_docs for label in Label}))
-def test_folded_model_samples_equal_folded_label_samples(groups):
+@given(groups=st.fixed_dictionaries({label: repeated_docs for label in Label}))
+def test_group_samples_equal_per_token_loop(signed_zero_lex, groups):
+    got = group_word_sentiment_samples(term_counts(groups), signed_zero_lex)
+    want = per_token_samples(groups, signed_zero_lex)
+    assert got == want
+    for label in Label:  # one zero key, 0.0, whichever zero word came first
+        assert _signed_items(got[label]) == _signed_items(want[label])
+        assert all(sign > 0 for sign, value, _ in _signed_items(got[label]) if value == 0)
+
+
+@given(groups=st.fixed_dictionaries({label: repeated_docs for label in Label}))
+def test_folded_model_samples_equal_folded_label_samples(signed_zero_lex, groups):
     """The pipeline's path (fold the models, then count each group's term_freq)
-    gives the folded per-label histograms, key order and zero signs included."""
+    gives the folded per-label histograms, key order included."""
     models = fold_groups({label: cooccurrence(streams) for label, streams in groups.items()})
     got = group_word_sentiment_samples({k: m.term_freq for k, m in models.items()},
-                                       SIGNED_ZERO_LEX)
-    want = fold_groups(group_word_sentiment_samples(term_counts(groups), SIGNED_ZERO_LEX))
+                                       signed_zero_lex)
+    want = fold_groups(group_word_sentiment_samples(term_counts(groups), signed_zero_lex))
     assert list(got) == list(want)
     for label in Label:
         assert _signed_items(got[label]) == _signed_items(want[label])
@@ -783,6 +789,14 @@ def test_load_lexicon_file_with_bom(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("good\t1\nbad\t-1\n", encoding="utf-8-sig")
     assert load_lexicon(path) == {"good": 1.0, "bad": -1.0}
+
+
+def test_load_lexicon_reads_negative_zero_as_zero(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("a\t-0.0\nb\t-0\nc\t-0e5\nd\t0\n", encoding="utf-8")
+    lex = load_lexicon(path)
+    assert [math.copysign(1.0, value) for value in lex.values()] == [1.0] * 4
+    assert lex == {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}
 
 
 def test_load_lexicon_rejects_repeated_word(tmp_path):
