@@ -20,7 +20,6 @@ import re
 import shutil
 import tempfile
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -313,19 +312,15 @@ def write_classifications(path: Path, fingerprint: str, detection: Detection, fm
                           for tweet_id, code in zip(detection.tweet_ids, detection.codes))
 
 
-@contextmanager
-def _staging_dir(out_dir: Path):
+def _staging_dir(out_dir: Path) -> tempfile.TemporaryDirectory:
     """A temporary directory made inside out_dir, removed on exit.
 
     Files written there reach out_dir only through _publish, so a failure
     before it leaves out_dir's files as they were.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    work_dir = Path(tempfile.mkdtemp(prefix=f"{_STAGING_PREFIX}{os.getpid()}-", dir=out_dir))
-    try:
-        yield work_dir
-    finally:
-        shutil.rmtree(work_dir, ignore_errors=True)
+    return tempfile.TemporaryDirectory(prefix=f"{_STAGING_PREFIX}{os.getpid()}-", dir=out_dir,
+                                       ignore_cleanup_errors=True)
 
 
 def _process_alive(pid: int) -> bool:
@@ -361,7 +356,8 @@ def save_classifications(out_dir, fingerprint: str, detection: Detection, fmt: s
     """Write the classification file into out_dir all-or-nothing; returns its path."""
     out_dir = Path(out_dir)
     name = CLASSIFICATION_FILES[fmt]
-    with _staging_dir(out_dir) as work_dir:
+    with _staging_dir(out_dir) as staging:
+        work_dir = Path(staging)
         write_classifications(work_dir / name, fingerprint, detection, fmt)
         _publish(work_dir, [name])
     return out_dir / name
@@ -383,7 +379,8 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
     timings: dict[str, float] = {}
     stage = "setup"
     try:
-        with _staging_dir(out_dir) as work_dir:
+        with _staging_dir(out_dir) as staging:
+            work_dir = Path(staging)
             stopwords, lexicon = lists = settings.load_lists()
             fingerprint = settings.fingerprint(lists)
 
