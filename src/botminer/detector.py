@@ -3,7 +3,8 @@
 Four per-tweet/per-account rules (source app, friend-follower ratio,
 posting-rate outlier, duplicate text) feed a three-step combination:
 one distinct rule firing marks a tweet Suspicious, two or more mark it Bot,
-and a verified author trumps everything back to NoBot.
+and a verified author trumps everything back to NoBot.  A Detection holds the
+verdicts as one byte per tweet and splits any per-tweet column by label.
 """
 
 from __future__ import annotations
@@ -109,21 +110,21 @@ class Detection:
     """Classifications in corpus order, plus the activity threshold they used.
 
     Each tweet's verdict is one code: ``outcomes[codes[i]]`` is the
-    ``(label, hits, verified_override)`` of tweet ``tweet_ids[i]``.  Equal
-    codes are one int object, so no object lives per tweet.  ``counts[k]``
-    is the number of tweets with code ``k``, counted once here; the
-    per-label and per-rule figures read it.  Iterating builds one
+    ``(label, hits, verified_override)`` of tweet ``tweet_ids[i]``.  The
+    codes are bytes, one per tweet, so no object lives per tweet.
+    ``counts[k]`` is the number of tweets with code ``k``, counted once here;
+    the per-label and per-rule figures read it.  Iterating builds one
     Classification per tweet.
     """
 
     __slots__ = ("tweet_ids", "codes", "outcomes", "threshold", "counts")
 
-    def __init__(self, tweet_ids: tuple, codes: list, outcomes: tuple, threshold: float):
+    def __init__(self, tweet_ids: tuple, codes: bytes, outcomes: tuple, threshold: float):
         self.tweet_ids = tweet_ids
         self.codes = codes
         self.outcomes = outcomes
         self.threshold = threshold
-        self.counts = tuple(map(Counter(codes).__getitem__, range(len(outcomes))))
+        self.counts = tuple(map(codes.count, range(len(outcomes))))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -139,6 +140,22 @@ class Detection:
         for (label, _, _), n in zip(self.outcomes, self.counts):
             disjoint[label] += n
         return disjoint
+
+    def by_label(self, column) -> dict:
+        """*column*'s entries per disjoint label, in corpus order.
+
+        *column* holds one entry per tweet, such as a TokenizedDocs'
+        ``streams``; ValueError when its length differs.  fold_groups turns
+        per-label results into per-group ones.
+        """
+        codes, groups = self.codes, {}
+        if len(column) != len(codes):
+            raise ValueError(f"{len(codes)} classifications but {len(column)} entries")
+        for label in Label:
+            # per code, then per tweet: 1 where the outcome has this label, else 0
+            is_label = bytes(code_label is label for code_label, _, _ in self.outcomes)
+            groups[label] = tuple(compress(column, codes.translate(is_label.ljust(256, b"\0"))))
+        return groups
 
 
 class GroupShare(NamedTuple):
@@ -391,10 +408,11 @@ def classify(corpus: Corpus, config: DetectorConfig | None = None) -> Detection:
 
     # A tweet's outcome follows from its account's kind, its app and whether
     # its text is a duplicate; each such key is combined and coded once.
+    # There are at most 31 outcomes, so a code fits a byte.
     outcome_codes = _OutcomeCodes(list(kinds), config)
     keys = zip(map(kind_of.__getitem__, corpus.author_ids), corpus.source_apps,
                map(duplicates.__contains__, corpus.ids))
-    codes = list(map(outcome_codes.__getitem__, keys))
+    codes = bytes(map(outcome_codes.__getitem__, keys))
     return Detection(corpus.ids, codes, tuple(outcome_codes.code_of), threshold)
 
 

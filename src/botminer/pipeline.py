@@ -399,10 +399,9 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             stage = "analyze"
             t0 = time.perf_counter()
             docs = textmine_mod.tokenize_corpus(corpus.tweets, stopwords, settings.query_term)
-            label_streams = textmine_mod.group_docs(detection, docs.streams)
             models = detector_mod.fold_groups(
                 {label: textmine_mod.cooccurrence(streams, settings.window)
-                 for label, streams in label_streams.items()})
+                 for label, streams in detection.by_label(docs.streams).items()})
             samples = textmine_mod.group_word_sentiment_samples(
                 {label: model.term_freq for label, model in models.items()}, lexicon)
 

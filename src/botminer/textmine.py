@@ -2,7 +2,9 @@
 
 Covers the whole chain used for the per-group analyses: tokenization,
 document-frequency-pruned TF-IDF, skip-window co-occurrence with directional
-association strengths, and dictionary-based sentiment scoring.
+association strengths, and dictionary-based sentiment scoring.  It knows no
+labels: Detection.by_label splits the token streams per label, and the
+per-group functions take any mapping of groups.
 """
 
 from __future__ import annotations
@@ -10,11 +12,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from itertools import chain, compress
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .detector import Detection, Label
 from .errors import ConfigError
 from .listfile import read_entries
 
@@ -27,7 +28,6 @@ __all__ = [
     "tokenize_text",
     "dropped_words",
     "tokenize_corpus",
-    "group_docs",
     "VocabModel",
     "tfidf_weight",
     "build_vocab",
@@ -196,24 +196,6 @@ def _count_items(streams: Counter, repeats: dict, items) -> Counter:
     return counts
 
 
-def group_docs(detection: Detection, streams: tuple) -> dict:
-    """Token streams per disjoint label, in input order; every stream is listed once.
-
-    *streams* holds one token stream per tweet of *detection*, in its order
-    (a TokenizedDocs' ``streams``); ValueError when their lengths differ.
-    detector.fold_groups turns per-label results into per-group ones.
-    """
-    if len(streams) != len(detection):
-        raise ValueError(f"{len(detection)} classifications but {len(streams)} token streams")
-    codes = bytes(detection.codes)  # an outcome code fits a byte
-    groups = {}
-    for label in Label:
-        # per code, then per tweet: 1 where the outcome has this label, else 0
-        is_label = bytes(code_label is label for code_label, _, _ in detection.outcomes)
-        groups[label] = tuple(compress(streams, codes.translate(is_label.ljust(256, b"\0"))))
-    return groups
-
-
 # ---------------------------------------------------------------------------
 # TF-IDF with document-frequency pruning
 # ---------------------------------------------------------------------------
@@ -325,7 +307,7 @@ def _ordered_pair_items(window: int):
 def cooccurrence(streams: tuple, window: int = 5) -> CooccurrenceModel:
     """Count token pairs at positional distance <= window inside each doc.
 
-    *streams* holds one token tuple per doc, such as a group_docs group.
+    *streams* holds one token tuple per doc, such as a Detection.by_label group.
     Pairs never cross document boundaries and a term does not co-occur with
     itself (repeats at close range are ignored).  Term and document
     frequencies are counted too.  Docs with the same token stream are walked
@@ -405,8 +387,7 @@ def load_lexicon(path=None) -> dict:
     return polarity
 
 
-def group_word_sentiment_samples(term_counts: Mapping[Label, Mapping[str, int]],
-                                 lexicon: Mapping[str, float]) -> dict:
+def group_word_sentiment_samples(term_counts: Mapping, lexicon: Mapping[str, float]) -> dict:
     """Word-level polarity histogram per group: Counter of polarity -> occurrences.
 
     *term_counts* maps a key to its docs' token counts (the term_freq of each
@@ -425,8 +406,7 @@ def group_word_sentiment_samples(term_counts: Mapping[Label, Mapping[str, int]],
     return samples
 
 
-def group_mean_sentiment(histograms: Mapping[Label, Mapping[float, int]],
-                         n_docs: Mapping[Label, int]) -> dict:
+def group_mean_sentiment(histograms: Mapping, n_docs: Mapping) -> dict:
     """Mean per-tweet sentiment for each group (None when it has no docs).
 
     A tweet's sentiment is the sum of its lexicon words' polarities, so the

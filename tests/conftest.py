@@ -80,7 +80,7 @@ def detection_of(classifications):
     for c in classifications:
         tweet_ids.append(c.tweet_id)
         codes.append(code_of.setdefault((c.label, c.hits, c.verified_override), len(code_of)))
-    return Detection(tuple(tweet_ids), codes, tuple(code_of), float("nan"))
+    return Detection(tuple(tweet_ids), bytes(codes), tuple(code_of), float("nan"))
 
 
 def doc(*tokens):

@@ -480,6 +480,30 @@ def test_fold_groups_suspicious_is_suspicious_only_plus_bot(n, s, b, hn, hs, hb)
 
 
 # ---------------------------------------------------------------------------
+# Detection.by_label
+# ---------------------------------------------------------------------------
+
+def test_by_label_rejects_mismatched_columns():
+    cls = _cls(Label.BOT, 1) + _cls(Label.NO_BOT, 1) + _cls(Label.SUSPICIOUS, 1)
+    with pytest.raises(ValueError, match="3 classifications but 2 entries"):
+        detection_of(cls).by_label("ab")  # one classification too many
+    with pytest.raises(ValueError, match="2 classifications but 3 entries"):
+        detection_of(cls[:2]).by_label("abc")  # one entry too many
+
+
+@given(st.lists(st.sampled_from(list(Label)), min_size=1, max_size=40))
+def test_by_label_keeps_order_and_suspicious_includes_bot(label_list):
+    cls = [Classification(f"d{i}", label, frozenset()) for i, label in enumerate(label_list)]
+    column = tuple((f"w{i}",) for i in range(len(cls)))
+    groups = detection_of(cls).by_label(column)
+    for label in Label:  # disjoint: every entry listed once, under its own label
+        assert groups[label] == tuple(e for e, c in zip(column, cls) if c.label is label)
+    folded = fold_groups(groups)
+    assert folded[Label.SUSPICIOUS] == groups[Label.SUSPICIOUS] + groups[Label.BOT]
+    assert (folded[Label.NO_BOT], folded[Label.BOT]) == (groups[Label.NO_BOT], groups[Label.BOT])
+
+
+# ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 

@@ -42,10 +42,7 @@ from botminer.pipeline import (
     write_classifications,
 )
 from botminer.syngen import SynthConfig, generate
-from botminer.textmine import (
-    group_docs,
-    group_word_sentiment_samples,
-)
+from botminer.textmine import group_word_sentiment_samples
 
 from conftest import detection_of, docs_of, record, term_counts, write_ndjson
 
@@ -353,7 +350,7 @@ def test_compare_groups_disjoint_supports():
            Classification("d1", Label.BOT, frozenset()),
            Classification("d2", Label.NO_BOT, frozenset()),
            Classification("d3", Label.NO_BOT, frozenset())]
-    groups = group_docs(detection_of(cls), docs)
+    groups = detection_of(cls).by_label(docs)
     out = compare_group_sentiment(
         fold_groups(group_word_sentiment_samples(term_counts(groups), LEX)))
     assert out["NoBot_vs_Bot"].d_statistic == 1.0
@@ -831,7 +828,8 @@ def test_cli_rejects_unknown_subcommand(capsys):
 
 
 # what the package exported when it imported syngen and rng eagerly, less the
-# SentimentLexicon class (load_lexicon returns a plain dict)
+# SentimentLexicon class (load_lexicon returns a plain dict) and group_docs
+# (Detection.by_label splits the token streams)
 PACKAGE_NAMES = [
     "AccountSnapshot", "AccountStats", "ActivityStrategy", "BotminerError", "Classification",
     "ConfigError", "CooccurrenceModel", "Corpus", "Detection", "DetectionReport",
@@ -840,7 +838,7 @@ PACKAGE_NAMES = [
     "SynthConfig", "TokenizedDoc", "Tweet", "VocabModel", "activity_rule",
     "activity_threshold", "build_corpus", "build_vocab", "classify", "cooccurrence",
     "duplicate_rule", "ecdf", "evaluate_detection", "execute_pipeline", "extract_source_app",
-    "fold_groups", "generate", "group_docs", "group_mean_sentiment", "group_summary",
+    "fold_groups", "generate", "group_mean_sentiment", "group_summary",
     "group_word_sentiment_samples", "ingest", "ks_two_sample", "load_detector_config",
     "load_ground_truth", "load_lexicon", "load_stopwords", "load_suspicious_sources",
     "quantile", "ratio_rule", "run_pipeline", "settings_from_flags", "source_rule",
@@ -1118,7 +1116,7 @@ def test_detection_readers_equal_per_classification_reference(tmp_path_factory, 
             group_summary(detection)
 
     streams = tuple((f"w{i}",) for i in range(len(cls)))
-    assert group_docs(detection, streams) == {
+    assert detection.by_label(streams) == {
         label: tuple(s for s, c in zip(streams, cls) if c.label is label) for label in Label}
 
     _check_written_per_record(tmp_path_factory.mktemp("records"), cls, detection)

@@ -23,7 +23,6 @@ from botminer.textmine import (
     TokenizedDoc,
     build_vocab,
     cooccurrence,
-    group_docs,
     group_mean_sentiment,
     group_word_sentiment_samples,
     load_lexicon,
@@ -581,7 +580,7 @@ def test_tweet_sentiment_linearity():
 def _word_values(docs):
     """Word-level sentiment sample of *docs*, all labelled NoBot."""
     cls = [Classification(str(i), Label.NO_BOT, frozenset()) for i in range(len(docs))]
-    groups = group_docs(detection_of(cls), docs)
+    groups = detection_of(cls).by_label(docs)
     return group_word_sentiment_samples(term_counts(groups), LEX)[Label.NO_BOT]
 
 
@@ -613,7 +612,7 @@ def _grouped_docs():
 def _group_models(cls, docs):
     """Per-group co-occurrence models, folded from the per-label ones as the pipeline does."""
     return fold_groups({label: cooccurrence(streams)
-                        for label, streams in group_docs(detection_of(cls), docs).items()})
+                        for label, streams in detection_of(cls).by_label(docs).items()})
 
 
 def _group_samples(models):
@@ -659,19 +658,7 @@ def test_group_samples_inclusive_and_checked():
     assert samples[Label.BOT] == Counter({-1: 2})
     assert samples[Label.NO_BOT] == Counter({1: 1})
     with pytest.raises(ValueError):
-        group_docs(detection_of(cls), doc("x"))
-
-
-# ---------------------------------------------------------------------------
-# group_docs
-# ---------------------------------------------------------------------------
-
-def test_group_docs_rejects_mismatched_inputs():
-    cls, docs = _grouped_docs()
-    with pytest.raises(ValueError, match="3 classifications but 2 token streams"):
-        group_docs(detection_of(cls), docs[:2])  # one classification too many
-    with pytest.raises(ValueError, match="2 classifications but 3 token streams"):
-        group_docs(detection_of(cls[:2]), docs)  # one doc too many
+        detection_of(cls).by_label(doc("x"))
 
 
 labels = st.lists(st.sampled_from(list(Label)), min_size=1, max_size=40)
@@ -681,17 +668,6 @@ def _labelled(label_list):
     docs = docs_of([[f"w{i}"] for i in range(len(label_list))])
     cls = [Classification(f"d{i}", label, frozenset()) for i, label in enumerate(label_list)]
     return cls, docs
-
-
-@given(labels)
-def test_group_docs_keeps_order_and_suspicious_includes_bot(label_list):
-    cls, docs = _labelled(label_list)
-    groups = group_docs(detection_of(cls), docs)
-    for label in Label:  # disjoint: every doc listed once, under its own label
-        assert groups[label] == tuple(d for d, c in zip(docs, cls) if c.label is label)
-    folded = fold_groups(groups)
-    assert folded[Label.SUSPICIOUS] == groups[Label.SUSPICIOUS] + groups[Label.BOT]
-    assert (folded[Label.NO_BOT], folded[Label.BOT]) == (groups[Label.NO_BOT], groups[Label.BOT])
 
 
 @given(texts_of_shared_tokens, st.integers(1, 6), st.data())
@@ -708,7 +684,7 @@ def test_column_path_equals_per_tweet_reference(texts, window, data):
     first = {}
     for text, tokens in zip(corpus.texts, docs.streams):  # one token tuple per distinct text
         assert tokens is first.setdefault(text, tokens)
-    groups = group_docs(detection_of(cls), docs.streams)
+    groups = detection_of(cls).by_label(docs.streams)
     for label in Label:
         label_docs = tuple(d.tokens for d, c in zip(want, cls) if c.label is label)
         assert groups[label] == label_docs
@@ -727,7 +703,7 @@ def test_analyze_keeps_no_tracked_object_per_tweet(default_synth):
     gc.collect()
     before = len(gc.get_objects())
     docs = tokenize_corpus(corpus.tweets, STOPWORDS)
-    groups = group_docs(detection, docs.streams)
+    groups = detection.by_label(docs.streams)
     gc.collect()
     assert len(gc.get_objects()) - before < len(corpus) / 10
     assert sum(map(len, groups.values())) == len(docs) == len(corpus)
@@ -736,7 +712,7 @@ def test_analyze_keeps_no_tracked_object_per_tweet(default_synth):
 @given(labels)
 def test_group_summary_counts_equal_group_sizes(label_list):
     cls, docs = _labelled(label_list)
-    groups = fold_groups(group_docs(detection_of(cls), docs))
+    groups = fold_groups(detection_of(cls).by_label(docs))
     summary = group_summary(detection_of(cls))
     for label in Label:
         assert summary[label].count == len(groups[label])
