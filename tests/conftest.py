@@ -13,6 +13,7 @@ from botminer.textmine import cooccurrence
 
 BASE = datetime(2017, 12, 30, 12, 0, 0, tzinfo=timezone.utc)
 WEB_CLIENT = '<a href="http://twitter.com" rel="nofollow">Twitter Web Client</a>'
+BOT_APP = '<a href="http://twittbot.net/" rel="nofollow">twittbot.net</a>'  # on the bundled list
 
 # property tests: the same examples on every run, no per-example time limit
 # (timings on a loaded 2-core machine vary too much), no example database

@@ -24,7 +24,7 @@ from botminer.errors import PipelineStageError
 from botminer.pipeline import PipelineSettings, execute_pipeline
 from botminer.syngen import generate
 
-from conftest import record, write_ndjson
+from conftest import BOT_APP, record, write_ndjson
 from test_syngen import _PINNED
 
 # the configs of test_generate_bytes_are_pinned, by its test ids
@@ -36,7 +36,6 @@ FRACTIONAL_LEXICON = ("good\t0.75\ngreat\t1.5\nhope\t0.1\npeace\t0.3333333333333
                       "support\t2.25\nbad\t-0.25\nwar\t-2.5\ncrisis\t-0.1\n"
                       "regime\t-0.001\nhate\t-1e-2\npeople\t0\n")
 
-BOT_APP = '<a href="http://twittbot.net/" rel="nofollow">twittbot.net</a>'
 
 # ids that csv.writer quotes (a comma, a quote) or that are not ASCII
 QUOTED_IDS_RECORDS = [

@@ -19,9 +19,8 @@ from botminer.errors import PipelineStageError
 from botminer.pipeline import PipelineSettings, execute_pipeline
 from botminer.textmine import load_lexicon
 
-from conftest import WEB_CLIENT, record
+from conftest import BOT_APP, WEB_CLIENT, record
 
-BOT_APP = '<a href="http://twittbot.net/" rel="nofollow">twittbot.net</a>'
 ACCOUNTS = ("a1", "a2", "a3", "a4", "a5")
 # lexicon words of both signs, the two zero words, a stop word, the query
 # term, a URL, a hashtag and a mention
