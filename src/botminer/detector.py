@@ -261,8 +261,8 @@ def load_detector_config(path, sources_path=None) -> DetectorConfig:
     Recognized keys mirror the DetectorConfig fields; ``sources_file`` points to a
     suspicious-app list resolved relative to the config file.  An explicit
     *sources_path* argument wins over the file's ``sources_file`` key.  A ``#``
-    at the start of a line or after whitespace starts a comment.  Each key may
-    appear once.
+    after whitespace starts a comment, and so does one that opens a line and
+    is followed by whitespace or nothing.  Each key may appear once.
     """
     path = Path(path)
     raw: dict[str, str] = {}

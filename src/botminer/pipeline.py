@@ -226,13 +226,10 @@ def detection_report(detection: Detection, config: DetectorConfig) -> dict:
 def compare_group_sentiment(samples: Mapping[Label, Mapping[float, int]]) -> dict:
     """KS-compare word-level sentiment histograms between label groups.
 
-    Returns {"NoBot_vs_Bot": KsResult | None, ...}; a pair with an empty side
-    is reported as None (skipped).  Fewer than two non-empty groups means
-    there is nothing to compare at all, which is an error.
+    Returns {"NoBot_vs_Bot": KsResult | None, ...} for every pair in
+    COMPARISON_PAIRS; a pair with an empty side, where KS is undefined, is
+    reported as None (skipped).
     """
-    non_empty = [label for label in Label if samples.get(label)]
-    if len(non_empty) < 2:
-        raise ValueError("group comparison needs at least two non-empty groups")
     out = {}
     for a, b in COMPARISON_PAIRS:
         key = f"{a.value}_vs_{b.value}"
@@ -407,20 +404,16 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
 
             for label, slug in GROUP_SLUGS.items():
                 model = models[label]
-                cloud_rows = []
-                edge_rows = []
-                if model.n_docs:
-                    vocab = textmine_mod.build_vocab(model, settings.min_df, settings.max_df)
-                    counts = vocab.counts
-                    cloud_rows = [(term, counts[term], vocab.tfidf_sums[term])
-                                  for term in sorted(vocab.terms,
-                                                     key=lambda t: (-counts[t], t))]
-                    edge_rows = textmine_mod.top_cooccurrents(
-                        model, settings.k_terms, settings.k_neighbors)
+                vocab = textmine_mod.build_vocab(model, settings.min_df, settings.max_df)
+                counts = vocab.counts
                 _write_table(work_dir / f"wordcloud_{slug}.csv", fingerprint,
-                             ["term", "count", "tfidf_sum"], cloud_rows)
+                             ["term", "count", "tfidf_sum"],
+                             [(term, counts[term], vocab.tfidf_sums[term])
+                              for term in sorted(vocab.terms, key=lambda t: (-counts[t], t))])
                 _write_table(work_dir / f"cooccurrence_{slug}.csv", fingerprint,
-                             ["term", "neighbor", "association"], edge_rows)
+                             ["term", "neighbor", "association"],
+                             textmine_mod.top_cooccurrents(model, settings.k_terms,
+                                                           settings.k_neighbors))
 
             mean_sentiment = textmine_mod.group_mean_sentiment(
                 samples, {label: model.n_docs for label, model in models.items()})
@@ -429,11 +422,9 @@ def execute_pipeline(corpus_path, out_dir, settings: PipelineSettings | None = N
             stage = "compare"
             t0 = time.perf_counter()
             for label, slug in GROUP_SLUGS.items():
-                points = []
-                if samples[label]:
-                    points = stats_mod.ecdf(samples[label]).points()
                 _write_table(work_dir / f"ecdf_{slug}.csv", fingerprint,
-                             ["value", "cumulative_probability"], points)
+                             ["value", "cumulative_probability"],
+                             stats_mod.ecdf(samples[label]).points())
             ks_results = compare_group_sentiment(samples)
             timings[stage] = time.perf_counter() - t0
 

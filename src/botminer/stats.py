@@ -83,12 +83,13 @@ class Ecdf(NamedTuple):
 
 
 def ecdf(counts: Mapping[float, int]) -> Ecdf:
-    """Build the empirical CDF of a non-empty sample given as value -> count."""
+    """Build the empirical CDF of a sample given as value -> count.
+
+    An empty sample has no points: ``Ecdf((), (), 0)``.
+    """
     items = sorted(counts.items())
-    if not items:
-        raise ValueError("ecdf of empty sample")
     cumulative = tuple(accumulate(c for _, c in items))
-    return Ecdf(tuple(x for x, _ in items), cumulative, cumulative[-1])
+    return Ecdf(tuple(x for x, _ in items), cumulative, cumulative[-1] if cumulative else 0)
 
 
 class KsResult(NamedTuple):

@@ -226,11 +226,10 @@ def build_vocab(model: CooccurrenceModel, min_df: float = 0.01,
 
     A term is kept when min_df <= df/n_docs <= max_df (both ends inclusive);
     the band kills one-off noise at the bottom and near-ubiquitous filler at
-    the top.  idf is the unsmoothed ln(n_docs / doc_freq).
+    the top.  idf is the unsmoothed ln(n_docs / doc_freq).  A model with no
+    docs has an empty vocabulary.
     """
     n = model.n_docs
-    if not n:
-        raise ValueError("build_vocab needs at least one document")
     if not 0.0 <= min_df < max_df <= 1.0:
         raise ValueError(f"bad document-frequency band [{min_df}, {max_df}]")
     kept = sorted(t for t, c in model.doc_freq.items() if min_df <= c / n <= max_df)

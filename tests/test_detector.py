@@ -653,8 +653,9 @@ def test_load_detector_config_reads_back_every_field(tmp_path):
 
 def test_load_detector_config_rejects_unknown_key(tmp_path):
     cfg_path = tmp_path / "detector.cfg"
-    # suspicious_sources is a field, but sources come only from sources_file
-    for key in ("min_folowers", "suspicious_sources"):
+    # suspicious_sources is a field, but sources come only from sources_file;
+    # '#' opens a comment line only when whitespace or the line's end follows
+    for key in ("min_folowers", "suspicious_sources", "#min_followers"):
         cfg_path.write_text(f"{key} = 10\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             load_detector_config(cfg_path)

@@ -51,6 +51,20 @@ QUOTED_IDS_RECORDS = [
 ]
 
 
+# humans only, on the web client, none with a near-equal follower/friend
+# count and none posting a text twice: every tweet is NoBot
+NOTHING_FLAGGED_RECORDS = [
+    record(i="n1", text="good people hope #FreeIran", account="h1"),
+    record(i="n2", text="bad war news #FreeIran today", minutes=4, account="h2",
+           followers=300, friends=40),
+    record(i="n3", text="peace support for the people", minutes=7, account="h3",
+           followers=5, friends=900),
+    record(i="n4", text="crisis and terror @someone", minutes=11, account="h1"),
+    record(i="n5", text="#FreeIran hope good news", minutes=16, account="h2",
+           followers=300, friends=40),
+]
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -73,6 +87,8 @@ def corpora(default_synth, tmp_path_factory):
             paths[name] = root / f"{name}.ndjson"
             generate(config, paths[name], root / f"{name}_truth.csv")
     paths["quoted_ids"] = write_ndjson(root / "quoted_ids.ndjson", QUOTED_IDS_RECORDS)
+    paths["nothing_flagged"] = write_ndjson(root / "nothing_flagged.ndjson",
+                                            NOTHING_FLAGGED_RECORDS)
     (root / "fractional.tsv").write_text(FRACTIONAL_LEXICON, encoding="utf-8")
     paths["fractional_lexicon"] = root / "fractional.tsv"
     return paths
@@ -93,6 +109,7 @@ RUNS = {
                      "iqr_fence_base": "median"}}),
     "bots_only_lifetime": ("bots_only", {"rate_basis": RATE_LIFETIME}),
     "quoted_ids": ("quoted_ids", {"lexicon_path": "fractional_lexicon"}),
+    "nothing_flagged": ("nothing_flagged", {}),
 }
 
 # case -> sha256sum's listing of the files the run writes
@@ -174,6 +191,19 @@ e299b90af36b506cda667fc5ed58b9c7a6547936caffd208d313aaa13b7b0e43  run_summary.js
 cb1b45fafc78d729fe8bbda7d3761659a5c674aea72554889e4d273b4162abe5  wordcloud_bot.csv
 6580460f40fc603130d03ee86a5e7017ed940f5da9de42b27b8be8cf62800c79  wordcloud_nobot.csv
 789db55b83d99cb60ba08701f839c4f0db2d00d9ba6f8bdc85f9f5646177c21a  wordcloud_suspicious.csv
+""",
+    "nothing_flagged": """\
+db119a9d9f278dc53219608f046c9769535d8e7071fef9511cef5614afa94a4a  classifications.csv
+a40999e0722499e35308eb645c68b4d44826505865e381d1b3bcad7e8ed83fab  cooccurrence_bot.csv
+0321f6f1f4dae1a91d842548c0e030be5760b316995461875b7710ba79592acc  cooccurrence_nobot.csv
+a40999e0722499e35308eb645c68b4d44826505865e381d1b3bcad7e8ed83fab  cooccurrence_suspicious.csv
+61ff50e3c44f04842dc7fc4492fa9fffed72176263e77273e0be5242d07c306a  ecdf_bot.csv
+c18f93391dc96227b91e8ef94adac9c8394e1a6e0d10faec5aa6c7886ffa4768  ecdf_nobot.csv
+61ff50e3c44f04842dc7fc4492fa9fffed72176263e77273e0be5242d07c306a  ecdf_suspicious.csv
+51f3e19131639abf8054235c0d4f6ccef347f709a0c36c23a0428338cd993074  run_summary.json
+0e7f6f2056e30c1700dbb1ba687297a563258c0d1f399368012473803e07ebaa  wordcloud_bot.csv
+1201f0e86fe9224e72a53a6a98613910e7fe70216f204f0bbf788c96ce1baff8  wordcloud_nobot.csv
+0e7f6f2056e30c1700dbb1ba687297a563258c0d1f399368012473803e07ebaa  wordcloud_suspicious.csv
 """,
 }
 

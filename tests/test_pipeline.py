@@ -205,26 +205,51 @@ def test_pipeline_empty_corpus_names_ingest_stage(tmp_path):
     assert list(out.iterdir()) == []  # nothing left behind
 
 
-def test_pipeline_single_group_fails_compare_and_cleans_up(tmp_path):
-    # every tweet NoBot: word-sentiment comparison has nothing to compare
+def _disk_full(*args):
+    """A write_classifications that fails, after every table was staged."""
+    raise OSError("disk full")
+
+
+def test_pipeline_single_group_publishes_null_comparisons(tmp_path, monkeypatch):
+    # every tweet NoBot: the two flagged groups are empty, so no pair compares
     corpus = write_ndjson(tmp_path / "c.ndjson", [
-        record(i="1", text="blargh zibble"),
-        record(i="2", text="wumpus dorple", minutes=5),
+        record(i="1", text="good zibble"),
+        record(i="2", text="bad dorple", minutes=5),
     ])
     out = tmp_path / "artifacts"
-    with pytest.raises(PipelineStageError, match="stage 'compare' failed") as err:
-        execute_pipeline(corpus, out)
-    assert err.value.stage == "compare"
-    assert list(out.iterdir()) == []  # partial tables were removed
+    summary = execute_pipeline(corpus, out)
+    assert {p.name for p in out.iterdir()} == EXPECTED_ARTIFACTS
+    sentiment = summary.report["sentiment"]
+    assert sentiment["ks_comparisons"] == {
+        "NoBot_vs_Bot": None, "NoBot_vs_Suspicious": None, "Suspicious_vs_Bot": None}
+    assert sentiment["group_means"] == {"NoBot": 0.0, "Suspicious": None, "Bot": None}
+    header_only = {"wordcloud": "term,count,tfidf_sum\n",
+                   "cooccurrence": "term,neighbor,association\n",
+                   "ecdf": "value,cumulative_probability\n"}
+    fingerprint = summary.report["config_fingerprint"]
+    for table, header in header_only.items():
+        for slug in ("suspicious", "bot"):
+            assert (out / f"{table}_{slug}.csv").read_text("utf-8") == (
+                f"# config_fingerprint={fingerprint}\n{header}")
+    assert (out / "ecdf_nobot.csv").read_text("utf-8").splitlines()[2:] == [
+        "-1.0,0.5", "1.0,1.0"]
+
+    # a run that fails after its tables were staged leaves nothing behind
+    monkeypatch.setattr(pipeline, "write_classifications", _disk_full)
+    with pytest.raises(PipelineStageError, match="stage 'report' failed") as err:
+        execute_pipeline(corpus, tmp_path / "again")
+    assert err.value.stage == "report"
+    assert list((tmp_path / "again").iterdir()) == []  # partial tables were removed
 
 
-def test_failed_rerun_keeps_previous_artifacts(synth_corpus, tmp_path):
+def test_failed_rerun_keeps_previous_artifacts(synth_corpus, tmp_path, monkeypatch):
     out = tmp_path / "artifacts"
     execute_pipeline(synth_corpus, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(pipeline, "write_classifications", _disk_full)
     lexicon = tmp_path / "lexicon.tsv"
-    lexicon.write_text("matchesnothing\t1\n", encoding="utf-8")
-    with pytest.raises(PipelineStageError, match="stage 'compare' failed"):
+    lexicon.write_text("good\t1\n", encoding="utf-8")  # another fingerprint in every table
+    with pytest.raises(PipelineStageError, match="stage 'report' failed"):
         execute_pipeline(synth_corpus, out, PipelineSettings(lexicon_path=str(lexicon)))
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -338,10 +363,12 @@ def test_compare_group_sentiment_identical_groups():
     assert out["Suspicious_vs_Bot"] is None
 
 
-def test_compare_group_sentiment_needs_two_groups():
-    with pytest.raises(ValueError):
-        compare_group_sentiment({Label.NO_BOT: Counter([1.0]), Label.SUSPICIOUS: Counter(),
-                                 Label.BOT: Counter()})
+def test_compare_group_sentiment_reports_every_pair():
+    # one non-empty group, or none: every pair is reported, each skipped
+    for samples in ({Label.NO_BOT: Counter([1.0]), Label.SUSPICIOUS: Counter(),
+                     Label.BOT: Counter()}, {label: Counter() for label in Label}):
+        assert compare_group_sentiment(samples) == {
+            "NoBot_vs_Bot": None, "NoBot_vs_Suspicious": None, "Suspicious_vs_Bot": None}
 
 
 def test_compare_groups_disjoint_supports():
@@ -517,7 +544,7 @@ def test_run_pipeline_wraps_config_errors(tmp_path):
     assert err.value.stage == "config"
 
 
-def test_fingerprint_stable_and_sensitive():
+def test_fingerprint_stable_and_sensitive(tmp_path):
     base = PipelineSettings()
     assert base.fingerprint() == PipelineSettings().fingerprint() == "8ce6488eb20f63f1"
     assert base.fingerprint(base.load_lists()) == base.fingerprint()
@@ -530,6 +557,13 @@ def test_fingerprint_stable_and_sensitive():
     assert PipelineSettings(query_term="iran").fingerprint() == "8ce6488eb20f63f1"
     assert PipelineSettings(query_term="Iran").fingerprint() == "0bac5cfb8d6f28dd"
     assert PipelineSettings(query_term="#iran").fingerprint() == "3a8f7901146e8de8"
+    # a lexicon line for a hashtag token is an entry, not a comment, so it is hashed
+    lexicon = tmp_path / "lexicon.tsv"
+    bundled = (Path(textmine.__file__).with_name("data") / "lexicon.tsv").read_text("utf-8")
+    lexicon.write_text(bundled, encoding="utf-8")
+    assert PipelineSettings(lexicon_path=lexicon).fingerprint() == "8ce6488eb20f63f1"
+    lexicon.write_text(bundled + "#freeiran\t-1.5\n", encoding="utf-8")
+    assert PipelineSettings(lexicon_path=lexicon).fingerprint() != "8ce6488eb20f63f1"
 
 
 def test_fingerprint_hashes_source_content(tmp_path):
@@ -752,6 +786,16 @@ def test_cli_run_full_pipeline(synth_corpus, tmp_path, capsys):
     assert "group mean sentiment" in captured.out
     assert "timing ingest:" in captured.err  # timings go to stderr only
     assert (out / "run_summary.json").exists()
+
+
+def test_cli_run_on_bot_free_synth_publishes(tmp_path, capsys):
+    # nothing is flagged: the run writes every file and skips every KS pair
+    assert main(["synth", "--out", str(tmp_path), "--seed", "7",
+                 "--humans", "3", "--bots", "0"]) == 0
+    out = tmp_path / "report"
+    assert main(["run", str(tmp_path / "corpus.ndjson"), "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == EXPECTED_ARTIFACTS
+    assert capsys.readouterr().out.count("skipped (empty group)") == 3
 
 
 def test_cli_analyze_reports_ks(synth_corpus, tmp_path, capsys):

@@ -15,7 +15,6 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botminer.errors import PipelineStageError
 from botminer.pipeline import PipelineSettings, execute_pipeline
 from botminer.textmine import load_lexicon
 
@@ -69,17 +68,14 @@ def _lines(records) -> list:
 
 
 def _run(lines, lexicon: str = SIGNED_ZERO_LEXICON):
-    """The artifacts (file name -> bytes) of a run on *lines*, or its error message."""
+    """The artifacts (file name -> bytes) of a run on *lines*."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "corpus.ndjson").write_bytes(b"".join(
             line if isinstance(line, bytes) else line.encode("utf-8") for line in lines))
         (root / "lexicon.tsv").write_text(lexicon, encoding="utf-8")
-        try:
-            execute_pipeline(root / "corpus.ndjson", root / "out",
-                             PipelineSettings(lexicon_path=root / "lexicon.tsv"))
-        except PipelineStageError as exc:
-            return str(exc)
+        execute_pipeline(root / "corpus.ndjson", root / "out",
+                         PipelineSettings(lexicon_path=root / "lexicon.tsv"))
         return {path.name: path.read_bytes() for path in (root / "out").iterdir()}
 
 
@@ -107,9 +103,6 @@ def test_junk_lines_change_only_skipped_records(records, junk):
     for at, line in sorted(junk, key=lambda pair: pair[0], reverse=True):
         lines.insert(at, line)
     got = _run(lines)
-    if isinstance(base, str):
-        assert got == base
-        return
     assert _without(got, "run_summary.json") == _without(base, "run_summary.json")
     report = json.loads(base["run_summary.json"])
     report["corpus"]["skipped_records"] = sum(line not in BLANK_LINES for _, line in junk)
@@ -132,9 +125,6 @@ def test_renaming_tweets_changes_only_the_id_column(records, new_ids):
     rename = dict(zip((f"t{k}" for k in range(20)), new_ids))
     base = _run(_lines(records))
     got = _run(_lines({**rec, "id": rename[rec["id"]]} for rec in records))
-    if isinstance(base, str):
-        assert got == base
-        return
     assert _without(got, "classifications.csv") == _without(base, "classifications.csv")
     base_rows, got_rows = _classification_rows(base), _classification_rows(got)
     assert got_rows[:2] == base_rows[:2]  # the fingerprint and the header
@@ -142,16 +132,13 @@ def test_renaming_tweets_changes_only_the_id_column(records, new_ids):
 
 
 @relation_settings
-@given(drawn_records(), st.lists(st.sampled_from(("unheard", "absent", "@nobody")),
+@given(drawn_records(), st.lists(st.sampled_from(("unheard", "absent", "@nobody", "#nobody")),
                                  min_size=1, unique=True),
        st.sampled_from((-1.5, 0.0, 0.25)))
 def test_unused_lexicon_words_change_only_the_fingerprint(records, words, value):
     lines = _lines(records)
     base = _run(lines)
     got = _run(lines, SIGNED_ZERO_LEXICON + "".join(f"{word}\t{value}\n" for word in words))
-    if isinstance(base, str):
-        assert got == base
-        return
     fingerprints = [json.loads(run["run_summary.json"])["config_fingerprint"]
                     for run in (base, got)]
     assert fingerprints[0] != fingerprints[1]
@@ -166,9 +153,6 @@ def test_permuting_lines_changes_only_the_classification_order(records, random):
     base = _run(lines)
     random.shuffle(lines)
     got = _run(lines)
-    if isinstance(base, str):
-        assert got == base
-        return
     assert _without(got, "classifications.csv") == _without(base, "classifications.csv")
     base_rows, got_rows = _classification_rows(base), _classification_rows(got)
     assert got_rows[:2] == base_rows[:2]

@@ -11,7 +11,8 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from botminer.stats import LINEAR, NEAREST_RANK, _kolmogorov_sf, ecdf, ks_two_sample, quantile
+from botminer.stats import (LINEAR, NEAREST_RANK, Ecdf, _kolmogorov_sf, ecdf, ks_two_sample,
+                            quantile)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +116,11 @@ def test_ecdf_scale_shift_equivariance():
         assert g.evaluate(c * t + s) == pytest.approx(f.evaluate(t))
 
 
-def test_ecdf_empty_rejected():
-    with pytest.raises(ValueError):
-        ecdf(Counter())
+def test_ecdf_empty_has_no_points():
+    f = ecdf(Counter())
+    assert f == Ecdf((), (), 0)
+    assert f.points() == []
+    assert f.evaluate(0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from botminer.detector import (
 from botminer.errors import ConfigError
 from botminer.textmine import (
     TokenizedDoc,
+    VocabModel,
     build_vocab,
     cooccurrence,
     group_mean_sentiment,
@@ -224,13 +225,13 @@ def test_vocab_zero_law():
     assert vocab.counts["shared"] == 4
 
 
-def test_vocab_rejects_bad_band_or_empty():
-    docs = docs_of([["a"]])
-    with pytest.raises(ValueError):
-        build_vocab(cooccurrence(docs_of([])), 0.01, 0.45)
-    for lo, hi in ((0.5, 0.5), (0.6, 0.4), (-0.1, 0.45), (0.01, 1.1)):
-        with pytest.raises(ValueError):
-            build_vocab(cooccurrence(docs), lo, hi)
+def test_vocab_rejects_bad_band_and_is_empty_without_docs():
+    empty = cooccurrence(docs_of([]))
+    assert build_vocab(empty, 0.01, 0.45) == VocabModel((), {}, 0, {}, {})
+    for model in (empty, cooccurrence(docs_of([["a"]]))):
+        for lo, hi in ((0.5, 0.5), (0.6, 0.4), (-0.1, 0.45), (0.01, 1.1)):
+            with pytest.raises(ValueError):
+                build_vocab(model, lo, hi)
 
 
 def test_vocab_pruning_monotonicity():
@@ -780,6 +781,22 @@ def test_load_lexicon_rejects_repeated_word(tmp_path):
     path.write_text("good\t1\n# comment\nbad\t-1\nGOOD\t-1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=r"line 4: 'GOOD' repeats line 1"):
         load_lexicon(path)
+
+
+def test_hashtag_entries_are_no_comments(tmp_path):
+    # a comment is '#' then whitespace or the line's end; '#freeiran' is an entry
+    comments = "# comment\n#\n  #\tindented comment\n"
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text(f"{comments}good\t1\n#FreeIran\t-1.5\n", encoding="utf-8")
+    lex = load_lexicon(lexicon)
+    assert lex == {"good": 1.0, "#freeiran": -1.5}
+    tokens = tokenize_text("#FreeIran good #FreeIran", STOPWORDS)
+    assert group_word_sentiment_samples({"g": Counter(tokens)}, lex) == {
+        "g": Counter({-1.5: 2, 1.0: 1})}
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text(f"{comments}the\n#FreeIran\n", encoding="utf-8")
+    assert load_stopwords(stopwords) == frozenset({"the", "#freeiran"})
+    assert tokenize_text("the #FreeIran good", load_stopwords(stopwords)) == ["good"]
 
 
 def test_default_lexicon_loads():
